@@ -25,8 +25,13 @@ __all__ = [
     "NonPhysicalStateError",
     "conserved_to_primitive",
     "euler_flux",
+    "tv_includes_wrap",
+    "total_variation_array",
+    "quadratic_energy_array",
     "total_variation",
     "quadratic_energy",
+    "euler_floor",
+    "require_admissible",
     "positivity_check",
     "energy_numerator_coefficients",
     "internal_energy_density",
@@ -182,26 +187,68 @@ def euler_flux(state, gamma: float) -> np.ndarray:
     return np.array([m, m * u + p, u * (E + p)])
 
 
-def total_variation(f: ScalarField, include_wrap: bool | None = None) -> float:
-    """Sum of |q_{i+1} - q_i|.
+def tv_includes_wrap(boundary, override: bool | None = None) -> bool:
+    """Whether TV counts the wrap pair |q_0 - q_{n-1}|: by default on periodic
+    grids only (that keeps TV of periodic data translation invariant)."""
+    return isinstance(boundary, Periodic) if override is None else override
 
-    On periodic grids the wrap pair |q_0 - q_{n-1}| is included by default
-    (TV of periodic data is translation invariant that way); on
-    dirichlet/outflow grids it is not.  ``include_wrap`` overrides.
-    """
-    q = f.q
+
+def total_variation_array(q: np.ndarray, wrap: bool) -> float:
+    """Sum of |q_{i+1} - q_i|, plus |q_0 - q_{n-1}| when ``wrap``."""
     tv = float(np.sum(np.abs(np.diff(q))))
-    if include_wrap is None:
-        include_wrap = isinstance(f.grid.boundary, Periodic)
-    if include_wrap:
+    if wrap:
         tv += abs(float(q[0] - q[-1]))
     return tv
 
 
+def quadratic_energy_array(q: np.ndarray) -> float:
+    """0.5 * sum(q_i^2)."""
+    return 0.5 * float(q @ q)
+
+
+def total_variation(f: ScalarField, include_wrap: bool | None = None) -> float:
+    """Total variation of a field; see :func:`tv_includes_wrap` for the wrap pair."""
+    return total_variation_array(f.q, tv_includes_wrap(f.grid.boundary, include_wrap))
+
+
 def quadratic_energy(f: ScalarField) -> float:
     """0.5 * sum(q_i^2)."""
-    q = f.q
-    return 0.5 * float(q @ q)
+    return quadratic_energy_array(f.q)
+
+
+def euler_floor(U):
+    """Minima of rho and rho*e of a conserved state (rows rho, m, E).
+
+    Returns ``(min_rho, min_rhoe, failure)``.  ``min_rhoe`` is taken over
+    the cells with rho > 0 only (None when there are none).  ``failure`` is
+    None for an admissible state, else ``(quantity, cell)``: the first cell
+    with rho <= 0 and quantity "density", or, when every density is
+    positive, the first cell with rho*e <= 0 and quantity
+    "internal_energy".  NaN counts as non-positive.
+    """
+    rho, m, E = U
+    min_rho = float(np.min(rho))
+    if min_rho > 0.0:
+        rhoe = internal_energy_density(rho, m, E)
+        min_rhoe = float(np.min(rhoe))
+        if min_rhoe > 0.0:
+            return min_rho, min_rhoe, None
+        return min_rho, min_rhoe, ("internal_energy", int(np.argmax(~(rhoe > 0.0))))
+    good = rho > 0.0
+    min_rhoe = (
+        float(np.min(internal_energy_density(rho[good], m[good], E[good])))
+        if good.any()
+        else None
+    )
+    return min_rho, min_rhoe, ("density", int(np.argmax(~good)))
+
+
+def require_admissible(U) -> None:
+    """Raise :class:`NonPhysicalStateError` naming the first inadmissible cell."""
+    failure = euler_floor(U)[2]
+    if failure is not None:
+        quantity, cell = failure
+        raise NonPhysicalStateError(f"non-positive {quantity.replace('_', ' ')} in Euler state", cell)
 
 
 def positivity_check(f: EulerField) -> PositivityReport:
@@ -211,35 +258,11 @@ def positivity_check(f: EulerField) -> PositivityReport:
     is not evaluated; otherwise the minimum of rho*e decides.  Exactly zero
     counts as a failure.
     """
-    rho, m, E = f.rho, f.m, f.E
-    min_rho = float(np.min(rho))
-    bad_rho = ~(rho > 0.0)  # catches non-positive values and NaN
-    if bad_rho.any():
-        good = ~bad_rho
-        min_rhoe = (
-            float(np.min(internal_energy_density(rho[good], m[good], E[good])))
-            if good.any()
-            else None
-        )
-        return PositivityReport(
-            passed=False,
-            min_rho=min_rho,
-            min_rhoe=min_rhoe,
-            first_bad_cell=int(np.argmax(bad_rho)),
-            reason="density",
-        )
-    rhoe = internal_energy_density(rho, m, E)
-    min_rhoe = float(np.min(rhoe))
-    bad_rhoe = ~(rhoe > 0.0)
-    if bad_rhoe.any():
-        return PositivityReport(
-            passed=False,
-            min_rho=min_rho,
-            min_rhoe=min_rhoe,
-            first_bad_cell=int(np.argmax(bad_rhoe)),
-            reason="internal_energy",
-        )
-    return PositivityReport(True, min_rho, min_rhoe, None, None)
+    min_rho, min_rhoe, failure = euler_floor((f.rho, f.m, f.E))
+    if failure is None:
+        return PositivityReport(True, min_rho, min_rhoe, None, None)
+    reason, cell = failure
+    return PositivityReport(False, min_rho, min_rhoe, cell, reason)
 
 
 def energy_numerator_coefficients(state, rhs):

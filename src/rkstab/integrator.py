@@ -15,12 +15,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import EulerField, Grid1D, NonPhysicalStateError, ScalarField
+from .fields import (
+    EulerField,
+    Grid1D,
+    NonPhysicalStateError,
+    ScalarField,
+    euler_floor,
+    require_admissible,
+)
 from .monitors import (
     Monitor,
     bind_scale,
-    euler_state_floor,
     evaluate_functional,
+    family_values,
+    passes,
+    worst_delta,
 )
 from .tableau import ButcherTableau
 
@@ -195,7 +204,8 @@ class SimulationRecord:
     min(rho, rho*e) of q^RK for positivity.  The two ``*_worst`` columns are
     the most-violating delta over the stage family (stages plus step) and
     over the shifted family.  ``min_rho``/``min_rhoe`` are the step
-    solution's minima and stay None for scalar problems.
+    solution's minima (rho*e over the cells with rho > 0, NaN when there
+    are none) and stay None for scalar problems.
     """
 
     times: np.ndarray
@@ -209,11 +219,12 @@ class SimulationRecord:
     n_steps: int
     config: SimulationConfig = field(repr=False, default=None)
 
-    def write_csv(self, path, every: int | None = None) -> None:
-        """History CSV: t, G_step, worst_stage_delta, worst_shifted_delta[, min_rho, min_rhoe]."""
-        stride = every if every is not None else (
-            self.config.record_every if self.config is not None else 1
-        )
+    def write_csv(self, path) -> None:
+        """History CSV: t, G_step, worst_stage_delta, worst_shifted_delta[, min_rho, min_rhoe].
+
+        Every ``config.record_every``-th step is written, and the last one.
+        """
+        stride = self.config.record_every if self.config is not None else 1
         euler = self.min_rho is not None
         header = ["t", "G_step", "worst_stage_delta", "worst_shifted_delta"]
         if euler:
@@ -237,24 +248,17 @@ class SimulationRecord:
                 writer.writerow(row)
 
 
-def _euler_minima(U: np.ndarray):
-    rho = U[0]
-    min_rho = float(np.min(rho))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhoe = U[2] - 0.5 * U[1] * U[1] / rho
-    return min_rho, float(np.min(rhoe))
-
-
 def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callback=None) -> SimulationRecord:
     """Advance the configured problem from t = 0 to t_final.
 
     Monitor values for the step solution, every stage solution and every
     shifted state are recorded each step.  A criterion violation is recorded
     (first-failure step per criterion) but the run continues; only an RHS
-    failure or a degenerate step size aborts it.  With ``early_stop`` the
-    run stops once both criteria have already failed, which cannot change
-    the verdict (used by limit sweeps).  ``trace_callback(step, t, trace)``
-    is invoked after each completed step.
+    failure or a degenerate step size aborts it (when an Euler step solution
+    lost positivity, the reason names the quantity and the first bad cell).
+    With ``early_stop`` the run stops once both criteria have already
+    failed, which cannot change the verdict (used by limit sweeps).
+    ``trace_callback(step, t, trace)`` is invoked after each completed step.
     """
     scheme = config.scheme
     grid = config.grid
@@ -269,7 +273,6 @@ def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callba
         raise ValueError("positivity monitor requires an Euler scheme")
     if not positivity:
         monitor = bind_scale(monitor, evaluate_functional(monitor, q, grid))
-    slack = monitor.slack
 
     times: list[float] = []
     g_step: list[float] = []
@@ -292,6 +295,11 @@ def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callba
             if math.isnan(dt) or dt <= 0.0:
                 aborted_step = step
                 abort_reason = "degenerate_dt"
+                if is_euler:
+                    try:
+                        require_admissible(q)
+                    except NonPhysicalStateError as exc:
+                        abort_reason += f": {exc}"
                 break
             dt = min(dt, config.t_final - t)
             try:
@@ -301,40 +309,24 @@ def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callba
                 abort_reason = str(exc)
                 break
 
-            states_step = trace.stage_solutions + (trace.q_rk,)
+            ref, (v_step, v_shift) = family_values(
+                monitor, grid, q, trace.stage_solutions + (trace.q_rk,), trace.shifted_states
+            )
+            worst_p = worst_delta(monitor, v_step - ref)
+            worst_s = worst_delta(monitor, v_shift - ref)
             if positivity:
-                floors_step = np.array([euler_state_floor(x) for x in states_step])
-                floors_shift = np.array([euler_state_floor(x) for x in trace.shifted_states])
-                worst_p = float(np.min(floors_step))
-                worst_s = float(np.min(floors_shift))
-                step_ok = worst_p > 0.0
-                shift_ok = worst_s > 0.0
-                g_rk = float(floors_step[-1])
-                mr, me = _euler_minima(trace.q_rk)
+                mr, me, _ = euler_floor(trace.q_rk)
                 min_rho.append(mr)
-                min_rhoe.append(me)
-            else:
-                g_n = evaluate_functional(monitor, q, grid)
-                vals_step = np.array(
-                    [evaluate_functional(monitor, x, grid) for x in states_step]
-                )
-                vals_shift = np.array(
-                    [evaluate_functional(monitor, x, grid) for x in trace.shifted_states]
-                )
-                worst_p = float(np.max(vals_step - g_n))
-                worst_s = float(np.max(vals_shift - g_n))
-                step_ok = worst_p <= slack
-                shift_ok = worst_s <= slack
-                g_rk = float(vals_step[-1])
+                min_rhoe.append(math.nan if me is None else me)
 
             t = t + dt
             times.append(t)
-            g_step.append(g_rk)
+            g_step.append(float(v_step[-1]))
             stage_worst.append(worst_p)
             shifted_worst.append(worst_s)
-            if not step_ok and first_step_fail is None:
+            if first_step_fail is None and not passes(monitor, worst_p):
                 first_step_fail = step
-            if not shift_ok and first_shift_fail is None:
+            if first_shift_fail is None and not passes(monitor, worst_s):
                 first_shift_fail = step
             if trace_callback is not None:
                 trace_callback(step, t, trace)

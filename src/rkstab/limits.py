@@ -104,17 +104,20 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     candidates = _candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
     outcomes: dict[float, CandidateOutcome] = {}
 
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for out in pool.map(_run_candidate, [(base, c) for c in candidates]):
-                outcomes[out.c] = out
-                if cfg.refine and _both_failed(outcomes, candidates):
-                    break
-    else:
-        for c in candidates:
-            outcomes[c] = _run_candidate((base, c))
-            if cfg.refine and _both_failed(outcomes, candidates):
+    # Outcomes arrive in candidate order, serial or pooled.
+    jobs = [(base, c) for c in candidates]
+    pool = concurrent.futures.ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+    step_failed = shifted_failed = False
+    try:
+        for out in (pool.map if pool else map)(_run_candidate, jobs):
+            outcomes[out.c] = out
+            step_failed = step_failed or not out.step_pass
+            shifted_failed = shifted_failed or not out.shifted_pass
+            if cfg.refine and step_failed and shifted_failed:
                 break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # drop candidates not yet started
 
     def prefix_largest(flag) -> float | None:
         best = None
@@ -139,18 +142,6 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
         c_s=c_s,
         per_candidate=ordered,
     )
-
-
-def _both_failed(outcomes, candidates) -> bool:
-    """True once the scan has seen a failure of each criterion (in prefix order)."""
-    step_failed = shifted_failed = False
-    for c in candidates:
-        if c not in outcomes:
-            break
-        o = outcomes[c]
-        step_failed = step_failed or not o.step_pass
-        shifted_failed = shifted_failed or not o.shifted_pass
-    return step_failed and shifted_failed
 
 
 def _refine(base, coarse, cfg, outcomes, flag):

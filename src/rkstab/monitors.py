@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Periodic
+from .fields import euler_floor, quadratic_energy_array, total_variation_array, tv_includes_wrap
 
 __all__ = [
     "Monitor",
@@ -21,6 +21,9 @@ __all__ = [
     "evaluate_functional",
     "euler_state_floor",
     "bind_scale",
+    "family_values",
+    "passes",
+    "worst_delta",
     "check_step_criterion",
     "check_shifted_criterion",
     "positivity_of_trace",
@@ -70,22 +73,12 @@ class MonitorVerdict:
     index: int | None = None
 
 
-def _tv_arr(q: np.ndarray, wrap: bool) -> float:
-    tv = float(np.sum(np.abs(np.diff(q))))
-    if wrap:
-        tv += abs(float(q[0] - q[-1]))
-    return tv
-
-
 def evaluate_functional(monitor: Monitor, state: np.ndarray, grid) -> float:
     """G(state) for the energy and tv monitors (positivity has no scalar G)."""
     if monitor.kind == "energy":
-        return 0.5 * float(state @ state)
+        return quadratic_energy_array(state)
     if monitor.kind == "tv":
-        wrap = monitor.tv_wrap
-        if wrap is None:
-            wrap = isinstance(grid.boundary, Periodic)
-        return _tv_arr(state, wrap)
+        return total_variation_array(state, tv_includes_wrap(grid.boundary, monitor.tv_wrap))
     raise ValueError("positivity monitor does not define a scalar functional")
 
 
@@ -95,12 +88,10 @@ def euler_state_floor(U: np.ndarray) -> float:
     Positive return means the state is admissible.  NaN anywhere yields a
     non-passing value.
     """
-    rho = U[0]
-    min_rho = float(np.min(rho))
+    min_rho, min_rhoe, _ = euler_floor(U)
     if not min_rho > 0.0:
         return min_rho
-    rhoe = U[2] - 0.5 * U[1] * U[1] / rho
-    return min(min_rho, float(np.min(rhoe)))
+    return min_rhoe if not min_rhoe >= min_rho else min_rho  # NaN propagates
 
 
 def bind_scale(monitor: Monitor, g0: float) -> Monitor:
@@ -108,22 +99,42 @@ def bind_scale(monitor: Monitor, g0: float) -> Monitor:
     return replace(monitor, scale=max(1.0, abs(g0)))
 
 
-def _convex_verdicts(monitor: Monitor, trace, states) -> list[MonitorVerdict]:
-    g_n = evaluate_functional(monitor, trace.q_n, trace.grid)
-    slack = monitor.slack
-    verdicts = []
-    for where, index, state in states:
-        delta = evaluate_functional(monitor, state, trace.grid) - g_n
-        verdicts.append(MonitorVerdict(bool(delta <= slack), delta, where, index))
-    return verdicts
+def family_values(monitor: Monitor, grid, q_n, *families):
+    """The reference and the monitored value of every state of each family.
+
+    For energy/tv the reference is G(q^n), evaluated once for all families,
+    and a state's value is G(state); for positivity the reference is 0 and
+    the value is the state floor.  A state's delta is value - reference.
+    Returns ``(reference, [values array per family])``.
+    """
+    if monitor.kind == "positivity":
+        return 0.0, [np.array([euler_state_floor(x) for x in fam]) for fam in families]
+    g_n = evaluate_functional(monitor, q_n, grid)
+    return g_n, [np.array([evaluate_functional(monitor, x, grid) for x in fam]) for fam in families]
 
 
-def _positivity_verdicts(states) -> list[MonitorVerdict]:
-    verdicts = []
-    for where, index, state in states:
-        floor = euler_state_floor(state)
-        verdicts.append(MonitorVerdict(bool(floor > 0.0), floor, where, index))
-    return verdicts
+def passes(monitor: Monitor, delta):
+    """The per-state rule: delta <= slack for energy/tv, delta > 0 for
+    positivity.  NaN never passes."""
+    if monitor.kind == "positivity":
+        return delta > 0.0
+    return delta <= monitor.slack
+
+
+def worst_delta(monitor: Monitor, deltas: np.ndarray) -> float:
+    """The most-violating delta of a family (NaN if any delta is NaN).
+
+    The family passes exactly when this value passes.
+    """
+    return float(np.min(deltas) if monitor.kind == "positivity" else np.max(deltas))
+
+
+def _verdicts(monitor: Monitor, trace, labelled) -> list[MonitorVerdict]:
+    ref, (values,) = family_values(monitor, trace.grid, trace.q_n, [x for _, _, x in labelled])
+    return [
+        MonitorVerdict(bool(passes(monitor, d)), float(d), where, index)
+        for (where, index, _), d in zip(labelled, values - ref)
+    ]
 
 
 def _step_states(trace):
@@ -142,10 +153,7 @@ def check_step_criterion(monitor: Monitor, trace) -> list[MonitorVerdict]:
     All of them passing (within slack) is the per-step requirement behind
     the practical coefficient c^p.
     """
-    states = _step_states(trace)
-    if monitor.kind == "positivity":
-        return _positivity_verdicts(states)
-    return _convex_verdicts(monitor, trace, states)
+    return _verdicts(monitor, trace, _step_states(trace))
 
 
 def check_shifted_criterion(monitor: Monitor, trace) -> list[MonitorVerdict]:
@@ -153,12 +161,9 @@ def check_shifted_criterion(monitor: Monitor, trace) -> list[MonitorVerdict]:
 
     All of them passing is the per-step requirement behind c^s.
     """
-    states = _shifted_states(trace)
-    if monitor.kind == "positivity":
-        return _positivity_verdicts(states)
-    return _convex_verdicts(monitor, trace, states)
+    return _verdicts(monitor, trace, _shifted_states(trace))
 
 
 def positivity_of_trace(trace) -> list[MonitorVerdict]:
     """Strict positivity of every state in the trace: stages, step, shifted."""
-    return _positivity_verdicts(_step_states(trace) + _shifted_states(trace))
+    return _verdicts(Monitor(kind="positivity"), trace, _step_states(trace) + _shifted_states(trace))

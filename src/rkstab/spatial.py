@@ -26,6 +26,7 @@ from .fields import (
     Periodic,
     ScalarField,
     internal_energy_density,
+    require_admissible,
 )
 
 __all__ = [
@@ -118,8 +119,7 @@ class LaxFriedrichsEuler:
             raise ValueError("gamma must exceed 1")
 
     def rhs_array(self, U: np.ndarray, grid: Grid1D) -> np.ndarray:
-        R, _ = _llf_rhs(U, grid.dx, self.gamma, grid.boundary, self.local)
-        return R
+        return _llf_rhs(U, grid.dx, self.gamma, grid.boundary, self.local)
 
     def dt_fe_array(self, U: np.ndarray, grid: Grid1D) -> float:
         a_max = _max_wavespeed(U, self.gamma)
@@ -215,16 +215,15 @@ def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
 # Euler kernels
 
 def _primitive_parts(U: np.ndarray, gamma: float):
+    """Velocity, pressure and maximal signal speed |u| + sqrt(gamma p / rho) per cell."""
     rho, m, E = U
     u = m / rho
     p = (gamma - 1.0) * (E - 0.5 * m * u)
-    return u, p
+    return u, p, np.abs(u) + np.sqrt(gamma * p / rho)
 
 
 def _max_wavespeed(U: np.ndarray, gamma: float) -> float:
-    rho = U[0]
-    u, p = _primitive_parts(U, gamma)
-    return float(np.max(np.abs(u) + np.sqrt(gamma * p / rho)))
+    return float(np.max(_primitive_parts(U, gamma)[2]))
 
 
 def lax_friedrichs_flux_euler(left, right, gamma: float):
@@ -261,37 +260,18 @@ def _extend_euler(U: np.ndarray, boundary) -> np.ndarray:
     )
 
 
-def _check_admissible(U: np.ndarray) -> None:
-    rho, m, E = U
-    bad_rho = ~(rho > 0.0)
-    if bad_rho.any():
-        raise NonPhysicalStateError(
-            "non-positive density in Euler state", cell=int(np.argmax(bad_rho))
-        )
-    rhoe = internal_energy_density(rho, m, E)
-    bad_e = ~(rhoe > 0.0)
-    if bad_e.any():
-        raise NonPhysicalStateError(
-            "non-positive internal energy in Euler state", cell=int(np.argmax(bad_e))
-        )
-
-
-def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool):
-    _check_admissible(U)
+def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool) -> np.ndarray:
+    require_admissible(U)
     Ue = _extend_euler(U, boundary)
-    rho, m, E = Ue
-    u = m / rho
-    p = (gamma - 1.0) * (E - 0.5 * m * u)
-    speed = np.abs(u) + np.sqrt(gamma * p / rho)
+    _, m, E = Ue
+    u, p, speed = _primitive_parts(Ue, gamma)
     flux = np.stack([m, m * u + p, u * (E + p)])
-    a_max = float(np.max(speed))
     if local:
         a_ifc = np.maximum(speed[:-1], speed[1:])
     else:
-        a_ifc = a_max
+        a_ifc = float(np.max(speed))
     h = 0.5 * (flux[:, :-1] + flux[:, 1:] - a_ifc * (Ue[:, 1:] - Ue[:, :-1]))
-    R = -(h[:, 1:] - h[:, :-1]) / dx
-    return R, a_max
+    return -(h[:, 1:] - h[:, :-1]) / dx
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +279,12 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool):
 
 def rhs_dissipative_burgers(f: ScalarField, mu: float) -> ScalarField:
     """RHS of the energy-dissipative Burgers discretization (periodic only)."""
-    _require_periodic(f.grid, "dissipative Burgers")
-    return ScalarField(f.grid, _dissipative_rhs(f.q, f.grid.dx, mu))
+    return ScalarField(f.grid, DissipativeBurgers(mu).rhs_array(f.q, f.grid))
 
 
 def rhs_upwind_burgers(f: ScalarField) -> ScalarField:
     """RHS of the first-order upwind Burgers discretization (periodic only)."""
-    _require_periodic(f.grid, "upwind Burgers")
-    return ScalarField(f.grid, _upwind_rhs(f.q, f.grid.dx))
+    return ScalarField(f.grid, UpwindBurgers().rhs_array(f.q, f.grid))
 
 
 def rhs_muscl_burgers(f: ScalarField) -> ScalarField:
@@ -315,7 +293,7 @@ def rhs_muscl_burgers(f: ScalarField) -> ScalarField:
     Dirichlet grids use two ghost cells per side frozen at the boundary
     states; outflow is not supported.
     """
-    return ScalarField(f.grid, _muscl_rhs(f.q, f.grid.dx, f.grid.boundary))
+    return ScalarField(f.grid, MusclBurgers().rhs_array(f.q, f.grid))
 
 
 def rhs_llf_euler(f: EulerField, local: bool = True):
@@ -325,9 +303,9 @@ def rhs_llf_euler(f: EulerField, local: bool = True):
     energy raises :class:`NonPhysicalStateError` naming the first bad cell
     (limit searches treat that as a stability failure of the probed step).
     """
-    R, a_max = _llf_rhs(f.stack(), f.grid.dx, f.gamma, f.grid.boundary, local)
-    rhs_field = EulerField.from_stack(f.grid, R, f.gamma)
-    return rhs_field, a_max
+    U = f.stack()
+    R = LaxFriedrichsEuler(f.gamma, local).rhs_array(U, f.grid)
+    return EulerField.from_stack(f.grid, R, f.gamma), _max_wavespeed(U, f.gamma)
 
 
 def dt_fe(scheme: SchemeSpec, f) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField
+from rkstab.fields import positivity_check
 from rkstab.integrator import (
     SimulationConfig,
     StepFailedError,
@@ -229,6 +230,21 @@ def test_simulate_aborts_on_nonphysical_state():
     v = rec.verdict
     assert not v.passed and not v.step_pass and not v.shifted_pass
     assert v.aborted_step is not None or v.first_step_failure is not None
+
+
+def test_abort_after_lost_positivity_names_quantity_and_cell():
+    """ssprk33 at c = 1 leaves a negative density in the step-0 solution; the
+    next dt_FE is NaN and the abort reason locates the bad cell."""
+    rec = simulate(preset_config("leblanc_n2", "ssprk33", 1.0))
+    v = rec.verdict
+    assert (v.aborted_step, rec.n_steps) == (1, 1)
+    assert (v.first_step_failure, v.first_shifted_failure) == (0, 0)
+    assert not v.step_pass and not v.shifted_pass
+    report = positivity_check(rec.final_field)  # the last recorded step solution
+    assert report.reason == "density" and report.first_bad_cell is not None
+    assert v.abort_reason.startswith("degenerate_dt")
+    assert "density" in v.abort_reason
+    assert f"(cell {report.first_bad_cell})" in v.abort_reason
 
 
 def test_simulate_early_stop_shortens_failed_runs():

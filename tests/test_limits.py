@@ -1,4 +1,6 @@
 import json
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -62,6 +64,40 @@ def test_workers_do_not_change_results():
     seq = find_limits(upwind_search(c_max=1.6))
     par = find_limits(upwind_search(c_max=1.6, workers=SWEEP_WORKERS))
     assert seq == par
+
+
+@dataclass(frozen=True)
+class CountingIC:
+    """Initial condition that appends a line to ``path`` for every run it
+    starts (in any process) and then waits ``delay`` seconds."""
+
+    inner: object
+    path: str
+    delay: float
+
+    def build(self, grid):
+        with open(self.path, "a") as fh:
+            fh.write("run\n")
+        time.sleep(self.delay)
+        return self.inner.build(grid)
+
+
+def test_refine_scan_drops_pending_candidates(tmp_path):
+    """With refine the coarse scan stops at the first tick where both criteria
+    have failed; the pool must not go on to run the candidates queued after it."""
+    runs = {}
+    results = {}
+    for workers in (1, 2):
+        counter = tmp_path / f"runs_{workers}"
+        base = preset_config("upwind", "forward_euler", 1.0)
+        base = replace(base, ic=CountingIC(base.ic, str(counter), delay=0.05))
+        cfg = LimitSearchConfig(base=base, c_min=1.1, refine=True, workers=workers)
+        results[workers] = find_limits(cfg)
+        runs[workers] = len(counter.read_text().splitlines())
+    assert results[2] == results[1]
+    assert runs[1] == len(results[1].per_candidate)  # 1.1 .. 1.4, then bisection
+    n_coarse = 40  # 1.1 .. 5.0
+    assert runs[1] <= runs[2] < n_coarse
 
 
 def test_all_candidates_failing_yields_sentinel():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField
+from rkstab.fields import positivity_check
 from rkstab.integrator import StageTrace, rk_step_instrumented, simulate
 from rkstab.monitors import (
     Monitor,
@@ -124,6 +125,32 @@ def test_nan_states_fail_all_monitors():
         assert not check_shifted_criterion(monitor, trace)[0].passed
 
 
+@pytest.mark.parametrize("row", [1, 2])  # NaN in momentum, NaN in total energy
+def test_nan_states_fail_positivity_monitor(row):
+    U = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    bad = U.copy()
+    bad[row, 1] = np.nan
+    assert not euler_state_floor(bad) > 0.0
+    trace = StageTrace(
+        q_n=U,
+        dt=0.1,
+        stage_solutions=(U,),
+        stage_derivatives=(np.zeros_like(U),),
+        shifted_states=(bad,),
+        q_rk=bad,
+        is_euler=True,
+    )
+    monitor = Monitor(kind="positivity")
+    assert not check_step_criterion(monitor, trace)[-1].passed
+    assert not check_shifted_criterion(monitor, trace)[0].passed
+    assert [v.passed for v in positivity_of_trace(trace)] == [True, False, False]
+    # the field-level check agrees on the same cell
+    field = EulerField.from_stack(Grid1D(3, 0.0, 1.0), np.hstack([bad, U[:, :1]]), 1.4)
+    report = positivity_check(field)
+    assert not report.passed
+    assert (report.reason, report.first_bad_cell) == ("internal_energy", 1)
+
+
 def euler_trace(n=32, dt_factor=1.0):
     cfg = preset_config("leblanc_n2", "ssprk33", dt_factor, n_cells=n)
     field = cfg.ic.build(cfg.grid)
@@ -221,3 +248,32 @@ def test_convexity_implication_on_recorded_traces():
                 assert all(v.passed for v in check_step_criterion(monitor, tr))
                 checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "preset, c, kw",
+    [
+        ("dissipative", 2.1, {"t_final": 0.05}),
+        ("upwind", 1.5, {"t_final": 0.5}),
+        ("muscl2", 1.5, {"t_final": 10.0}),
+        ("leblanc_n2", 0.6, {"n_cells": 120, "t_final": 0.05}),
+        ("leblanc_n5", 0.6, {"n_cells": 120, "t_final": 0.05}),
+    ],
+)
+def test_history_worst_deltas_come_from_the_verdicts(preset, c, kw):
+    """The recorded worst deltas are exactly the worst verdict deltas of each
+    step, on runs where some steps fail."""
+    cfg = preset_config(preset, "rk44", c, **kw)
+    traces = []
+    record = simulate(cfg, trace_callback=lambda step, t, tr: traces.append(tr))
+    monitor = cfg.monitor
+    worst = min if monitor.kind == "positivity" else max
+    if monitor.kind != "positivity":
+        monitor = bound_monitor(cfg, traces[0].q_n)
+    assert len(traces) == record.n_steps > 0
+    for i, tr in enumerate(traces):
+        step = worst(v.delta for v in check_step_criterion(monitor, tr))
+        shifted = worst(v.delta for v in check_shifted_criterion(monitor, tr))
+        assert record.monitor_stage_worst[i] == step
+        assert record.monitor_shifted_worst[i] == shifted
+    assert not record.verdict.passed and record.verdict.aborted_step is None
