@@ -200,6 +200,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_limits(args) -> int:
+    if args.workers < 1:
+        raise _CliError(f"--workers must be at least 1, got {args.workers}")
     if args.preset not in PRESET_IDS:
         raise _CliError(f"unknown preset {args.preset!r}; valid: {', '.join(PRESET_IDS)}")
     if args.schemes == "all":

@@ -25,11 +25,13 @@ __all__ = [
     "NonPhysicalStateError",
     "conserved_to_primitive",
     "euler_flux",
+    "per_row",
     "tv_includes_wrap",
     "total_variation_array",
     "quadratic_energy_array",
     "total_variation",
     "quadratic_energy",
+    "euler_minima",
     "euler_floor",
     "require_admissible",
     "positivity_check",
@@ -193,17 +195,28 @@ def tv_includes_wrap(boundary, override: bool | None = None) -> bool:
     return isinstance(boundary, Periodic) if override is None else override
 
 
-def total_variation_array(q: np.ndarray, wrap: bool) -> float:
-    """Sum of |q_{i+1} - q_i|, plus |q_0 - q_{n-1}| when ``wrap``."""
-    tv = float(np.sum(np.abs(np.diff(q))))
+def per_row(values):
+    """Values reduced over a state's axes: a float for one state, else the
+    array over the leading (batch) axes of a stack of states."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def total_variation_array(q: np.ndarray, wrap: bool):
+    """Sum of |q_{i+1} - q_i|, plus |q_0 - q_{n-1}| when ``wrap``, along the
+    last axis of ``q`` (one value per leading index, see :func:`per_row`)."""
+    tv = np.sum(np.abs(np.diff(q, axis=-1)), axis=-1)
     if wrap:
-        tv += abs(float(q[0] - q[-1]))
-    return tv
+        tv = tv + np.abs(q[..., 0] - q[..., -1])
+    return per_row(tv)
 
 
-def quadratic_energy_array(q: np.ndarray) -> float:
-    """0.5 * sum(q_i^2)."""
-    return 0.5 * float(q @ q)
+def quadratic_energy_array(q: np.ndarray):
+    """0.5 * sum(q_i^2) along the last axis of ``q``.
+
+    ``vecdot`` rounds every row exactly as ``q @ q`` rounds that row alone,
+    so a stacked evaluation gives the single-state value bit for bit.
+    """
+    return per_row(0.5 * np.vecdot(q, q))
 
 
 def total_variation(f: ScalarField, include_wrap: bool | None = None) -> float:
@@ -216,31 +229,41 @@ def quadratic_energy(f: ScalarField) -> float:
     return quadratic_energy_array(f.q)
 
 
-def euler_floor(U):
-    """Minima of rho and rho*e of a conserved state (rows rho, m, E).
+def euler_minima(U):
+    """Minima of rho and of rho*e of a conserved state (rows rho, m, E).
 
-    Returns ``(min_rho, min_rhoe, failure)``.  ``min_rhoe`` is taken over
-    the cells with rho > 0 only (None when there are none).  ``failure`` is
-    None for an admissible state, else ``(quantity, cell)``: the first cell
-    with rho <= 0 and quantity "density", or, when every density is
-    positive, the first cell with rho*e <= 0 and quantity
-    "internal_energy".  NaN counts as non-positive.
+    rho*e counts only the cells with rho > 0 and is NaN when there are
+    none.  ``U`` may be a stack ``(..., 3, n)``: one pair of minima per
+    leading index (floats for a single state).  NaN propagates.
     """
+    rho = U[..., 0, :]
+    good = rho > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhoe = np.where(good, internal_energy_density(rho, U[..., 1, :], U[..., 2, :]), np.inf)
+    min_rhoe = np.where(np.any(good, axis=-1), np.min(rhoe, axis=-1), np.nan)
+    return per_row(np.min(rho, axis=-1)), per_row(min_rhoe)
+
+
+def euler_floor(U):
+    """Minima of rho and rho*e of one conserved state, and where it fails.
+
+    Returns ``(min_rho, min_rhoe, failure)`` with the minima of
+    :func:`euler_minima`, except that ``min_rhoe`` is None when no cell has
+    rho > 0.  ``failure`` is None for an admissible state, else
+    ``(quantity, cell)``: the first cell with rho <= 0 and quantity
+    "density", or, when every density is positive, the first cell with
+    rho*e <= 0 and quantity "internal_energy".  NaN counts as non-positive.
+    """
+    U = np.asarray(U)
+    min_rho, min_rhoe = euler_minima(U)
     rho, m, E = U
-    min_rho = float(np.min(rho))
     if min_rho > 0.0:
-        rhoe = internal_energy_density(rho, m, E)
-        min_rhoe = float(np.min(rhoe))
         if min_rhoe > 0.0:
             return min_rho, min_rhoe, None
+        rhoe = internal_energy_density(rho, m, E)
         return min_rho, min_rhoe, ("internal_energy", int(np.argmax(~(rhoe > 0.0))))
     good = rho > 0.0
-    min_rhoe = (
-        float(np.min(internal_energy_density(rho[good], m[good], E[good])))
-        if good.any()
-        else None
-    )
-    return min_rho, min_rhoe, ("density", int(np.argmax(~good)))
+    return min_rho, min_rhoe if good.any() else None, ("density", int(np.argmax(~good)))
 
 
 def require_admissible(U) -> None:

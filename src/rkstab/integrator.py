@@ -2,15 +2,17 @@
 
 A step records everything the stability analysis needs: the stage solutions
 q^i, the stage derivatives R^j, and the shifted Euler states q^n + dt*R^j.
-``simulate`` drives a full run with per-step adaptive step sizes, evaluates
-the configured monitor on all recorded states every step, and reports where
-(if anywhere) each criterion first failed.
+``run_batch`` is the one stepping loop: it advances one run per step-size
+multiplier together, as a stack of states ``(B, n)`` or ``(B, 3, n)``, each
+row with its own adaptive step size, time, first failures and abort, and
+evaluates the configured monitor on all recorded states every step.
+``simulate`` is its one-row case with a per-step history; limit sweeps feed
+it chunks of candidates.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,17 +22,10 @@ from .fields import (
     Grid1D,
     NonPhysicalStateError,
     ScalarField,
-    euler_floor,
+    euler_minima,
     require_admissible,
 )
-from .monitors import (
-    Monitor,
-    bind_scale,
-    evaluate_functional,
-    family_values,
-    passes,
-    worst_delta,
-)
+from .monitors import Monitor, bind_scale, passes, state_values, step_deltas, worst_delta
 from .tableau import ButcherTableau
 
 __all__ = [
@@ -39,11 +34,19 @@ __all__ = [
     "SimulationConfig",
     "RunVerdict",
     "SimulationRecord",
+    "RunRow",
+    "STEP_BUDGET_FACTOR",
     "rk_step_instrumented",
     "modified_representation_stage",
     "modified_representation_solution",
+    "run_batch",
     "simulate",
 ]
+
+#: A run may take at most this many times ceil(t_final / dt_0) steps, dt_0
+#: being its first step; the next step ends it with abort reason
+#: "step_budget", so a collapsing adaptive dt_FE cannot make a run hang.
+STEP_BUDGET_FACTOR = 100
 
 
 class StepFailedError(RuntimeError):
@@ -86,9 +89,11 @@ def rk_step_instrumented(
     """Advance one step, keeping every stage quantity.
 
     ``rhs`` maps a state to its time derivative; states may be scalars or
-    numpy arrays.  An RHS failure (``NonPhysicalStateError``) is re-raised
-    as :class:`StepFailedError` carrying the stage index, which callers
-    treat as a stability failure of the probed step size.
+    numpy arrays, and ``dt`` may be an array broadcasting against them
+    (one step size per row of a stack of states).  An RHS failure
+    (``NonPhysicalStateError``) is re-raised as :class:`StepFailedError`
+    carrying the stage index, which callers treat as a stability failure of
+    the probed step size.
     """
     A, b, s = tableau.A, tableau.b, tableau.s
     stages = []
@@ -180,8 +185,9 @@ class SimulationConfig:
 class RunVerdict:
     """Overall pass/fail of one run, for both per-step criteria.
 
-    A run that aborts (non-physical state or degenerate step size) fails
-    both criteria: neither can be certified through t_final.
+    A run that aborts (non-physical state, degenerate step size, or step
+    budget exhausted) fails both criteria: neither can be certified through
+    t_final.
     """
 
     step_pass: bool
@@ -248,114 +254,268 @@ class SimulationRecord:
                 writer.writerow(row)
 
 
-def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callback=None) -> SimulationRecord:
-    """Advance the configured problem from t = 0 to t_final.
+@dataclass(eq=False)
+class RunRow:
+    """What :func:`run_batch` learnt about one row (one multiplier).
 
-    Monitor values for the step solution, every stage solution and every
-    shifted state are recorded each step.  A criterion violation is recorded
-    (first-failure step per criterion) but the run continues; only an RHS
-    failure or a degenerate step size aborts it (when an Euler step solution
-    lost positivity, the reason names the quantity and the first bad cell).
-    With ``early_stop`` the run stops once both criteria have already
-    failed, which cannot change the verdict (used by limit sweeps).
-    ``trace_callback(step, t, trace)`` is invoked after each completed step.
+    ``history`` holds one tuple per step, ``(t, G_step, worst_stage_delta,
+    worst_shifted_delta[, min_rho, min_rhoe])``, and ``final_state`` the
+    state the row ended on; both are kept only when recording.
+    """
+
+    dt_factor: float
+    n_steps: int = 0
+    first_step_failure: int | None = None
+    first_shifted_failure: int | None = None
+    aborted_step: int | None = None
+    abort_reason: str | None = None
+    history: list | None = None
+    final_state: np.ndarray | None = None
+
+    @property
+    def verdict(self) -> RunVerdict:
+        return RunVerdict(
+            step_pass=self.first_step_failure is None and self.aborted_step is None,
+            shifted_pass=self.first_shifted_failure is None and self.aborted_step is None,
+            first_step_failure=self.first_step_failure,
+            first_shifted_failure=self.first_shifted_failure,
+            aborted_step=self.aborted_step,
+            abort_reason=self.abort_reason,
+        )
+
+
+def _admissibility_error(U) -> NonPhysicalStateError | None:
+    try:
+        require_admissible(U)
+    except NonPhysicalStateError as exc:
+        return exc
+    return None
+
+
+def _row_trace(trace: StageTrace, k: int, dt: float) -> StageTrace:
+    """Row ``k`` of a stacked step, shaped as a single-state step."""
+    q_n = trace.q_n[k]
+    return StageTrace(
+        q_n=q_n,
+        dt=dt,
+        stage_solutions=(q_n,) + tuple(x[k] for x in trace.stage_solutions[1:]),
+        stage_derivatives=tuple(x[k] for x in trace.stage_derivatives),
+        shifted_states=tuple(x[k] for x in trace.shifted_states),
+        q_rk=trace.q_rk[k],
+        grid=trace.grid,
+        is_euler=trace.is_euler,
+    )
+
+
+def run_batch(
+    config: SimulationConfig,
+    dt_factors,
+    *,
+    early_stop: bool = False,
+    record: bool = False,
+    trace_callback=None,
+) -> list[RunRow]:
+    """Advance one run of ``config`` per multiplier in ``dt_factors`` together.
+
+    Every row starts from the same initial condition and takes
+    ``dt = c * dt_FE(row)`` (``config.dt_factor`` is not used), truncated
+    at the end to land exactly on ``t_final``.  Each step, the monitor is
+    evaluated on every stage solution, the step solution and every shifted
+    state of every row, as one stack; stage 0 is q^n itself, so its value
+    is the one carried over from the previous step.  A criterion violation
+    is recorded (first-failure step per criterion) and the row continues.
+    A row leaves the stack when it reaches ``t_final``; when it aborts on a
+    degenerate step size, on an inadmissible Euler stage (the reason names
+    the stage, the quantity and the first bad cell, as the scheme's own
+    check would) or on the step budget (:data:`STEP_BUDGET_FACTOR`); or,
+    with ``early_stop``, once both criteria have failed, which cannot change
+    its verdict.  With ``record`` each row keeps its history and final
+    state.  ``trace_callback(step, t, trace)`` is invoked after each
+    completed step of a one-row batch.
     """
     scheme = config.scheme
     grid = config.grid
     tab = config.tableau
     is_euler = bool(getattr(scheme, "is_euler", False))
-    f0 = config.ic.build(grid)
-    q = f0.stack() if is_euler else f0.q
-
     monitor = config.monitor
     positivity = monitor.kind == "positivity"
     if positivity and not is_euler:
         raise ValueError("positivity monitor requires an Euler scheme")
+    if is_euler and not positivity:
+        raise ValueError(f"{monitor.kind} monitor requires a scalar scheme")
+    rows = [RunRow(float(c), history=[] if record else None) for c in dt_factors]
+    if trace_callback is not None and len(rows) != 1:
+        raise ValueError("trace_callback needs a one-row batch")
+    f0 = config.ic.build(grid)
+    q0 = f0.stack() if is_euler else f0.q
+    v0 = state_values(monitor, grid, q0)  # G(q^0), or the floor of q^0
     if not positivity:
-        monitor = bind_scale(monitor, evaluate_functional(monitor, q, grid))
+        monitor = bind_scale(monitor, v0)
 
-    times: list[float] = []
-    g_step: list[float] = []
-    stage_worst: list[float] = []
-    shifted_worst: list[float] = []
-    min_rho: list[float] = []
-    min_rhoe: list[float] = []
-    first_step_fail: int | None = None
-    first_shift_fail: int | None = None
-    aborted_step: int | None = None
-    abort_reason: str | None = None
-
-    t = 0.0
-    step = 0
-    t_eps = 1e-12 * max(1.0, config.t_final)
+    s = tab.s
+    t_final = config.t_final
+    t_eps = 1e-12 * max(1.0, t_final)
     rhs = lambda state: scheme.rhs_array(state, grid)  # noqa: E731
+    as_column = (-1,) + (1,) * q0.ndim  # per-row dt against a stack of states
+
+    # Per stacked row: its RunRow index, multiplier, state, time, value of q^n,
+    # step budget and whether each criterion has failed.  All live rows have
+    # taken the same number of steps.
+    live = np.arange(len(rows))
+    c = np.array([row.dt_factor for row in rows])
+    q = np.repeat(q0[None], len(rows), axis=0)
+    t = np.zeros(len(rows))
+    v_n = np.full(len(rows), v0)
+    budget = np.zeros(len(rows))
+    failed_p = np.zeros(len(rows), dtype=bool)
+    failed_s = np.zeros(len(rows), dtype=bool)
+    step = 0
+
+    def leave(keep, *extra):
+        """Drop the rows outside ``keep``; return ``extra`` row arrays filtered alike."""
+        nonlocal live, c, q, t, v_n, budget, failed_p, failed_s
+        for k in np.flatnonzero(~keep):
+            row = rows[live[k]]
+            row.n_steps = step
+            if record:
+                row.final_state = q[k]
+        live, c, q, t, v_n, budget, failed_p, failed_s = (
+            a[keep] for a in (live, c, q, t, v_n, budget, failed_p, failed_s)
+        )
+        return [a[keep] for a in extra]
+
+    def abort(k, reason: str) -> None:
+        rows[live[k]].aborted_step = step
+        rows[live[k]].abort_reason = reason
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while config.t_final - t > t_eps:
-            dt = config.dt_factor * scheme.dt_fe_array(q, grid)
-            if math.isnan(dt) or dt <= 0.0:
-                aborted_step = step
-                abort_reason = "degenerate_dt"
-                if is_euler:
-                    try:
-                        require_admissible(q)
-                    except NonPhysicalStateError as exc:
-                        abort_reason += f": {exc}"
-                break
-            dt = min(dt, config.t_final - t)
+        while live.size:
+            running = t_final - t > t_eps
+            if not running.all():
+                leave(running)
+                if not live.size:
+                    break
+
+            dt = c * scheme.dt_fe_array(q, grid)
+            dt_ok = dt > 0.0  # NaN is not
+            if not dt_ok.all():
+                for k in np.flatnonzero(~dt_ok):
+                    cause = _admissibility_error(q[k]) if is_euler else None
+                    abort(k, "degenerate_dt" if cause is None else f"degenerate_dt: {cause}")
+                (dt,) = leave(dt_ok, dt)
+                if not live.size:
+                    break
+            dt = np.minimum(dt, t_final - t)
+            if step == 0:
+                budget = STEP_BUDGET_FACTOR * np.ceil(t_final / dt)
+            in_budget = step < budget
+            if not in_budget.all():
+                for k in np.flatnonzero(~in_budget):
+                    abort(k, "step_budget")
+                (dt,) = leave(in_budget, dt)
+                if not live.size:
+                    break
+
             try:
-                trace = rk_step_instrumented(tab, rhs, q, dt, grid, is_euler)
+                # One row's dt is passed as a scalar: it broadcasts to the same
+                # values, with less overhead per operation than a 1x1 array.
+                dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
+                trace = rk_step_instrumented(tab, rhs, q, dt_rows, grid, is_euler)
             except StepFailedError as exc:
-                aborted_step = step
-                abort_reason = str(exc)
+                if live.size > 1:
+                    raise  # a batched kernel must not raise; rows are checked below
+                abort(0, str(exc))
+                leave(np.zeros(1, dtype=bool))
                 break
 
-            ref, (v_step, v_shift) = family_values(
-                monitor, grid, q, trace.stage_solutions + (trace.q_rk,), trace.shifted_states
-            )
-            worst_p = worst_delta(monitor, v_step - ref)
-            worst_s = worst_delta(monitor, v_shift - ref)
-            if positivity:
-                mr, me, _ = euler_floor(trace.q_rk)
-                min_rho.append(mr)
-                min_rhoe.append(math.nan if me is None else me)
+            q_rk = trace.q_rk
+            # The value of every state of the step, as one stack: stage 0 is
+            # q^n, whose value carries over; then stages 1..s-1, the step
+            # solution and the shifted states.
+            states = np.stack(trace.stage_solutions[1:] + (q_rk,) + trace.shifted_states, axis=1)
+            values = np.concatenate((v_n[:, None], state_values(monitor, grid, states)), axis=1)
+            del states
+            if is_euler:
+                # A stage whose floor is not positive is one the kernel may not see.
+                bad = ~(values[:, :s] > 0.0)
+                inadmissible = bad.any(axis=1)
+                if inadmissible.any():
+                    for k in np.flatnonzero(inadmissible):
+                        i = int(np.argmax(bad[k]))
+                        abort(k, str(StepFailedError(i, _admissibility_error(trace.stage_solutions[i][k]))))
+                    dt, values, q_rk = leave(~inadmissible, dt, values, q_rk)
+                    if not live.size:
+                        break
 
+            deltas = step_deltas(monitor, values)
+            worst_p = worst_delta(monitor, deltas[:, : s + 1])
+            worst_s = worst_delta(monitor, deltas[:, s + 1 :])
+            v_rk = values[:, s]
             t = t + dt
-            times.append(t)
-            g_step.append(float(v_step[-1]))
-            stage_worst.append(worst_p)
-            shifted_worst.append(worst_s)
-            if first_step_fail is None and not passes(monitor, worst_p):
-                first_step_fail = step
-            if first_shift_fail is None and not passes(monitor, worst_s):
-                first_shift_fail = step
+            if record:
+                minima = euler_minima(q_rk) if positivity else ()
+                for k, r in enumerate(live):
+                    rows[r].history.append(
+                        (float(t[k]), float(v_rk[k]), float(worst_p[k]), float(worst_s[k]))
+                        + tuple(float(m[k]) for m in minima)
+                    )
+            fail_p = ~passes(monitor, worst_p)
+            fail_s = ~passes(monitor, worst_s)
+            new_p = fail_p > failed_p
+            new_s = fail_s > failed_s
+            if new_p.any() or new_s.any():
+                for k in np.flatnonzero(new_p):
+                    rows[live[k]].first_step_failure = step
+                for k in np.flatnonzero(new_s):
+                    rows[live[k]].first_shifted_failure = step
+                failed_p |= fail_p
+                failed_s |= fail_s
             if trace_callback is not None:
-                trace_callback(step, t, trace)
-            q = trace.q_rk
+                trace_callback(step, float(t[0]), _row_trace(trace, 0, float(dt[0])))
+            # Only q^{n+1} outlives the step: the next step's stages must not
+            # stack on top of this one's.
+            del trace
+            q = q_rk
+            v_n = v_rk
             step += 1
-            if early_stop and first_step_fail is not None and first_shift_fail is not None:
-                break
+            if early_stop:
+                both = failed_p & failed_s
+                if both.any():
+                    leave(~both)
+    return rows
 
-    verdict = RunVerdict(
-        step_pass=first_step_fail is None and aborted_step is None,
-        shifted_pass=first_shift_fail is None and aborted_step is None,
-        first_step_failure=first_step_fail,
-        first_shifted_failure=first_shift_fail,
-        aborted_step=aborted_step,
-        abort_reason=abort_reason,
-    )
-    if is_euler:
-        final_field = EulerField.from_stack(grid, q, scheme.gamma)
+
+def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callback=None) -> SimulationRecord:
+    """Advance the configured problem from t = 0 to t_final.
+
+    The one-row case of :func:`run_batch` at ``config.dt_factor``, with the
+    per-step history.  Monitor values for the step solution, every stage
+    solution and every shifted state are recorded each step.  A criterion
+    violation is recorded (first-failure step per criterion) but the run
+    continues; only an RHS failure, a degenerate step size or the step
+    budget aborts it (when an Euler step solution lost positivity, the
+    degenerate-step reason names the quantity and the first bad cell).  With
+    ``early_stop`` the run stops once both criteria have already failed,
+    which cannot change the verdict (used by limit sweeps).
+    ``trace_callback(step, t, trace)`` is invoked after each completed step.
+    """
+    (row,) = run_batch(config, [config.dt_factor], early_stop=early_stop, record=True, trace_callback=trace_callback)
+    euler = bool(getattr(config.scheme, "is_euler", False))
+    columns = list(zip(*row.history)) or [()] * (6 if euler else 4)
+    history = [np.array(col) for col in columns]
+    if euler:
+        final_field = EulerField.from_stack(config.grid, row.final_state, config.scheme.gamma)
     else:
-        final_field = ScalarField(grid, q)
+        final_field = ScalarField(config.grid, row.final_state)
     return SimulationRecord(
-        times=np.array(times),
-        monitor_step_values=np.array(g_step),
-        monitor_stage_worst=np.array(stage_worst),
-        monitor_shifted_worst=np.array(shifted_worst),
-        min_rho=np.array(min_rho) if positivity else None,
-        min_rhoe=np.array(min_rhoe) if positivity else None,
+        times=history[0],
+        monitor_step_values=history[1],
+        monitor_stage_worst=history[2],
+        monitor_shifted_worst=history[3],
+        min_rho=history[4] if euler else None,
+        min_rhoe=history[5] if euler else None,
         final_field=final_field,
-        verdict=verdict,
-        n_steps=step,
+        verdict=row.verdict,
+        n_steps=row.n_steps,
         config=config,
     )

@@ -3,16 +3,23 @@
 For one (problem, RK scheme, monitor) triple, the sweep runs a full
 simulation at each candidate multiplier c of the forward-Euler step bound
 and reports the largest c for which every step passed the step criterion
-(c^p) and the shifted criterion (c^s).  Candidates are independent runs, so
-they may execute in parallel; results are keyed by c and deterministic.
+(c^p) and the shifted criterion (c^s).  Candidates are independent runs:
+contiguous chunks of them advance together through ``integrator.run_batch``,
+and chunks may execute in parallel; results are keyed by c and do not
+depend on the chunking or the worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
-from dataclasses import dataclass, replace
+import dataclasses
+import itertools
+import math
+import os
+from dataclasses import dataclass
 
-from .integrator import SimulationConfig, simulate
+from .integrator import SimulationConfig, run_batch
 from .tableau import ssp_coefficient
 
 __all__ = [
@@ -27,6 +34,14 @@ __all__ = [
 
 #: Gap below which the optional refinement bisection stops.
 REFINE_RESOLUTION = 0.01
+
+#: Bytes of candidate states one chunk may stack; a chunk holds
+#: max(1, CHUNK_BYTES // bytes of one state) candidates.  A step keeps about
+#: 35 states' worth of stages, shifted states, monitor stacks and kernel
+#: temporaries per row alive, so this bounds a sweep's extra memory to about
+#: 1 MB: 81 rows of the 50-cell dissipative problem, 51 of the 80-cell MUSCL
+#: one, 2 of the 3x600 Euler shock tube.
+CHUNK_BYTES = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -53,9 +68,20 @@ class LimitSearchConfig:
 
 @dataclass(frozen=True)
 class CandidateOutcome:
+    """The verdict of one candidate run, with the steps that explain it.
+
+    The first-failure steps are 0-based; ``aborted_step`` is the step at
+    which the run aborted (None when it did not).  The run stops early once
+    both criteria have failed, so ``n_steps`` counts the steps it took.
+    """
+
     c: float
     step_pass: bool
     shifted_pass: bool
+    n_steps: int
+    first_step_failure: int | None
+    first_shifted_failure: int | None
+    aborted_step: int | None
 
 
 @dataclass(frozen=True)
@@ -69,11 +95,38 @@ class LimitResult:
     per_candidate: tuple[CandidateOutcome, ...]
 
 
-def _run_candidate(args) -> CandidateOutcome:
-    base, c = args
-    record = simulate(replace(base, dt_factor=c), early_stop=True)
-    v = record.verdict
-    return CandidateOutcome(c=c, step_pass=v.step_pass, shifted_pass=v.shifted_pass)
+def _run_chunk(args) -> list[CandidateOutcome]:
+    base, cs = args
+    return [
+        CandidateOutcome(
+            c,
+            row.verdict.step_pass,
+            row.verdict.shifted_pass,
+            row.n_steps,
+            row.first_step_failure,
+            row.first_shifted_failure,
+            row.aborted_step,
+        )
+        for c, row in zip(cs, run_batch(base, cs, early_stop=True))
+    ]
+
+
+def _chunk_rows(base: SimulationConfig) -> int:
+    """Candidates per chunk: as many states as fit in :data:`CHUNK_BYTES`."""
+    components = 3 if getattr(base.scheme, "is_euler", False) else 1
+    return max(1, CHUNK_BYTES // (8 * components * base.grid.n_cells))
+
+
+def _in_order(pool, fn, jobs, depth: int):
+    """``fn`` over ``jobs`` in order on ``pool``, with at most ``depth`` jobs
+    submitted and not yet consumed, so that a consumer that stops early
+    leaves little work behind."""
+    jobs = iter(jobs)
+    pending = collections.deque(pool.submit(fn, job) for job in itertools.islice(jobs, depth))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(pool.submit(fn, job) for job in itertools.islice(jobs, 1))
+        yield result
 
 
 def _candidate_values(c_min: float, c_max: float, granularity: float) -> list[float]:
@@ -99,17 +152,25 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     full scan.  With ``refine`` the coarse scan stops once both criteria
     have failed and a bisection sharpens each limit to 0.01 inside its
     bracketing granularity tick.
+
+    Candidates run in contiguous chunks in ascending c (see
+    :data:`CHUNK_BYTES`; one candidate per chunk under ``refine``, so that
+    nothing past the stop is started), and with ``workers > 1`` at most that
+    many chunks are in flight at once.
     """
     base = cfg.base
     candidates = _candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
     outcomes: dict[float, CandidateOutcome] = {}
 
-    # Outcomes arrive in candidate order, serial or pooled.
-    jobs = [(base, c) for c in candidates]
-    pool = concurrent.futures.ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
+    rows = 1 if cfg.refine else min(_chunk_rows(base), math.ceil(len(candidates) / cfg.workers))
+    jobs = [(base, candidates[i : i + rows]) for i in range(0, len(candidates), rows)]
+    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
     step_failed = shifted_failed = False
     try:
-        for out in (pool.map if pool else map)(_run_candidate, jobs):
+        # Outcomes arrive in candidate order, serial or pooled.
+        chunks = _in_order(pool, _run_chunk, jobs, workers) if pool else map(_run_chunk, jobs)
+        for out in itertools.chain.from_iterable(chunks):
             outcomes[out.c] = out
             step_failed = step_failed or not out.step_pass
             shifted_failed = shifted_failed or not out.shifted_pass
@@ -117,7 +178,7 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
                 break
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)  # drop candidates not yet started
+            pool.shutdown(cancel_futures=True)  # drop chunks not yet started
 
     def prefix_largest(flag) -> float | None:
         best = None
@@ -155,7 +216,7 @@ def _refine(base, coarse, cfg, outcomes, flag):
     while hi - lo > REFINE_RESOLUTION + 1e-12:
         mid = round(0.5 * (lo + hi), 12)
         if mid not in outcomes:
-            outcomes[mid] = _run_candidate((base, mid))
+            (outcomes[mid],) = _run_chunk((base, [mid]))
         if flag(outcomes[mid]):
             lo = mid
         else:
@@ -196,10 +257,7 @@ class ExperimentTable:
                     "c_ssp": r.c_ssp,
                     "c_s": r.c_s,
                     "c_p": r.c_p,
-                    "per_candidate": [
-                        {"c": o.c, "step_pass": o.step_pass, "shifted_pass": o.shifted_pass}
-                        for o in r.per_candidate
-                    ],
+                    "per_candidate": [dataclasses.asdict(o) for o in r.per_candidate],
                 }
                 for r in self.rows
             ],

@@ -13,15 +13,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import euler_floor, quadratic_energy_array, total_variation_array, tv_includes_wrap
+from .fields import (
+    euler_minima,
+    per_row,
+    quadratic_energy_array,
+    total_variation_array,
+    tv_includes_wrap,
+)
 
 __all__ = [
     "Monitor",
     "MonitorVerdict",
     "evaluate_functional",
     "euler_state_floor",
+    "state_values",
     "bind_scale",
-    "family_values",
+    "step_deltas",
     "passes",
     "worst_delta",
     "check_step_criterion",
@@ -73,8 +80,12 @@ class MonitorVerdict:
     index: int | None = None
 
 
-def evaluate_functional(monitor: Monitor, state: np.ndarray, grid) -> float:
-    """G(state) for the energy and tv monitors (positivity has no scalar G)."""
+def evaluate_functional(monitor: Monitor, state: np.ndarray, grid):
+    """G(state) for the energy and tv monitors (positivity has no scalar G).
+
+    ``state`` may be a stack ``(..., n)``: one value per leading index, a
+    float for a single state.
+    """
     if monitor.kind == "energy":
         return quadratic_energy_array(state)
     if monitor.kind == "tv":
@@ -82,16 +93,24 @@ def evaluate_functional(monitor: Monitor, state: np.ndarray, grid) -> float:
     raise ValueError("positivity monitor does not define a scalar functional")
 
 
-def euler_state_floor(U: np.ndarray) -> float:
+def euler_state_floor(U: np.ndarray):
     """min over cells of (rho, rho*e); only min(rho) when any rho <= 0.
 
     Positive return means the state is admissible.  NaN anywhere yields a
-    non-passing value.
+    non-passing value.  ``U`` may be a stack ``(..., 3, n)``: one floor per
+    leading index, a float for a single state.
     """
-    min_rho, min_rhoe, _ = euler_floor(U)
-    if not min_rho > 0.0:
-        return min_rho
-    return min_rhoe if not min_rhoe >= min_rho else min_rho  # NaN propagates
+    min_rho, min_rhoe = euler_minima(U)
+    # NaN propagates through both comparisons
+    return per_row(np.where(min_rho > 0.0, np.where(min_rhoe >= min_rho, min_rho, min_rhoe), min_rho))
+
+
+def state_values(monitor: Monitor, grid, states: np.ndarray):
+    """The monitored value of each state of a stack: G(state) for energy/tv,
+    the state floor for positivity (a float for a single state)."""
+    if monitor.kind == "positivity":
+        return euler_state_floor(states)
+    return evaluate_functional(monitor, states, grid)
 
 
 def bind_scale(monitor: Monitor, g0: float) -> Monitor:
@@ -99,18 +118,11 @@ def bind_scale(monitor: Monitor, g0: float) -> Monitor:
     return replace(monitor, scale=max(1.0, abs(g0)))
 
 
-def family_values(monitor: Monitor, grid, q_n, *families):
-    """The reference and the monitored value of every state of each family.
-
-    For energy/tv the reference is G(q^n), evaluated once for all families,
-    and a state's value is G(state); for positivity the reference is 0 and
-    the value is the state floor.  A state's delta is value - reference.
-    Returns ``(reference, [values array per family])``.
-    """
-    if monitor.kind == "positivity":
-        return 0.0, [np.array([euler_state_floor(x) for x in fam]) for fam in families]
-    g_n = evaluate_functional(monitor, q_n, grid)
-    return g_n, [np.array([evaluate_functional(monitor, x, grid) for x in fam]) for fam in families]
+def step_deltas(monitor: Monitor, values):
+    """Every state's delta from the values of a step's states, the first of
+    which (``values[..., 0]``) is that of q^n: value - G(q^n) for energy/tv,
+    the floor itself (the reference is 0) for positivity."""
+    return values if monitor.kind == "positivity" else values - values[..., :1]
 
 
 def passes(monitor: Monitor, delta):
@@ -121,19 +133,22 @@ def passes(monitor: Monitor, delta):
     return delta <= monitor.slack
 
 
-def worst_delta(monitor: Monitor, deltas: np.ndarray) -> float:
-    """The most-violating delta of a family (NaN if any delta is NaN).
+def worst_delta(monitor: Monitor, deltas: np.ndarray):
+    """The most-violating delta of a family (NaN if any delta is NaN), taken
+    along the last axis: a float for one family, one value per leading index
+    of a stack of families.
 
     The family passes exactly when this value passes.
     """
-    return float(np.min(deltas) if monitor.kind == "positivity" else np.max(deltas))
+    reduce = np.min if monitor.kind == "positivity" else np.max
+    return per_row(reduce(deltas, axis=-1))
 
 
 def _verdicts(monitor: Monitor, trace, labelled) -> list[MonitorVerdict]:
-    ref, (values,) = family_values(monitor, trace.grid, trace.q_n, [x for _, _, x in labelled])
+    values = state_values(monitor, trace.grid, np.stack([trace.q_n] + [x for _, _, x in labelled]))
     return [
         MonitorVerdict(bool(passes(monitor, d)), float(d), where, index)
-        for (where, index, _), d in zip(labelled, values - ref)
+        for (where, index, _), d in zip(labelled, step_deltas(monitor, values)[1:])
     ]
 
 

@@ -8,6 +8,11 @@ the dissipative flux, reported) to preserve its stability property.
 
 The public operations work on field objects; the ``*_array`` kernels they
 wrap operate on bare numpy arrays and are what the time integrator drives.
+Kernels take a state, ``(n,)`` for Burgers and ``(3, n)`` for Euler, or a
+stack of states with leading batch axes, ``(..., n)`` or ``(..., 3, n)``:
+every row is advanced independently, and ``dt_fe_array`` returns one step
+bound per row (a float for a single state).  Kernels do not check
+admissibility; the stepping loop does, once per row and stage.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .fields import (
     Periodic,
     ScalarField,
     internal_energy_density,
+    per_row,
     require_admissible,
 )
 
@@ -68,8 +74,8 @@ class DissipativeBurgers:
         _require_periodic(grid, "dissipative Burgers")
         return _dissipative_rhs(q, grid.dx, self.mu)
 
-    def dt_fe_array(self, q: np.ndarray, grid: Grid1D) -> float:
-        return 0.006 * grid.dx
+    def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
+        return per_row(np.full(q.shape[:-1], 0.006 * grid.dx))
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,8 @@ class UpwindBurgers:
         _require_periodic(grid, "upwind Burgers")
         return _upwind_rhs(q, grid.dx)
 
-    def dt_fe_array(self, q: np.ndarray, grid: Grid1D) -> float:
-        return grid.dx
+    def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
+        return per_row(np.full(q.shape[:-1], grid.dx))
 
 
 @dataclass(frozen=True)
@@ -95,11 +101,8 @@ class MusclBurgers:
     def rhs_array(self, q: np.ndarray, grid: Grid1D) -> np.ndarray:
         return _muscl_rhs(q, grid.dx, grid.boundary)
 
-    def dt_fe_array(self, q: np.ndarray, grid: Grid1D) -> float:
-        peak = float(np.max(np.abs(q)))
-        if peak == 0.0:
-            return math.inf
-        return grid.dx / (2.0 * peak)
+    def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
+        return _bound_over(grid.dx, 2.0 * np.max(np.abs(q), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -121,11 +124,8 @@ class LaxFriedrichsEuler:
     def rhs_array(self, U: np.ndarray, grid: Grid1D) -> np.ndarray:
         return _llf_rhs(U, grid.dx, self.gamma, grid.boundary, self.local)
 
-    def dt_fe_array(self, U: np.ndarray, grid: Grid1D) -> float:
-        a_max = _max_wavespeed(U, self.gamma)
-        if a_max == 0.0:
-            return math.inf
-        return grid.dx / a_max
+    def dt_fe_array(self, U: np.ndarray, grid: Grid1D):
+        return _bound_over(grid.dx, _max_wavespeed(U, self.gamma))
 
 
 SchemeSpec = DissipativeBurgers | UpwindBurgers | MusclBurgers | LaxFriedrichsEuler
@@ -136,19 +136,35 @@ def _require_periodic(grid: Grid1D, what: str) -> None:
         raise UnsupportedBoundaryError(f"{what} requires a periodic grid")
 
 
+def _bound_over(dx: float, speed):
+    """dx / speed per row, +inf where the speed is zero (NaN stays NaN)."""
+    speed = np.asarray(speed)
+    return per_row(np.divide(dx, speed, out=np.full(speed.shape, math.inf), where=speed != 0.0))
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """a[..., i + 1] with periodic wrap, i.e. ``np.roll(a, -1, axis=-1)``."""
+    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """a[..., i - 1] with periodic wrap, i.e. ``np.roll(a, 1, axis=-1)``."""
+    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Burgers kernels
 
 def _dissipative_rhs(q: np.ndarray, dx: float, mu: float) -> np.ndarray:
-    qr = np.roll(q, -1)
+    qr = _next(q)
     # F[i] is the flux through interface i+1/2
     F = (q * q + q * qr + qr * qr) / 6.0 - mu * (qr - q)
-    return -(F - np.roll(F, 1)) / dx
+    return -(F - _prev(F)) / dx
 
 
 def _upwind_rhs(q: np.ndarray, dx: float) -> np.ndarray:
     f = 0.5 * q * q
-    return -(f - np.roll(f, 1)) / dx
+    return -(f - _prev(f)) / dx
 
 
 def minmod(a: float, b: float) -> float:
@@ -188,27 +204,26 @@ def _godunov_arr(qm: np.ndarray, qp: np.ndarray) -> np.ndarray:
 
 def _extend_scalar(q: np.ndarray, boundary, width: int) -> np.ndarray:
     if isinstance(boundary, Periodic):
-        return np.concatenate([q[-width:], q, q[:width]])
+        return np.concatenate((q[..., -width:], q, q[..., :width]), axis=-1)
     if isinstance(boundary, Dirichlet):
-        left = np.full(width, float(boundary.left))
-        right = np.full(width, float(boundary.right))
-        return np.concatenate([left, q, right])
+        ghost = q.shape[:-1] + (width,)
+        left = np.full(ghost, float(boundary.left))
+        right = np.full(ghost, float(boundary.right))
+        return np.concatenate((left, q, right), axis=-1)
     raise UnsupportedBoundaryError(
         "MUSCL Burgers supports periodic or dirichlet boundaries only"
     )
 
 
 def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
-    n = q.size
     qe = _extend_scalar(q, boundary, 2)  # two ghost cells per side
-    dq = np.diff(qe)
+    dq = np.diff(qe, axis=-1)
     # slope of extended cell k+1 is slo[k], k = 0 .. n+1
-    slo = _minmod_arr(dq[1:], dq[:-1])
-    qm = qe[1:-2] + 0.5 * slo[:-1]  # q^- at interfaces -1/2 .. n-1/2
-    qp = qe[2:-1] - 0.5 * slo[1:]  # q^+ at the same interfaces
+    slo = _minmod_arr(dq[..., 1:], dq[..., :-1])
+    qm = qe[..., 1:-2] + 0.5 * slo[..., :-1]  # q^- at interfaces -1/2 .. n-1/2
+    qp = qe[..., 2:-1] - 0.5 * slo[..., 1:]  # q^+ at the same interfaces
     f = _godunov_arr(qm, qp)
-    assert f.size == n + 1
-    return -(f[1:] - f[:-1]) / dx
+    return -(f[..., 1:] - f[..., :-1]) / dx
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +231,14 @@ def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
 
 def _primitive_parts(U: np.ndarray, gamma: float):
     """Velocity, pressure and maximal signal speed |u| + sqrt(gamma p / rho) per cell."""
-    rho, m, E = U
+    rho, m, E = U[..., 0, :], U[..., 1, :], U[..., 2, :]
     u = m / rho
     p = (gamma - 1.0) * (E - 0.5 * m * u)
     return u, p, np.abs(u) + np.sqrt(gamma * p / rho)
 
 
-def _max_wavespeed(U: np.ndarray, gamma: float) -> float:
-    return float(np.max(_primitive_parts(U, gamma)[2]))
+def _max_wavespeed(U: np.ndarray, gamma: float):
+    return per_row(np.max(_primitive_parts(U, gamma)[2], axis=-1))
 
 
 def lax_friedrichs_flux_euler(left, right, gamma: float):
@@ -252,26 +267,25 @@ def lax_friedrichs_flux_euler(left, right, gamma: float):
 
 def _extend_euler(U: np.ndarray, boundary) -> np.ndarray:
     if isinstance(boundary, Outflow):
-        return np.pad(U, ((0, 0), (1, 1)), mode="edge")
+        return np.concatenate((U[..., :1], U, U[..., -1:]), axis=-1)
     if isinstance(boundary, Periodic):
-        return np.pad(U, ((0, 0), (1, 1)), mode="wrap")
+        return np.concatenate((U[..., -1:], U, U[..., :1]), axis=-1)
     raise UnsupportedBoundaryError(
         "Lax-Friedrichs Euler supports outflow or periodic boundaries only"
     )
 
 
 def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool) -> np.ndarray:
-    require_admissible(U)
     Ue = _extend_euler(U, boundary)
-    _, m, E = Ue
+    m, E = Ue[..., 1, :], Ue[..., 2, :]
     u, p, speed = _primitive_parts(Ue, gamma)
-    flux = np.stack([m, m * u + p, u * (E + p)])
+    flux = np.stack((m, m * u + p, u * (E + p)), axis=-2)
     if local:
-        a_ifc = np.maximum(speed[:-1], speed[1:])
+        a_ifc = np.maximum(speed[..., :-1], speed[..., 1:])
     else:
-        a_ifc = float(np.max(speed))
-    h = 0.5 * (flux[:, :-1] + flux[:, 1:] - a_ifc * (Ue[:, 1:] - Ue[:, :-1]))
-    return -(h[:, 1:] - h[:, :-1]) / dx
+        a_ifc = np.max(speed, axis=-1, keepdims=True)
+    h = 0.5 * (flux[..., :-1] + flux[..., 1:] - a_ifc[..., None, :] * (Ue[..., 1:] - Ue[..., :-1]))
+    return -(h[..., 1:] - h[..., :-1]) / dx
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +318,7 @@ def rhs_llf_euler(f: EulerField, local: bool = True):
     (limit searches treat that as a stability failure of the probed step).
     """
     U = f.stack()
+    require_admissible(U)
     R = LaxFriedrichsEuler(f.gamma, local).rhs_array(U, f.grid)
     return EulerField.from_stack(f.grid, R, f.gamma), _max_wavespeed(U, f.gamma)
 

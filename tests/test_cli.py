@@ -180,3 +180,10 @@ def test_coef_unknown_target(capsys):
 def test_usage_error_exit_code_is_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+
+
+def test_limits_rejects_worker_count_below_one(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert main(["limits", "upwind", "--schemes", "rk44", "--workers", "0", "--out", str(out)]) == 1
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -179,3 +179,16 @@ def test_ssp_guarantee_lower_bound_on_upwind():
     for row in table.rows:
         if row.c_ssp > 0:
             assert row.c_p >= row.c_ssp - 0.1 - 1e-12
+
+
+def test_refine_pool_runs_at_most_one_candidate_per_extra_worker(tmp_path):
+    """Under refine the pool keeps at most ``workers`` candidates in flight,
+    so it starts no more than one candidate past the stop per extra worker."""
+    runs = {}
+    for workers in (1, 2):
+        counter = tmp_path / f"runs_{workers}"
+        base = preset_config("upwind", "forward_euler", 1.0)
+        base = replace(base, ic=CountingIC(base.ic, str(counter), delay=0.05))
+        find_limits(LimitSearchConfig(base=base, c_min=1.1, refine=True, workers=workers))
+        runs[workers] = len(counter.read_text().splitlines())
+    assert runs[2] <= runs[1] + 2
