@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,12 +89,13 @@ def rk_step_instrumented(
 ) -> StageTrace:
     """Advance one step, keeping every stage quantity.
 
-    ``rhs`` maps a state to its time derivative; states may be scalars or
-    numpy arrays, and ``dt`` may be an array broadcasting against them
-    (one step size per row of a stack of states).  An RHS failure
-    (``NonPhysicalStateError``) is re-raised as :class:`StepFailedError`
-    carrying the stage index, which callers treat as a stability failure of
-    the probed step size.
+    ``rhs`` maps a state to its time derivative; states may be scalars or numpy
+    arrays, and ``dt`` may be an array broadcasting against them (one step size
+    per row of a stack of states), as may a coefficient (see
+    :func:`_batch_tableau`); a scalar coefficient of 0 is skipped.  An RHS
+    failure (``NonPhysicalStateError``) is re-raised as
+    :class:`StepFailedError` carrying the stage index, which callers treat as a
+    stability failure of the probed step size.
     """
     A, b, s = tableau.A, tableau.b, tableau.s
     stages = []
@@ -103,7 +105,7 @@ def rk_step_instrumented(
         q_i = q_n
         for j in range(i):
             a = A[i, j]
-            if a != 0.0:
+            if isinstance(a, np.ndarray) or a != 0.0:
                 q_i = q_i + (dt * a) * derivs[j]
         stages.append(q_i)
         try:
@@ -115,7 +117,7 @@ def rk_step_instrumented(
     q_rk = q_n
     for j in range(s):
         w = b[j]
-        if w != 0.0:
+        if isinstance(w, np.ndarray) or w != 0.0:
             q_rk = q_rk + (dt * w) * derivs[j]
     return StageTrace(
         q_n=q_n,
@@ -307,10 +309,31 @@ def _row_trace(trace: StageTrace, k: int, dt: float) -> StageTrace:
     )
 
 
+def _batch_tableau(tableaux: list, column_shape: tuple):
+    """The tableau of one step of a stack of rows: theirs when they share one.
+    Else each row's ``A`` and ``b`` are padded with zero stages to the largest
+    stage count (a padded stage is q^n, its shifted state shifted state 0),
+    and a coefficient becomes a column of per-row values, or 0.0 (skipped)
+    when it is 0 in every row.  ``x + 0*R == x`` only while ``R`` is finite:
+    a row whose RHS overflows may see NaN where its own run sees ``x``, but
+    only in a step that its own run fails too."""
+    if all(t is tableaux[0] for t in tableaux):
+        return tableaux[0]
+    s = max(t.s for t in tableaux)
+    Ab = np.zeros((s, s + 1, len(tableaux)))  # A, then b as column s
+    for k, t in enumerate(tableaux):
+        Ab[: t.s, : t.s, k] = t.A
+        Ab[: t.s, s, k] = t.b
+    coef = [[x.reshape(column_shape) if x.any() else 0.0 for x in row] for row in Ab]
+    A = {(i, j): coef[i][j] for i in range(s) for j in range(i)}
+    return SimpleNamespace(A=A, b=[row[s] for row in coef], s=s)
+
+
 def run_batch(
     config: SimulationConfig,
     dt_factors,
     *,
+    tableaux=None,
     early_stop: bool = False,
     record: bool = False,
     trace_callback=None,
@@ -319,7 +342,9 @@ def run_batch(
 
     Every row starts from the same initial condition and takes
     ``dt = c * dt_FE(row)`` (``config.dt_factor`` is not used), truncated
-    at the end to land exactly on ``t_final``.  Each step, the monitor is
+    at the end to land exactly on ``t_final``.  Row ``k`` steps with
+    ``tableaux[k]`` (default: ``config.tableau`` for every row; see
+    :func:`_batch_tableau` for a mix).  Each step, the monitor is
     evaluated on every stage solution, the step solution and every shifted
     state of every row, as one stack; stage 0 is q^n itself, so its value
     is the one carried over from the previous step.  A criterion violation
@@ -335,7 +360,6 @@ def run_batch(
     """
     scheme = config.scheme
     grid = config.grid
-    tab = config.tableau
     is_euler = bool(getattr(scheme, "is_euler", False))
     monitor = config.monitor
     positivity = monitor.kind == "positivity"
@@ -346,17 +370,22 @@ def run_batch(
     rows = [RunRow(float(c), history=[] if record else None) for c in dt_factors]
     if trace_callback is not None and len(rows) != 1:
         raise ValueError("trace_callback needs a one-row batch")
+    tableaux = [config.tableau] * len(rows) if tableaux is None else list(tableaux)
+    if len(tableaux) != len(rows):
+        raise ValueError("run_batch needs one tableau per row")
+    if not rows:
+        return rows
     f0 = config.ic.build(grid)
     q0 = f0.stack() if is_euler else f0.q
     v0 = state_values(monitor, grid, q0)  # G(q^0), or the floor of q^0
     if not positivity:
         monitor = bind_scale(monitor, v0)
 
-    s = tab.s
     t_final = config.t_final
     t_eps = 1e-12 * max(1.0, t_final)
     rhs = lambda state: scheme.rhs_array(state, grid)  # noqa: E731
     as_column = (-1,) + (1,) * q0.ndim  # per-row dt against a stack of states
+    tab = _batch_tableau(tableaux, as_column)
 
     # Per stacked row: its RunRow index, multiplier, state, time, value of q^n,
     # step budget and whether each criterion has failed.  All live rows have
@@ -373,7 +402,7 @@ def run_batch(
 
     def leave(keep, *extra):
         """Drop the rows outside ``keep``; return ``extra`` row arrays filtered alike."""
-        nonlocal live, c, q, t, v_n, budget, failed_p, failed_s
+        nonlocal live, c, q, t, v_n, budget, failed_p, failed_s, tab
         for k in np.flatnonzero(~keep):
             row = rows[live[k]]
             row.n_steps = step
@@ -382,6 +411,8 @@ def run_batch(
         live, c, q, t, v_n, budget, failed_p, failed_s = (
             a[keep] for a in (live, c, q, t, v_n, budget, failed_p, failed_s)
         )
+        if live.size and tab is not tableaux[live[0]]:  # a mix: step with the rows that stay
+            tab = _batch_tableau([tableaux[r] for r in live], as_column)
         return [a[keep] for a in extra]
 
     def abort(k, reason: str) -> None:
@@ -420,6 +451,7 @@ def run_batch(
                 # One row's dt is passed as a scalar: it broadcasts to the same
                 # values, with less overhead per operation than a 1x1 array.
                 dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
+                s = tab.s  # the layout of this step's states; leave() may change tab
                 trace = rk_step_instrumented(tab, rhs, q, dt_rows, grid, is_euler)
             except StepFailedError as exc:
                 if live.size > 1:

@@ -4,15 +4,16 @@ For one (problem, RK scheme, monitor) triple, the sweep runs a full
 simulation at each candidate multiplier c of the forward-Euler step bound
 and reports the largest c for which every step passed the step criterion
 (c^p) and the shifted criterion (c^s).  Candidates are independent runs:
-contiguous chunks of them advance together through ``integrator.run_batch``,
-and chunks may execute in parallel; results are keyed by c and do not
-depend on the chunking or the worker count.
+chunks of them advance together through ``integrator.run_batch``, one
+tableau per row, and chunks may execute in parallel.  A table's scans, one
+per scheme, advance in lockstep through shared chunks; results do not
+depend on the chunking, the scheme order or the worker count.
 """
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -96,7 +97,7 @@ class LimitResult:
 
 
 def _run_chunk(args) -> list[CandidateOutcome]:
-    base, cs = args
+    base, tableaux, cs = args
     return [
         CandidateOutcome(
             c,
@@ -107,7 +108,7 @@ def _run_chunk(args) -> list[CandidateOutcome]:
             row.first_shifted_failure,
             row.aborted_step,
         )
-        for c, row in zip(cs, run_batch(base, cs, early_stop=True))
+        for c, row in zip(cs, run_batch(base, cs, tableaux=tableaux, early_stop=True))
     ]
 
 
@@ -115,18 +116,6 @@ def _chunk_rows(base: SimulationConfig) -> int:
     """Candidates per chunk: as many states as fit in :data:`CHUNK_BYTES`."""
     components = 3 if getattr(base.scheme, "is_euler", False) else 1
     return max(1, CHUNK_BYTES // (8 * components * base.grid.n_cells))
-
-
-def _in_order(pool, fn, jobs, depth: int):
-    """``fn`` over ``jobs`` in order on ``pool``, with at most ``depth`` jobs
-    submitted and not yet consumed, so that a consumer that stops early
-    leaves little work behind."""
-    jobs = iter(jobs)
-    pending = collections.deque(pool.submit(fn, job) for job in itertools.islice(jobs, depth))
-    while pending:
-        result = pending.popleft().result()
-        pending.extend(pool.submit(fn, job) for job in itertools.islice(jobs, 1))
-        yield result
 
 
 def _candidate_values(c_min: float, c_max: float, granularity: float) -> list[float]:
@@ -141,6 +130,99 @@ def _candidate_values(c_min: float, c_max: float, granularity: float) -> list[fl
     return values
 
 
+def _scan(cfg: LimitSearchConfig):
+    """One scheme's search, as a generator: it yields the candidates it wants
+    run next, in ascending c, is sent their outcomes in that order, and
+    returns its :class:`LimitResult`.  Without ``refine`` it offers the whole
+    scan at once.  With ``refine`` it offers ``workers`` coarse ticks at a
+    time and stops once both criteria have failed, dropping the outcomes past
+    that tick; then it bisects ``c_p`` and then ``c_s``, a midpoint at a time.
+    """
+    candidates = _candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
+    outcomes: dict[float, CandidateOutcome] = {}
+    ticks = cfg.workers if cfg.refine else len(candidates)
+    step_failed = shifted_failed = stopped = False
+    for i in range(0, len(candidates), ticks):
+        for out in (yield candidates[i : i + ticks]):
+            outcomes[out.c] = out
+            step_failed = step_failed or not out.step_pass
+            shifted_failed = shifted_failed or not out.shifted_pass
+            stopped = cfg.refine and step_failed and shifted_failed
+            if stopped:
+                break
+        if stopped:
+            break
+
+    def prefix_largest(flag: str) -> float | None:
+        passed = list(itertools.takewhile(lambda c: c in outcomes and getattr(outcomes[c], flag), candidates))
+        return passed[-1] if passed else None
+
+    c_p = prefix_largest("step_pass")
+    c_s = prefix_largest("shifted_pass")
+    if cfg.refine:
+        c_p = yield from _bisect(c_p, cfg, outcomes, "step_pass")
+        c_s = yield from _bisect(c_s, cfg, outcomes, "shifted_pass")
+    return LimitResult(
+        scheme=cfg.base.tableau.name,
+        monitor=cfg.base.monitor.kind,
+        c_p=c_p,
+        c_s=c_s,
+        per_candidate=tuple(outcomes[c] for c in sorted(outcomes)),
+    )
+
+
+def _bisect(coarse, cfg, outcomes, flag):
+    """Bisect between the coarse limit and the next (failing) tick, reusing
+    the outcomes already known and offering one midpoint at a time."""
+    if coarse is None:
+        return None
+    hi = round(coarse + cfg.granularity, 12)
+    if hi > cfg.c_max + 1e-9 * cfg.granularity:
+        return coarse  # passed through the top of the scan; nothing bracketed
+    lo = coarse
+    while hi - lo > REFINE_RESOLUTION + 1e-12:
+        mid = round(0.5 * (lo + hi), 12)
+        if mid not in outcomes:
+            (outcomes[mid],) = yield [mid]
+        if getattr(outcomes[mid], flag):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
+    """Run one :func:`_scan` per config (they differ in their tableau only),
+    all advancing together in rounds.  A round sorts every live scan's offer
+    by (stage count, scheme name, c) and cuts it into chunks of at most
+    ``min(_chunk_rows, ceil(rows / workers))`` rows, which run serially or,
+    with ``workers > 1``, in a process pool."""
+    scans = [_scan(cfg) for cfg in cfgs]
+    offers = {k: next(scan) for k, scan in enumerate(scans)}
+    results = {}
+    base = cfgs[0].base
+    tabs = [cfg.base.tableau for cfg in cfgs]
+    processes = min(workers, os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext() as pool:
+        while offers:
+            rows = sorted((tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs)
+            size = min(_chunk_rows(base), math.ceil(len(rows) / workers))
+            chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
+            jobs = [(base, [tabs[k] for *_, k in chunk], [row[2] for row in chunk]) for chunk in chunks]
+            # Outcomes arrive in row order, serial or pooled.
+            outs = (pool.map if pool and len(jobs) > 1 else map)(_run_chunk, jobs)
+            got = {k: [] for k in offers}
+            for row, out in zip(rows, itertools.chain.from_iterable(outs)):
+                got[row[3]].append(out)
+            for k in got:
+                try:
+                    offers[k] = scans[k].send(got[k])
+                except StopIteration as stop:
+                    results[k] = stop.value
+                    del offers[k]
+    return [results[k] for k in range(len(cfgs))]
+
+
 def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     """Sweep c and report, per criterion, the top of the contiguous pass run.
 
@@ -151,77 +233,11 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     multipliers) and remain visible in ``per_candidate``, which records the
     full scan.  With ``refine`` the coarse scan stops once both criteria
     have failed and a bisection sharpens each limit to 0.01 inside its
-    bracketing granularity tick.
-
-    Candidates run in contiguous chunks in ascending c (see
-    :data:`CHUNK_BYTES`; one candidate per chunk under ``refine``, so that
-    nothing past the stop is started), and with ``workers > 1`` at most that
-    many chunks are in flight at once.
+    bracketing granularity tick; it offers ``workers`` coarse ticks at a
+    time, so that little past the stop is started (see :func:`_scan`).
     """
-    base = cfg.base
-    candidates = _candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
-    outcomes: dict[float, CandidateOutcome] = {}
-
-    rows = 1 if cfg.refine else min(_chunk_rows(base), math.ceil(len(candidates) / cfg.workers))
-    jobs = [(base, candidates[i : i + rows]) for i in range(0, len(candidates), rows)]
-    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
-    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
-    step_failed = shifted_failed = False
-    try:
-        # Outcomes arrive in candidate order, serial or pooled.
-        chunks = _in_order(pool, _run_chunk, jobs, workers) if pool else map(_run_chunk, jobs)
-        for out in itertools.chain.from_iterable(chunks):
-            outcomes[out.c] = out
-            step_failed = step_failed or not out.step_pass
-            shifted_failed = shifted_failed or not out.shifted_pass
-            if cfg.refine and step_failed and shifted_failed:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)  # drop chunks not yet started
-
-    def prefix_largest(flag) -> float | None:
-        best = None
-        for c in candidates:
-            if c not in outcomes or not flag(outcomes[c]):
-                break
-            best = c
-        return best
-
-    c_p = prefix_largest(lambda o: o.step_pass)
-    c_s = prefix_largest(lambda o: o.shifted_pass)
-
-    if cfg.refine:
-        c_p = _refine(base, c_p, cfg, outcomes, lambda o: o.step_pass)
-        c_s = _refine(base, c_s, cfg, outcomes, lambda o: o.shifted_pass)
-
-    ordered = tuple(outcomes[c] for c in sorted(outcomes))
-    return LimitResult(
-        scheme=base.tableau.name,
-        monitor=base.monitor.kind,
-        c_p=c_p,
-        c_s=c_s,
-        per_candidate=ordered,
-    )
-
-
-def _refine(base, coarse, cfg, outcomes, flag):
-    """Bisect between the coarse limit and the next (failing) tick."""
-    if coarse is None:
-        return None
-    hi = round(coarse + cfg.granularity, 12)
-    if hi > cfg.c_max + 1e-9 * cfg.granularity:
-        return coarse  # passed through the top of the scan; nothing bracketed
-    lo = coarse
-    while hi - lo > REFINE_RESOLUTION + 1e-12:
-        mid = round(0.5 * (lo + hi), 12)
-        if mid not in outcomes:
-            (outcomes[mid],) = _run_chunk((base, [mid]))
-        if flag(outcomes[mid]):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    (result,) = _lockstep([cfg], cfg.workers)
+    return result
 
 
 @dataclass(frozen=True)
@@ -306,44 +322,46 @@ def limits_table(
 ) -> ExperimentTable:
     """Sweep every scheme on one experiment and join the formal SSP coefficients.
 
-    ``schemes`` is a list of built-in scheme ids (default: all five);
+    ``schemes`` is a non-empty list of distinct built-in scheme ids (default:
+    all five), whose scans advance in lockstep (see :func:`_lockstep`);
     ``preset_overrides`` (n_cells, t_final, tolerance, tv_wrap, lf, ...) are
     forwarded to the experiment preset.
     """
     from .presets import preset_config
     from .tableau import BUILTIN_SCHEME_IDS
 
-    if schemes is None:
-        schemes = BUILTIN_SCHEME_IDS
-    rows = []
-    monitor = ""
-    for name in schemes:
-        base = preset_config(experiment, scheme_id=name, dt_factor=1.0, **preset_overrides)
-        cfg = LimitSearchConfig(
-            base=base,
+    schemes = list(BUILTIN_SCHEME_IDS if schemes is None else schemes)
+    if not schemes:
+        raise ValueError("limits_table needs at least one scheme")
+    repeated = sorted({name for name in schemes if schemes.count(name) > 1})
+    if repeated:
+        raise ValueError(f"schemes listed more than once: {', '.join(repeated)}")
+    cfgs = [
+        LimitSearchConfig(
+            base=preset_config(experiment, scheme_id=name, dt_factor=1.0, **preset_overrides),
             c_min=c_min,
             c_max=c_max,
             granularity=granularity,
             refine=refine,
             workers=workers,
         )
-        result = find_limits(cfg)
-        analysis = ssp_coefficient(base.tableau, tol=ssp_tol)
-        monitor = result.monitor
-        rows.append(
-            TableRow(
-                scheme=name,
-                c_ssp=analysis.ssp_coefficient,
-                c_s=result.c_s,
-                c_p=result.c_p,
-                per_candidate=result.per_candidate,
-            )
+        for name in schemes
+    ]
+    rows = tuple(
+        TableRow(
+            scheme=name,
+            c_ssp=ssp_coefficient(cfg.base.tableau, tol=ssp_tol).ssp_coefficient,
+            c_s=result.c_s,
+            c_p=result.c_p,
+            per_candidate=result.per_candidate,
         )
+        for name, cfg, result in zip(schemes, cfgs, _lockstep(cfgs, workers))
+    )
     return ExperimentTable(
         experiment=experiment,
-        monitor=monitor,
+        monitor=cfgs[0].base.monitor.kind,
         c_min=c_min,
         c_max=c_max,
         granularity=granularity,
-        rows=tuple(rows),
+        rows=rows,
     )

@@ -16,7 +16,9 @@ from rkstab.integrator import STEP_BUDGET_FACTOR, SimulationConfig, run_batch, s
 from rkstab.limits import LimitSearchConfig, find_limits, limits_table
 from rkstab.monitors import Monitor
 from rkstab.presets import PRESET_IDS, preset_config
-from rkstab.tableau import builtin_scheme
+from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme
+
+from conftest import SWEEP_WORKERS
 
 # Final times short enough for a quick sweep that still passes and fails
 # candidates of every preset.
@@ -165,3 +167,115 @@ def test_step_budget_ends_a_collapsing_run():
     assert record.verdict.abort_reason == "step_budget"
     assert not record.verdict.step_pass and not record.verdict.shifted_pass
     assert record.times[-1] < cfg.t_final
+
+
+@pytest.mark.parametrize("preset", PRESET_IDS)
+def test_table_sweep_equals_per_scheme_sweeps(preset, monkeypatch):
+    """Every scheme's scan advances in the same batches as the others'; each
+    row must still be the sweep of that scheme alone."""
+    t_final = SHORT_T_FINAL[preset]
+    for refine in (False, True):
+        alone = {
+            name: find_limits(
+                LimitSearchConfig(base=preset_config(preset, name, 1.0, t_final=t_final), c_max=3.0, refine=refine)
+            )
+            for name in BUILTIN_SCHEME_IDS
+        }
+        for rows in (None, 1, 3):
+            if rows is not None:
+                monkeypatch.setattr(limits, "CHUNK_BYTES", rows * state_bytes(short_search(preset, "rk44")))
+            for order in (BUILTIN_SCHEME_IDS, BUILTIN_SCHEME_IDS[::-1]):
+                table = limits_table(preset, order, c_max=3.0, refine=refine, t_final=t_final)
+                assert [r.scheme for r in table.rows] == list(order)
+                for row in table.rows:
+                    result = alone[row.scheme]
+                    assert (row.c_p, row.c_s) == (result.c_p, result.c_s)
+                    assert row.per_candidate == result.per_candidate
+            monkeypatch.undo()
+        pooled = limits_table(preset, c_max=3.0, refine=refine, workers=SWEEP_WORKERS, t_final=t_final)
+        assert pooled == limits_table(preset, c_max=3.0, refine=refine, t_final=t_final)
+
+
+def test_batch_composition_does_not_depend_on_scheme_order(monkeypatch):
+    batches = []
+
+    def recording(config, dt_factors, *, tableaux, **kwargs):
+        batches[-1].append(sorted(zip((t.name for t in tableaux), dt_factors)))
+        return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
+
+    monkeypatch.setattr(limits, "run_batch", recording)
+    for rows in (None, 2):  # a round in one chunk, and cut into chunks
+        if rows is not None:
+            monkeypatch.setattr(limits, "CHUNK_BYTES", rows * state_bytes(short_search("muscl2", "rk44")))
+        batches.clear()
+        for order in (BUILTIN_SCHEME_IDS, ("rk44", "forward_euler", "rk31", "midpoint", "ssprk33")):
+            batches.append([])
+            limits_table("muscl2", order, refine=True, t_final=SHORT_T_FINAL["muscl2"])
+        assert len(batches[0]) > 1
+        assert max(len(b) for b in batches[0]) == (rows or len(BUILTIN_SCHEME_IDS))
+        assert batches[0] == batches[1]
+
+
+def assert_rows_equal(mixed, alone):
+    assert mixed.verdict == alone.verdict and mixed.n_steps == alone.n_steps
+    np.testing.assert_array_equal(np.array(mixed.history), np.array(alone.history))
+    np.testing.assert_array_equal(mixed.final_state, alone.final_state)
+
+
+def test_mixed_tableau_rows_equal_one_row_runs():
+    """Rows padded to the largest stage count must not tell: every row of a
+    five-scheme batch equals its own one-row run bit for bit."""
+    tableaux = [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS for _ in range(2)]
+    for preset in ("muscl2", "leblanc_n2"):
+        base = preset_config(preset, "rk44", 1.0, t_final=SHORT_T_FINAL[preset])
+        cs = [0.6, 1.4] * len(BUILTIN_SCHEME_IDS)
+        rows = run_batch(base, cs, tableaux=tableaux, record=True)
+        assert any(r.verdict.passed for r in rows) and not all(r.verdict.passed for r in rows)
+        for tab, c, row in zip(tableaux, cs, rows):
+            (alone,) = run_batch(replace(base, tableau=tab), [c], record=True)
+            assert_rows_equal(row, alone)
+            rec = simulate(replace(base, tableau=tab, dt_factor=c))
+            assert row.verdict == rec.verdict and row.n_steps == rec.n_steps
+            assert [h[1] for h in row.history] == rec.monitor_step_values.tolist()
+
+
+@dataclass(frozen=True)
+class OverflowBelowHalf:
+    """q' = -q, whose RHS overflows to inf wherever a state drops to 0.1 or
+    below; dt_FE = 1 on finite states and NaN on others."""
+
+    is_euler = False
+
+    def rhs_array(self, q, grid):
+        return np.where(q > 0.1, -q, np.inf)
+
+    def dt_fe_array(self, q, grid):
+        return np.where(np.isfinite(q).all(axis=-1), 1.0, np.nan)
+
+
+def test_overflowing_row_of_a_mixed_batch_keeps_its_verdict():
+    """``x + 0*R == x`` only while R is finite: in a mixed batch the row whose
+    RHS overflows sees NaN in its padded stages, where its own run skips the
+    term.  Its verdict and abort must not change, nor any other row."""
+    cfg = SimulationConfig(
+        scheme=OverflowBelowHalf(),
+        tableau=builtin_scheme("forward_euler"),
+        grid=Grid1D(8, 0.0, 1.0, Periodic()),
+        ic=Ones(),
+        t_final=2.0,
+        dt_factor=1.0,
+        monitor=Monitor("energy"),
+    )
+    tableaux = [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS]
+    cs = [0.95] + [0.1] * (len(BUILTIN_SCHEME_IDS) - 1)  # forward Euler reaches q = 0.05
+    rows = run_batch(cfg, cs, tableaux=tableaux, record=True)
+    overflowing, others = rows[0], rows[1:]
+    (alone,) = run_batch(cfg, cs[:1], record=True)
+    assert alone.verdict == overflowing.verdict and alone.n_steps == overflowing.n_steps
+    assert (alone.aborted_step, alone.abort_reason) == (2, "degenerate_dt")
+    assert (alone.first_step_failure, alone.first_shifted_failure) == (1, 1)
+    assert np.isinf(alone.history[1][3]) and np.isnan(overflowing.history[1][2])
+    for tab, c, row in zip(tableaux[1:], cs[1:], others):
+        (one,) = run_batch(replace(cfg, tableau=tab), [c], record=True)
+        assert row.verdict.passed
+        assert_rows_equal(row, one)

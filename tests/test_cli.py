@@ -187,3 +187,11 @@ def test_limits_rejects_worker_count_below_one(tmp_path, capsys):
     assert main(["limits", "upwind", "--schemes", "rk44", "--workers", "0", "--out", str(out)]) == 1
     assert "--workers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("schemes", [",", "forward_euler,forward_euler"])
+def test_limits_rejects_empty_or_repeated_scheme_list(tmp_path, capsys, schemes):
+    out = tmp_path / "t.json"
+    assert main(["limits", "upwind", "--schemes", schemes, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -192,3 +192,10 @@ def test_refine_pool_runs_at_most_one_candidate_per_extra_worker(tmp_path):
         find_limits(LimitSearchConfig(base=base, c_min=1.1, refine=True, workers=workers))
         runs[workers] = len(counter.read_text().splitlines())
     assert runs[2] <= runs[1] + 2
+
+
+def test_limits_table_rejects_empty_or_repeated_scheme_list():
+    with pytest.raises(ValueError, match="at least one scheme"):
+        limits_table("upwind", [])
+    with pytest.raises(ValueError, match="more than once: forward_euler"):
+        limits_table("upwind", ["forward_euler", "rk44", "forward_euler"])
