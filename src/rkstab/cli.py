@@ -204,6 +204,9 @@ def cmd_limits(args) -> int:
         raise _CliError(f"--workers must be at least 1, got {args.workers}")
     if args.preset not in PRESET_IDS:
         raise _CliError(f"unknown preset {args.preset!r}; valid: {', '.join(PRESET_IDS)}")
+    out = Path(args.out) if args.out else Path(f"limits_{args.preset}.json")
+    if out.suffix == ".csv":
+        raise _CliError(f"--out {out} would be overwritten by the CSV table; give the JSON path")
     if args.schemes == "all":
         schemes = list(BUILTIN_SCHEME_IDS)
     else:
@@ -227,7 +230,6 @@ def cmd_limits(args) -> int:
         tv_wrap=_tv_wrap_flag(args.tv_wrap),
         lf=args.lf,
     )
-    out = Path(args.out) if args.out else Path(f"limits_{args.preset}.json")
     out.write_text(json.dumps(table.to_json_dict(), indent=2) + "\n")
     table.write_csv(out.with_suffix(".csv"))
     print(table.format_summary())

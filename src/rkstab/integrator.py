@@ -92,32 +92,39 @@ def rk_step_instrumented(
     ``rhs`` maps a state to its time derivative; states may be scalars or numpy
     arrays, and ``dt`` may be an array broadcasting against them (one step size
     per row of a stack of states), as may a coefficient (see
-    :func:`_batch_tableau`); a scalar coefficient of 0 is skipped.  An RHS
-    failure (``NonPhysicalStateError``) is re-raised as
+    :func:`_batch_tableau`); a scalar coefficient of 0 is skipped.  In a mixed
+    step (a tableau with ``width``) stage ``i`` exists on the first
+    ``width[i]`` rows only: its stage solution, derivative and shifted state
+    are those rows, and ``q_rk`` is ``q_n`` plus each ``b_j`` term on its
+    prefix.  An RHS failure (``NonPhysicalStateError``) is re-raised as
     :class:`StepFailedError` carrying the stage index, which callers treat as a
     stability failure of the probed step size.
     """
     A, b, s = tableau.A, tableau.b, tableau.s
+    width = getattr(tableau, "width", None)
     stages = []
     derivs = []
     shifted = []
     for i in range(s):
-        q_i = q_n
+        q_0, dt_i = (q_n, dt) if width is None else (q_n[: width[i]], dt[: width[i]])
+        q_i = q_0
         for j in range(i):
             a = A[i, j]
             if isinstance(a, np.ndarray) or a != 0.0:
-                q_i = q_i + (dt * a) * derivs[j]
+                q_i = q_i + (dt_i * a) * (derivs[j] if width is None else derivs[j][: width[i]])
         stages.append(q_i)
         try:
             r_i = rhs(q_i)
         except NonPhysicalStateError as exc:
             raise StepFailedError(i, exc) from exc
         derivs.append(r_i)
-        shifted.append(q_n + dt * r_i)
-    q_rk = q_n
+        shifted.append(q_0 + dt_i * r_i)
+    q_rk = q_n if width is None else q_n.copy()
     for j in range(s):
         w = b[j]
-        if isinstance(w, np.ndarray) or w != 0.0:
+        if width is not None and isinstance(w, np.ndarray):
+            q_rk[: width[j]] += (dt[: width[j]] * w) * derivs[j]
+        elif isinstance(w, np.ndarray) or w != 0.0:
             q_rk = q_rk + (dt * w) * derivs[j]
     return StageTrace(
         q_n=q_n,
@@ -311,22 +318,29 @@ def _row_trace(trace: StageTrace, k: int, dt: float) -> StageTrace:
 
 def _batch_tableau(tableaux: list, column_shape: tuple):
     """The tableau of one step of a stack of rows: theirs when they share one.
-    Else each row's ``A`` and ``b`` are padded with zero stages to the largest
-    stage count (a padded stage is q^n, its shifted state shifted state 0),
-    and a coefficient becomes a column of per-row values, or 0.0 (skipped)
-    when it is 0 in every row.  ``x + 0*R == x`` only while ``R`` is finite:
-    a row whose RHS overflows may see NaN where its own run sees ``x``, but
-    only in a step that its own run fails too."""
+    Else the rows come in descending stage count, stage ``i`` runs on the
+    ``width[i]`` rows that have it, and a coefficient of stage ``i`` (``A[i, j]``
+    and ``b[i]``) becomes a column of those rows' values, or 0.0 (skipped)
+    when it is 0 in every row.  ``take`` places the monitor values of ``v_n``
+    and of the step's real states, concatenated, into the ``(B, 2s+1)`` layout
+    of a one-tableau step: a stage a row lacks would be q^n and takes the
+    value of stage 0, its shifted state shifted state 0's."""
     if all(t is tableaux[0] for t in tableaux):
         return tableaux[0]
     s = max(t.s for t in tableaux)
+    width = [sum(t.s > i for t in tableaux) for i in range(s)]
     Ab = np.zeros((s, s + 1, len(tableaux)))  # A, then b as column s
     for k, t in enumerate(tableaux):
         Ab[: t.s, : t.s, k] = t.A
         Ab[: t.s, s, k] = t.b
-    coef = [[x.reshape(column_shape) if x.any() else 0.0 for x in row] for row in Ab]
+    coef = [[x[:n].reshape(column_shape) if x.any() else 0.0 for x in row] for n, row in zip(width, Ab)]
+    rows = np.arange(len(tableaux))
+    sizes = [width[0]] + width[1:] + [width[0]] + width  # v_n, stages 1.., q_rk, shifted
+    starts = np.cumsum([0] + sizes[:-1])
+    home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
+    take = np.stack([np.where(rows < n, a + rows, starts[h] + rows) for n, a, h in zip(sizes, starts, home)], axis=1)
     A = {(i, j): coef[i][j] for i in range(s) for j in range(i)}
-    return SimpleNamespace(A=A, b=[row[s] for row in coef], s=s)
+    return SimpleNamespace(A=A, b=[row[s] for row in coef], s=s, width=width, take=take)
 
 
 def run_batch(
@@ -385,13 +399,14 @@ def run_batch(
     t_eps = 1e-12 * max(1.0, t_final)
     rhs = lambda state: scheme.rhs_array(state, grid)  # noqa: E731
     as_column = (-1,) + (1,) * q0.ndim  # per-row dt against a stack of states
-    tab = _batch_tableau(tableaux, as_column)
 
-    # Per stacked row: its RunRow index, multiplier, state, time, value of q^n,
-    # step budget and whether each criterion has failed.  All live rows have
-    # taken the same number of steps.
-    live = np.arange(len(rows))
-    c = np.array([row.dt_factor for row in rows])
+    # Per stacked row, in descending stage count (a stable sort, kept when rows
+    # leave): its RunRow index, multiplier, state, time, value of q^n, step
+    # budget and whether each criterion has failed.  All live rows have taken
+    # the same number of steps.
+    live = np.array(sorted(range(len(rows)), key=lambda k: -tableaux[k].s))
+    tab = _batch_tableau([tableaux[k] for k in live], as_column)
+    c = np.array([rows[k].dt_factor for k in live])
     q = np.repeat(q0[None], len(rows), axis=0)
     t = np.zeros(len(rows))
     v_n = np.full(len(rows), v0)
@@ -451,7 +466,7 @@ def run_batch(
                 # One row's dt is passed as a scalar: it broadcasts to the same
                 # values, with less overhead per operation than a 1x1 array.
                 dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
-                s = tab.s  # the layout of this step's states; leave() may change tab
+                s, take = tab.s, getattr(tab, "take", None)  # this step's layout; leave() may change tab
                 trace = rk_step_instrumented(tab, rhs, q, dt_rows, grid, is_euler)
             except StepFailedError as exc:
                 if live.size > 1:
@@ -464,9 +479,12 @@ def run_batch(
             # The value of every state of the step, as one stack: stage 0 is
             # q^n, whose value carries over; then stages 1..s-1, the step
             # solution and the shifted states.
-            states = np.stack(trace.stage_solutions[1:] + (q_rk,) + trace.shifted_states, axis=1)
-            values = np.concatenate((v_n[:, None], state_values(monitor, grid, states)), axis=1)
-            del states
+            real = trace.stage_solutions[1:] + (q_rk,) + trace.shifted_states
+            if take is None:
+                values = np.concatenate((v_n[:, None], state_values(monitor, grid, np.stack(real, axis=1))), axis=1)
+            else:  # a mixed step's stage arrays are prefixes of the rows
+                values = np.concatenate((v_n, state_values(monitor, grid, np.concatenate(real))))[take]
+            del real
             if is_euler:
                 # A stage whose floor is not positive is one the kernel may not see.
                 bad = ~(values[:, :s] > 0.0)

@@ -194,9 +194,11 @@ def _bisect(coarse, cfg, outcomes, flag):
 def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
     """Run one :func:`_scan` per config (they differ in their tableau only),
     all advancing together in rounds.  A round sorts every live scan's offer
-    by (stage count, scheme name, c) and cuts it into chunks of at most
+    by (band, stage count, scheme name, c) and cuts it into chunks of at most
     ``min(_chunk_rows, ceil(rows / workers))`` rows, which run serially or,
-    with ``workers > 1``, in a process pool."""
+    with ``workers > 1``, in a process pool.  A band is ``_chunk_rows //
+    live scans`` consecutive c values of the round (the round is one band
+    when that is 0), so the long low-c rows of all scans share a chunk."""
     scans = [_scan(cfg) for cfg in cfgs]
     offers = {k: next(scan) for k, scan in enumerate(scans)}
     results = {}
@@ -205,15 +207,19 @@ def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
     processes = min(workers, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext() as pool:
         while offers:
-            rows = sorted((tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs)
+            band = _chunk_rows(base) // len(offers)
+            rank = {c: r for r, c in enumerate(sorted({c for cs in offers.values() for c in cs}))}
+            rows = sorted(
+                (rank[c] // band if band else 0, tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs
+            )
             size = min(_chunk_rows(base), math.ceil(len(rows) / workers))
             chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
-            jobs = [(base, [tabs[k] for *_, k in chunk], [row[2] for row in chunk]) for chunk in chunks]
+            jobs = [(base, [tabs[k] for *_, k in chunk], [row[3] for row in chunk]) for chunk in chunks]
             # Outcomes arrive in row order, serial or pooled.
             outs = (pool.map if pool and len(jobs) > 1 else map)(_run_chunk, jobs)
             got = {k: [] for k in offers}
             for row, out in zip(rows, itertools.chain.from_iterable(outs)):
-                got[row[3]].append(out)
+                got[row[4]].append(out)
             for k in got:
                 try:
                     offers[k] = scans[k].send(got[k])

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+import rkstab.integrator as integrator
 import rkstab.limits as limits
 from rkstab.fields import Grid1D, Periodic, ScalarField, quadratic_energy_array, total_variation_array
 from rkstab.integrator import STEP_BUDGET_FACTOR, SimulationConfig, run_batch, simulate
@@ -254,9 +255,9 @@ class OverflowBelowHalf:
 
 
 def test_overflowing_row_of_a_mixed_batch_keeps_its_verdict():
-    """``x + 0*R == x`` only while R is finite: in a mixed batch the row whose
-    RHS overflows sees NaN in its padded stages, where its own run skips the
-    term.  Its verdict and abort must not change, nor any other row."""
+    """``x + 0*R == x`` only while R is finite, so a mixed step must not add
+    the terms of stages a row lacks: the row whose RHS overflows equals its
+    own run bit for bit, abort included, and so does every other row."""
     cfg = SimulationConfig(
         scheme=OverflowBelowHalf(),
         tableau=builtin_scheme("forward_euler"),
@@ -274,8 +275,112 @@ def test_overflowing_row_of_a_mixed_batch_keeps_its_verdict():
     assert alone.verdict == overflowing.verdict and alone.n_steps == overflowing.n_steps
     assert (alone.aborted_step, alone.abort_reason) == (2, "degenerate_dt")
     assert (alone.first_step_failure, alone.first_shifted_failure) == (1, 1)
-    assert np.isinf(alone.history[1][3]) and np.isnan(overflowing.history[1][2])
+    assert np.isinf(alone.history[1][3])
+    assert_rows_equal(overflowing, alone)
     for tab, c, row in zip(tableaux[1:], cs[1:], others):
         (one,) = run_batch(replace(cfg, tableau=tab), [c], record=True)
         assert row.verdict.passed
         assert_rows_equal(row, one)
+
+
+@dataclass(eq=False)
+class RecordingDecay:
+    """q' = -q with dt_FE = 1, recording the rows of every RHS call."""
+
+    rows: list
+    is_euler = False
+
+    def rhs_array(self, q, grid):
+        self.rows.append(q.shape[0])
+        return -q
+
+    def dt_fe_array(self, q, grid):
+        return np.ones(q.shape[:-1])
+
+
+def test_mixed_step_runs_each_stage_on_the_rows_that_have_it(monkeypatch):
+    """One step of the five built-ins calls the kernel on sum(s_k) rows and the
+    monitor once, on the 2*s_k real states of each row."""
+    state_values = integrator.state_values
+    states = []
+
+    def recording(monitor, grid, stack):
+        states.append(stack.shape[0] if stack.ndim > 1 else None)
+        return state_values(monitor, grid, stack)
+
+    monkeypatch.setattr(integrator, "state_values", recording)
+    kernel_rows = []
+    cfg = SimulationConfig(
+        scheme=RecordingDecay(kernel_rows),
+        tableau=builtin_scheme("forward_euler"),
+        grid=Grid1D(8, 0.0, 1.0, Periodic()),
+        ic=Ones(),
+        t_final=0.5,
+        dt_factor=1.0,
+        monitor=Monitor("energy"),
+    )
+    tableaux = [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS]
+    rows = run_batch(cfg, [0.5] * len(tableaux), tableaux=tableaux)
+    assert [row.n_steps for row in rows] == [1] * len(tableaux)
+    stages = sum(t.s for t in tableaux)
+    assert stages == 13
+    assert sum(kernel_rows) == stages
+    assert states == [None, 2 * stages]  # G(q^0), then the step's states
+
+
+def test_mixed_rows_in_any_order_equal_one_row_runs():
+    """The batch stacks its rows by stage count; the rows must come back in
+    the order given, each equal to its own run, whatever that order."""
+    pairs = [(builtin_scheme(name), c) for name in BUILTIN_SCHEME_IDS for c in (0.6, 1.4)]
+    shuffled = [pairs[k] for k in np.random.default_rng(3).permutation(len(pairs))]
+    for preset in ("muscl2", "leblanc_n2"):
+        base = preset_config(preset, "rk44", 1.0, t_final=SHORT_T_FINAL[preset])
+        alone = {(tab.name, c): run_batch(replace(base, tableau=tab), [c], record=True)[0] for tab, c in pairs}
+        for order in (pairs[::-1], shuffled):
+            tableaux, cs = zip(*order)
+            rows = run_batch(base, cs, tableaux=tableaux, record=True)
+            for tab, c, row in zip(tableaux, cs, rows):
+                assert row.dt_factor == c
+                assert_rows_equal(row, alone[tab.name, c])
+                rec = simulate(replace(base, tableau=tab, dt_factor=c))
+                assert row.verdict == rec.verdict and row.n_steps == rec.n_steps
+                assert [h[2] for h in row.history] == rec.monitor_stage_worst.tolist()
+
+
+def record_compositions(monkeypatch) -> list:
+    """Patch the sweep's run_batch to record each chunk's (stage count, scheme, c) rows."""
+    batches = []
+
+    def recording(config, dt_factors, *, tableaux, **kwargs):
+        batches.append([(t.s, t.name, c) for t, c in zip(tableaux, dt_factors)])
+        return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
+
+    monkeypatch.setattr(limits, "run_batch", recording)
+    return batches
+
+
+def test_leblanc_chunks_keep_the_stage_name_c_order(monkeypatch):
+    """Two-row Leblanc chunks are fewer rows than scans: no bands, so each
+    chunk is two candidates of one scheme, cut from the (stage count, scheme
+    name, c) order of the whole round."""
+    batches = record_compositions(monkeypatch)
+    table = limits_table("leblanc_n2", BUILTIN_SCHEME_IDS[::-1], t_final=SHORT_T_FINAL["leblanc_n2"])
+    assert limits._chunk_rows(preset_config("leblanc_n2", "rk44", 1.0)) == 2
+    rows = sorted((builtin_scheme(r.scheme).s, r.scheme, o.c) for r in table.rows for o in r.per_candidate)
+    assert batches == [rows[i : i + 2] for i in range(0, len(rows), 2)]
+    assert all(len({name for _, name, _ in b}) == 1 for b in batches)
+
+
+def test_low_c_rows_of_a_table_share_one_chunk(monkeypatch):
+    batches = record_compositions(monkeypatch)
+    limits_table("dissipative", t_final=SHORT_T_FINAL["dissipative"])
+    assert len(batches) == 4
+    (first,) = [b for b in batches if (1, "forward_euler", 0.1) in b]
+    assert {(name, c) for _, name, c in first if c == 0.1} == {(name, 0.1) for name in BUILTIN_SCHEME_IDS}
+
+
+def test_refine_chunks_keep_the_stage_name_c_order(monkeypatch):
+    batches = record_compositions(monkeypatch)
+    limits_table("muscl2", refine=True, t_final=SHORT_T_FINAL["muscl2"])
+    assert max(len(b) for b in batches) == len(BUILTIN_SCHEME_IDS)
+    assert all(b == sorted(b) for b in batches)

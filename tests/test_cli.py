@@ -195,3 +195,10 @@ def test_limits_rejects_empty_or_repeated_scheme_list(tmp_path, capsys, schemes)
     assert main(["limits", "upwind", "--schemes", schemes, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_limits_rejects_csv_out_path(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["limits", "upwind", "--schemes", "rk44", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
