@@ -9,6 +9,7 @@ quantities whose decay or sign a run is judged against.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ class Grid1D:
     sampling: str = "center"
 
     def __post_init__(self):
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, numbers.Integral):
+            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 3:
             raise ValueError("n_cells must be at least 3")
         if not self.x_max > self.x_min:

@@ -13,6 +13,8 @@ it chunks of candidates.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -86,53 +88,86 @@ def rk_step_instrumented(
     dt: float,
     grid: Grid1D | None = None,
     is_euler: bool = False,
-) -> StageTrace:
+    *,
+    out=None,
+) -> StageTrace | None:
     """Advance one step, keeping every stage quantity.
 
-    ``rhs`` maps a state to its time derivative; states may be scalars or numpy
-    arrays, and ``dt`` may be an array broadcasting against them (one step size
-    per row of a stack of states), as may a coefficient (see
+    ``rhs`` maps a state to its time derivative; states are numpy arrays,
+    and ``dt`` may be an array broadcasting against them (one step size per
+    row of a stack of states), as may a coefficient (see
     :func:`_batch_tableau`); a scalar coefficient of 0 is skipped.  In a mixed
     step (a tableau with ``width``) stage ``i`` exists on the first
     ``width[i]`` rows only: its stage solution, derivative and shifted state
     are those rows, and ``q_rk`` is ``q_n`` plus each ``b_j`` term on its
-    prefix.  An RHS failure (``NonPhysicalStateError``) is re-raised as
-    :class:`StepFailedError` carrying the stage index, which callers treat as a
-    stability failure of the probed step size.
+    prefix.
+
+    Without ``out`` the step returns its :class:`StageTrace`.  With ``out``,
+    2s + 1 arrays (stages 1..s-1, ``q_rk`` and shifted states 0..s-1, each
+    shaped as the rows that have it, then a scratch array shaped as ``q_n``;
+    see :func:`_step_layout`), it writes its states there and returns None;
+    each derivative is dropped as soon as its terms are added.  Both ways
+    make the same operations in the same order, so their states are equal
+    bit for bit.  An RHS failure (``NonPhysicalStateError``) is re-raised as
+    :class:`StepFailedError` carrying the stage index, which callers treat as
+    a stability failure of the probed step size.
     """
     A, b, s = tableau.A, tableau.b, tableau.s
     width = getattr(tableau, "width", None)
-    stages = []
-    derivs = []
-    shifted = []
+    derivs = [] if out is None else None
+    if out is None:
+        rows = [None] * (2 * s) if width is None else width[1:] + [len(q_n)] + width
+        out = [np.empty_like(q_n[:n], dtype=float) for n in rows] + [np.empty_like(q_n, dtype=float)]
+    # Index k < s is stage k, index s is q_rk.  Each gets its terms as soon as
+    # the derivative they need exists, in the order of j, and the first term
+    # makes it q^n + term; a mixed q_rk starts as q^n, as its rows differ in
+    # the terms they have.
+    states = [q_n, *out[: s - 1], out[s - 1]]
+    shifted, scratch = out[s : 2 * s], out[2 * s]
+    fresh = [True] * s + [width is None]
+    if width is not None:
+        np.copyto(states[s], q_n)
     for i in range(s):
         q_0, dt_i = (q_n, dt) if width is None else (q_n[: width[i]], dt[: width[i]])
-        q_i = q_0
-        for j in range(i):
-            a = A[i, j]
-            if isinstance(a, np.ndarray) or a != 0.0:
-                q_i = q_i + (dt_i * a) * (derivs[j] if width is None else derivs[j][: width[i]])
-        stages.append(q_i)
+        q_i = states[i]
+        if i and fresh[i]:  # a stage without terms is q^n
+            np.copyto(q_i, q_0)
         try:
             r_i = rhs(q_i)
         except NonPhysicalStateError as exc:
             raise StepFailedError(i, exc) from exc
-        derivs.append(r_i)
-        shifted.append(q_0 + dt_i * r_i)
-    q_rk = q_n if width is None else q_n.copy()
-    for j in range(s):
-        w = b[j]
-        if width is not None and isinstance(w, np.ndarray):
-            q_rk[: width[j]] += (dt[: width[j]] * w) * derivs[j]
-        elif isinstance(w, np.ndarray) or w != 0.0:
-            q_rk = q_rk + (dt * w) * derivs[j]
+        if derivs is not None:
+            derivs.append(r_i)
+        np.multiply(dt_i, r_i, out=shifted[i])
+        np.add(q_0, shifted[i], out=shifted[i])
+        for k in range(i + 1, s + 1):
+            a = A[k, i] if k < s else b[i]
+            if not isinstance(a, np.ndarray) and a == 0.0:
+                continue
+            if width is None:
+                dest, base, coef, term, tmp = states[k], q_n, dt * a, r_i, scratch
+            else:  # stage k has width[k] rows; b_i's term covers stage i's
+                n = width[k] if k < s else width[i]
+                dest, base, coef, term, tmp = states[k][:n], q_n[:n], dt[:n] * a, r_i[:n], scratch[:n]
+            if fresh[k]:
+                np.multiply(coef, term, out=dest)
+                np.add(base, dest, out=dest)
+                fresh[k] = False
+            else:
+                np.multiply(coef, term, out=tmp)
+                np.add(dest, tmp, out=dest)
+        del r_i  # not alive during the next stage's rhs call
+    if fresh[s]:
+        np.copyto(states[s], q_n)
+    if derivs is None:
+        return None
     return StageTrace(
         q_n=q_n,
         dt=dt,
-        stage_solutions=tuple(stages),
+        stage_solutions=tuple(states[:s]),
         stage_derivatives=tuple(derivs),
         shifted_states=tuple(shifted),
-        q_rk=q_rk,
+        q_rk=states[s],
         grid=grid,
         is_euler=is_euler,
     )
@@ -182,10 +217,11 @@ class SimulationConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
-        if not self.dt_factor > 0:
-            raise ValueError("dt_factor must be positive")
+        # An infinite t_final would end every run before its first step.
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
+        if not 0 < self.dt_factor < math.inf:
+            raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -297,23 +333,11 @@ def _admissibility_error(U) -> NonPhysicalStateError | None:
     try:
         require_admissible(U)
     except NonPhysicalStateError as exc:
-        return exc
+        # Without its traceback, whose frames lead back to the caller's: a
+        # caller that keeps the error would otherwise keep its own frame, and
+        # the step workspace with it, alive until a garbage collection.
+        return exc.with_traceback(None)
     return None
-
-
-def _row_trace(trace: StageTrace, k: int, dt: float) -> StageTrace:
-    """Row ``k`` of a stacked step, shaped as a single-state step."""
-    q_n = trace.q_n[k]
-    return StageTrace(
-        q_n=q_n,
-        dt=dt,
-        stage_solutions=(q_n,) + tuple(x[k] for x in trace.stage_solutions[1:]),
-        stage_derivatives=tuple(x[k] for x in trace.stage_derivatives),
-        shifted_states=tuple(x[k] for x in trace.shifted_states),
-        q_rk=trace.q_rk[k],
-        grid=trace.grid,
-        is_euler=trace.is_euler,
-    )
 
 
 def _batch_tableau(tableaux: list, column_shape: tuple):
@@ -321,10 +345,7 @@ def _batch_tableau(tableaux: list, column_shape: tuple):
     Else the rows come in descending stage count, stage ``i`` runs on the
     ``width[i]`` rows that have it, and a coefficient of stage ``i`` (``A[i, j]``
     and ``b[i]``) becomes a column of those rows' values, or 0.0 (skipped)
-    when it is 0 in every row.  ``take`` places the monitor values of ``v_n``
-    and of the step's real states, concatenated, into the ``(B, 2s+1)`` layout
-    of a one-tableau step: a stage a row lacks would be q^n and takes the
-    value of stage 0, its shifted state shifted state 0's."""
+    when it is 0 in every row."""
     if all(t is tableaux[0] for t in tableaux):
         return tableaux[0]
     s = max(t.s for t in tableaux)
@@ -334,13 +355,35 @@ def _batch_tableau(tableaux: list, column_shape: tuple):
         Ab[: t.s, : t.s, k] = t.A
         Ab[: t.s, s, k] = t.b
     coef = [[x[:n].reshape(column_shape) if x.any() else 0.0 for x in row] for n, row in zip(width, Ab)]
-    rows = np.arange(len(tableaux))
-    sizes = [width[0]] + width[1:] + [width[0]] + width  # v_n, stages 1.., q_rk, shifted
-    starts = np.cumsum([0] + sizes[:-1])
-    home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
-    take = np.stack([np.where(rows < n, a + rows, starts[h] + rows) for n, a, h in zip(sizes, starts, home)], axis=1)
     A = {(i, j): coef[i][j] for i in range(s) for j in range(i)}
-    return SimpleNamespace(A=A, b=[row[s] for row in coef], s=s, width=width, take=take)
+    return SimpleNamespace(A=A, b=[row[s] for row in coef], s=s, width=width)
+
+
+def _step_layout(buffer: np.ndarray, scratch: np.ndarray, tab, rows: int):
+    """Where a step of ``rows`` stacked rows keeps its states.
+
+    Returns the ``out`` arrays of :func:`rk_step_instrumented`: consecutive
+    blocks of ``buffer`` holding stages 1..s-1 (each on the rows that have
+    it), q_rk and shifted states 0..s-1, then ``scratch`` cut to ``rows``; and
+    the number of states in those blocks, which the monitor reads as one
+    stack.  A mixed step also returns ``take``, which places the values of
+    ``v_n`` and of those states, concatenated, into the ``(rows, 2s+1)``
+    layout of a one-tableau step: a stage a row lacks would be q^n and takes
+    the value of stage 0, its shifted state shifted state 0's.  A one-tableau
+    step has ``take`` None, its blocks being ``rows`` states each."""
+    s = tab.s
+    width = getattr(tab, "width", None)
+    stage_rows = width or [rows] * s
+    sizes = [rows] + stage_rows[1:] + [rows] + stage_rows  # v_n, stages 1.., q_rk, shifted
+    starts = list(itertools.accumulate(sizes, initial=0))
+    out = [buffer[a - rows : b - rows] for a, b in zip(starts[1:-1], starts[2:])] + [scratch[:rows]]
+    n_states = starts[-1] - rows
+    if width is None:
+        return out, n_states, None
+    k = np.arange(rows)
+    home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
+    take = np.stack([np.where(k < n, a + k, starts[h] + k) for n, a, h in zip(sizes, starts, home)], axis=1)
+    return out, n_states, take
 
 
 def run_batch(
@@ -358,11 +401,13 @@ def run_batch(
     ``dt = c * dt_FE(row)`` (``config.dt_factor`` is not used), truncated
     at the end to land exactly on ``t_final``.  Row ``k`` steps with
     ``tableaux[k]`` (default: ``config.tableau`` for every row; see
-    :func:`_batch_tableau` for a mix).  Each step, the monitor is
-    evaluated on every stage solution, the step solution and every shifted
-    state of every row, as one stack; stage 0 is q^n itself, so its value
-    is the one carried over from the previous step.  A criterion violation
-    is recorded (first-failure step per criterion) and the row continues.
+    :func:`_batch_tableau` for a mix).  Each step writes its states into one
+    workspace allocated for the whole batch (see :func:`_step_layout`), and
+    the monitor is evaluated on every stage solution, the step solution and
+    every shifted state of every row, as one view of it; stage 0 is q^n
+    itself, so its value is the one carried over from the previous step.  A
+    criterion violation is recorded (first-failure step per criterion) and
+    the row continues.
     A row leaves the stack when it reaches ``t_final``; when it aborts on a
     degenerate step size, on an inadmissible Euler stage (the reason names
     the stage, the quantity and the first bad cell, as the scheme's own
@@ -370,7 +415,8 @@ def run_batch(
     with ``early_stop``, once both criteria have failed, which cannot change
     its verdict.  With ``record`` each row keeps its history and final
     state.  ``trace_callback(step, t, trace)`` is invoked after each
-    completed step of a one-row batch.
+    completed step of a one-row batch; only then is a :class:`StageTrace`
+    built.
     """
     scheme = config.scheme
     grid = config.grid
@@ -414,10 +460,15 @@ def run_batch(
     failed_p = np.zeros(len(rows), dtype=bool)
     failed_s = np.zeros(len(rows), dtype=bool)
     step = 0
+    # The workspace: room for the first step's states (rows only leave, so
+    # later steps need less) and a scratch state per row.
+    buffer = np.empty((2 * sum(getattr(tab, "width", None) or [len(rows)] * tab.s),) + q0.shape)
+    scratch = np.empty_like(q)
+    out, n_states, take = _step_layout(buffer, scratch, tab, len(rows))
 
     def leave(keep, *extra):
         """Drop the rows outside ``keep``; return ``extra`` row arrays filtered alike."""
-        nonlocal live, c, q, t, v_n, budget, failed_p, failed_s, tab
+        nonlocal live, c, q, t, v_n, budget, failed_p, failed_s, tab, out, n_states, take
         for k in np.flatnonzero(~keep):
             row = rows[live[k]]
             row.n_steps = step
@@ -426,8 +477,10 @@ def run_batch(
         live, c, q, t, v_n, budget, failed_p, failed_s = (
             a[keep] for a in (live, c, q, t, v_n, budget, failed_p, failed_s)
         )
-        if live.size and tab is not tableaux[live[0]]:  # a mix: step with the rows that stay
-            tab = _batch_tableau([tableaux[r] for r in live], as_column)
+        if live.size:
+            if tab is not tableaux[live[0]]:  # a mix: step with the rows that stay
+                tab = _batch_tableau([tableaux[r] for r in live], as_column)
+            out, n_states, take = _step_layout(buffer, scratch, tab, live.size)
         return [a[keep] for a in extra]
 
     def abort(k, reason: str) -> None:
@@ -466,8 +519,13 @@ def run_batch(
                 # One row's dt is passed as a scalar: it broadcasts to the same
                 # values, with less overhead per operation than a 1x1 array.
                 dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
-                s, take = tab.s, getattr(tab, "take", None)  # this step's layout; leave() may change tab
-                trace = rk_step_instrumented(tab, rhs, q, dt_rows, grid, is_euler)
+                s, states, q_rk = tab.s, buffer[:n_states], out[tab.s - 1]  # leave() may change the layout
+                if trace_callback is None:
+                    rk_step_instrumented(tab, rhs, q, dt_rows, out=out)
+                else:  # one row: trace its state, then monitor the step as any other
+                    trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, is_euler)
+                    for dest, state in zip(out, trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states):
+                        np.copyto(dest, state)
             except StepFailedError as exc:
                 if live.size > 1:
                     raise  # a batched kernel must not raise; rows are checked below
@@ -475,16 +533,14 @@ def run_batch(
                 leave(np.zeros(1, dtype=bool))
                 break
 
-            q_rk = trace.q_rk
-            # The value of every state of the step, as one stack: stage 0 is
-            # q^n, whose value carries over; then stages 1..s-1, the step
+            # The value of every state of the step in the (rows, 2s+1) layout:
+            # q^n, whose value carries over, then stages 1..s-1, the step
             # solution and the shifted states.
-            real = trace.stage_solutions[1:] + (q_rk,) + trace.shifted_states
-            if take is None:
-                values = np.concatenate((v_n[:, None], state_values(monitor, grid, np.stack(real, axis=1))), axis=1)
-            else:  # a mixed step's stage arrays are prefixes of the rows
-                values = np.concatenate((v_n, state_values(monitor, grid, np.concatenate(real))))[take]
-            del real
+            values = state_values(monitor, grid, states)
+            if take is None:  # s - 1 stages, q_rk and s shifted states of all rows, in turn
+                values = np.concatenate((v_n[:, None], values.reshape(2 * s, -1).T), axis=1)
+            else:
+                values = np.concatenate((v_n, values))[take]
             if is_euler:
                 # A stage whose floor is not positive is one the kernel may not see.
                 bad = ~(values[:, :s] > 0.0)
@@ -492,7 +548,10 @@ def run_batch(
                 if inadmissible.any():
                     for k in np.flatnonzero(inadmissible):
                         i = int(np.argmax(bad[k]))
-                        abort(k, str(StepFailedError(i, _admissibility_error(trace.stage_solutions[i][k]))))
+                        # Stage i of row k in the workspace; stage 0 is q^n.
+                        at = (i - 1) * live.size + k if take is None else take[k, i] - live.size
+                        cause = _admissibility_error(q[k] if at < 0 else states[at])
+                        abort(k, str(StepFailedError(i, cause)))
                     dt, values, q_rk = leave(~inadmissible, dt, values, q_rk)
                     if not live.size:
                         break
@@ -521,11 +580,9 @@ def run_batch(
                 failed_p |= fail_p
                 failed_s |= fail_s
             if trace_callback is not None:
-                trace_callback(step, float(t[0]), _row_trace(trace, 0, float(dt[0])))
-            # Only q^{n+1} outlives the step: the next step's stages must not
-            # stack on top of this one's.
-            del trace
-            q = q_rk
+                trace_callback(step, float(t[0]), trace)
+            # q^{n+1} leaves the workspace, which the next step overwrites.
+            q = q_rk.copy()
             v_n = v_rk
             step += 1
             if early_stop:

@@ -36,12 +36,23 @@ __all__ = [
 #: Gap below which the optional refinement bisection stops.
 REFINE_RESOLUTION = 0.01
 
+#: States one row keeps alive at the peak of a step on the 3x600 Euler shock
+#: tube, at most: q^n, the step workspace (up to 2s states, s <= 4, and a
+#: scratch state) and the kernel's or the monitor's temporaries.  Measured
+#: with tracemalloc: 13 on a mixed step of the five built-in schemes (the
+#: bound tests/test_batch.py checks), 17 on an rk44 step; 13-16 on the
+#: dissipative problem and 19-27 on MUSCL, whose TV monitor makes more
+#: temporaries.
+ROW_STATES = 18
+
 #: Bytes of candidate states one chunk may stack; a chunk holds
-#: max(1, CHUNK_BYTES // bytes of one state) candidates.  A step keeps about
-#: 35 states' worth of stages, shifted states, monitor stacks and kernel
-#: temporaries per row alive, so this bounds a sweep's extra memory to about
-#: 1 MB: 81 rows of the 50-cell dissipative problem, 51 of the 80-cell MUSCL
-#: one, 2 of the 3x600 Euler shock tube.
+#: max(scans, CHUNK_BYTES // bytes of one state) candidates: at least one per
+#: live scan, so that every scheme's long low-c rows share a chunk.  A chunk's
+#: step then peaks at about 0.4-0.5 MB on the 50-cell dissipative problem (81
+#: rows), 0.6-0.9 MB on the 80-cell MUSCL one (51 rows) and 0.9 MB on the
+#: 3x600 Euler shock tube (the five schemes at one c; 2 rows of one scheme
+#: took 0.8 MB when a step kept every stage, derivative and a stacked copy of
+#: its states).
 CHUNK_BYTES = 32 * 1024
 
 
@@ -57,6 +68,10 @@ class LimitSearchConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # A non-finite bound or step would make the candidate list endless.
+        for name in ("c_min", "c_max", "granularity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.c_min > 0:
             raise ValueError("c_min must be positive")
         if not self.granularity > 0:
@@ -112,10 +127,11 @@ def _run_chunk(args) -> list[CandidateOutcome]:
     ]
 
 
-def _chunk_rows(base: SimulationConfig) -> int:
-    """Candidates per chunk: as many states as fit in :data:`CHUNK_BYTES`."""
+def _chunk_rows(base: SimulationConfig, scans: int = 1) -> int:
+    """Candidates per chunk: as many states as fit in :data:`CHUNK_BYTES`,
+    and at least one per scan."""
     components = 3 if getattr(base.scheme, "is_euler", False) else 1
-    return max(1, CHUNK_BYTES // (8 * components * base.grid.n_cells))
+    return max(scans, CHUNK_BYTES // (8 * components * base.grid.n_cells))
 
 
 def _candidate_values(c_min: float, c_max: float, granularity: float) -> list[float]:
@@ -197,8 +213,8 @@ def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
     by (band, stage count, scheme name, c) and cuts it into chunks of at most
     ``min(_chunk_rows, ceil(rows / workers))`` rows, which run serially or,
     with ``workers > 1``, in a process pool.  A band is ``_chunk_rows //
-    live scans`` consecutive c values of the round (the round is one band
-    when that is 0), so the long low-c rows of all scans share a chunk."""
+    live scans`` (at least 1) consecutive c values of the round, so the long
+    low-c rows of all scans share a chunk."""
     scans = [_scan(cfg) for cfg in cfgs]
     offers = {k: next(scan) for k, scan in enumerate(scans)}
     results = {}
@@ -207,12 +223,11 @@ def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
     processes = min(workers, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext() as pool:
         while offers:
-            band = _chunk_rows(base) // len(offers)
+            chunk_rows = _chunk_rows(base, len(offers))
+            band = chunk_rows // len(offers)
             rank = {c: r for r, c in enumerate(sorted({c for cs in offers.values() for c in cs}))}
-            rows = sorted(
-                (rank[c] // band if band else 0, tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs
-            )
-            size = min(_chunk_rows(base), math.ceil(len(rows) / workers))
+            rows = sorted((rank[c] // band, tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs)
+            size = min(chunk_rows, math.ceil(len(rows) / workers))
             chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
             jobs = [(base, [tabs[k] for *_, k in chunk], [row[3] for row in chunk]) for chunk in chunks]
             # Outcomes arrive in row order, serial or pooled.

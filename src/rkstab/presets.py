@@ -117,6 +117,8 @@ class ExperimentPreset:
     scheme_kind: str  # "dissipative" | "upwind" | "muscl" | "llf"
 
     def make_scheme(self, lf: str = "local"):
+        if lf not in ("local", "global"):
+            raise ValueError(f"lf must be 'local' or 'global', got {lf!r}")
         if self.scheme_kind == "dissipative":
             return DissipativeBurgers(mu=1e-3)
         if self.scheme_kind == "upwind":

@@ -280,12 +280,27 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool) -> n
     m, E = Ue[..., 1, :], Ue[..., 2, :]
     u, p, speed = _primitive_parts(Ue, gamma)
     flux = np.stack((m, m * u + p, u * (E + p)), axis=-2)
+    del u, p
     if local:
         a_ifc = np.maximum(speed[..., :-1], speed[..., 1:])
     else:
         a_ifc = np.max(speed, axis=-1, keepdims=True)
-    h = 0.5 * (flux[..., :-1] + flux[..., 1:] - a_ifc[..., None, :] * (Ue[..., 1:] - Ue[..., :-1]))
-    return -(h[..., 1:] - h[..., :-1]) / dx
+    del speed
+    # h = 0.5 * (flux_l + flux_r - a * (U_r - U_l)) and -(h_r - h_l) / dx,
+    # the same operations done in place, so that a row keeps fewer states
+    # alive while a batch steps (see limits.CHUNK_BYTES).
+    h = flux[..., :-1] + flux[..., 1:]
+    del flux
+    jump = Ue[..., 1:] - Ue[..., :-1]
+    jump *= a_ifc[..., None, :]
+    h -= jump
+    del jump
+    h *= 0.5
+    r = h[..., 1:] - h[..., :-1]
+    del h
+    np.negative(r, out=r)
+    r /= dx
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ may show in the results: every candidate's outcome must equal the one of
 its own single-row run, whatever the rows per chunk.
 """
 
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,13 +206,15 @@ def test_batch_composition_does_not_depend_on_scheme_order(monkeypatch):
         return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
 
     monkeypatch.setattr(limits, "run_batch", recording)
-    for rows in (None, 2):  # a round in one chunk, and cut into chunks
+    # Refine rounds (a row per scan) in one chunk each, and the coarse scan's
+    # one round cut into chunks.
+    for refine, rows in ((True, None), (False, 7)):
         if rows is not None:
             monkeypatch.setattr(limits, "CHUNK_BYTES", rows * state_bytes(short_search("muscl2", "rk44")))
         batches.clear()
         for order in (BUILTIN_SCHEME_IDS, ("rk44", "forward_euler", "rk31", "midpoint", "ssprk33")):
             batches.append([])
-            limits_table("muscl2", order, refine=True, t_final=SHORT_T_FINAL["muscl2"])
+            limits_table("muscl2", order, refine=refine, t_final=SHORT_T_FINAL["muscl2"])
         assert len(batches[0]) > 1
         assert max(len(b) for b in batches[0]) == (rows or len(BUILTIN_SCHEME_IDS))
         assert batches[0] == batches[1]
@@ -359,16 +362,18 @@ def record_compositions(monkeypatch) -> list:
     return batches
 
 
-def test_leblanc_chunks_keep_the_stage_name_c_order(monkeypatch):
-    """Two-row Leblanc chunks are fewer rows than scans: no bands, so each
-    chunk is two candidates of one scheme, cut from the (stage count, scheme
-    name, c) order of the whole round."""
+def test_leblanc_chunks_hold_every_scheme_at_one_c(monkeypatch):
+    """Two Leblanc states fill CHUNK_BYTES, but a chunk holds at least one row
+    per scan: five-row chunks, bands of one c, each in (stage count, scheme
+    name) order, so the five c = 0.1 rows, the longest, share one chunk."""
     batches = record_compositions(monkeypatch)
     table = limits_table("leblanc_n2", BUILTIN_SCHEME_IDS[::-1], t_final=SHORT_T_FINAL["leblanc_n2"])
-    assert limits._chunk_rows(preset_config("leblanc_n2", "rk44", 1.0)) == 2
-    rows = sorted((builtin_scheme(r.scheme).s, r.scheme, o.c) for r in table.rows for o in r.per_candidate)
-    assert batches == [rows[i : i + 2] for i in range(0, len(rows), 2)]
-    assert all(len({name for _, name, _ in b}) == 1 for b in batches)
+    base = preset_config("leblanc_n2", "rk44", 1.0)
+    assert limits._chunk_rows(base) == 2
+    assert limits._chunk_rows(base, len(BUILTIN_SCHEME_IDS)) == len(BUILTIN_SCHEME_IDS)
+    rows = sorted((o.c, builtin_scheme(r.scheme).s, r.scheme) for r in table.rows for o in r.per_candidate)
+    assert batches == [[(s, name, c) for c, s, name in rows[i : i + 5]] for i in range(0, len(rows), 5)]
+    assert batches[0] == sorted((builtin_scheme(name).s, name, 0.1) for name in BUILTIN_SCHEME_IDS)
 
 
 def test_low_c_rows_of_a_table_share_one_chunk(monkeypatch):
@@ -384,3 +389,82 @@ def test_refine_chunks_keep_the_stage_name_c_order(monkeypatch):
     limits_table("muscl2", refine=True, t_final=SHORT_T_FINAL["muscl2"])
     assert max(len(b) for b in batches) == len(BUILTIN_SCHEME_IDS)
     assert all(b == sorted(b) for b in batches)
+
+
+def stacked_step_inputs(preset: str, cs):
+    """q^0 of ``preset`` stacked once per multiplier, each row's dt, and the RHS."""
+    base = preset_config(preset, "rk44", 1.0)
+    f0 = base.ic.build(base.grid)
+    q0 = f0.stack() if base.scheme.is_euler else f0.q
+    q = np.repeat(q0[None], len(cs), axis=0)
+    dt = np.asarray(cs) * base.scheme.dt_fe_array(q, base.grid)
+    return base, q, dt.reshape((-1,) + (1,) * q0.ndim), lambda x: base.scheme.rhs_array(x, base.grid)
+
+
+def workspace_step(tab, rhs, q, dt):
+    """One step written into a fresh workspace: its states in the order of
+    a trace (stages 1..s-1, q_rk, shifted states) and the layout's ``take``."""
+    buffer = np.full((len(q) * 2 * tab.s,) + q.shape[1:], np.nan)
+    out, _, take = integrator._step_layout(buffer, np.empty_like(q), tab, len(q))
+    assert integrator.rk_step_instrumented(tab, rhs, q, dt, out=out) is None
+    return out[:-1], take
+
+
+def trace_states(trace):
+    return trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states
+
+
+@pytest.mark.parametrize("preset", ["muscl2", "leblanc_n2"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # c = 1.4 takes Leblanc's stages out of the admissible set
+def test_workspace_step_equals_traced_step(preset):
+    """A step written into a workspace and the StageTrace of a step without
+    one agree bit for bit on every stage, shifted state and q_rk: for each
+    built-in tableau on a stack of rows, and for the five mixed, where each
+    row also equals its own one-row step."""
+    cs = [0.3, 0.9, 1.4]
+    base, q, dt, rhs = stacked_step_inputs(preset, cs)
+    for name in BUILTIN_SCHEME_IDS:
+        tab = builtin_scheme(name)
+        states, take = workspace_step(tab, rhs, q, dt)
+        assert take is None and len(states) == 2 * tab.s
+        for got, want in zip(states, trace_states(integrator.rk_step_instrumented(tab, rhs, q, dt))):
+            np.testing.assert_array_equal(got, want)
+
+    tableaux = sorted((builtin_scheme(name) for name in BUILTIN_SCHEME_IDS), key=lambda t: -t.s)
+    base, q, dt, rhs = stacked_step_inputs(preset, [0.3, 0.9, 1.4, 0.6, 1.1])
+    tab = integrator._batch_tableau(tableaux, (-1,) + dt.shape[1:])
+    states, take = workspace_step(tab, rhs, q, dt)
+    assert take is not None
+    for got, want in zip(states, trace_states(integrator.rk_step_instrumented(tab, rhs, q, dt))):
+        np.testing.assert_array_equal(got, want)
+    s = tab.s
+    for k, row_tab in enumerate(tableaux):
+        alone = integrator.rk_step_instrumented(row_tab, rhs, q[k : k + 1], float(dt[k].item()))
+        for i in range(1, row_tab.s):
+            np.testing.assert_array_equal(states[i - 1][k], alone.stage_solutions[i][0])
+        np.testing.assert_array_equal(states[s - 1][k], alone.q_rk[0])
+        for j in range(row_tab.s):
+            np.testing.assert_array_equal(states[s + j][k], alone.shifted_states[j][0])
+
+
+def test_a_leblanc_chunk_keeps_at_most_row_states_per_row():
+    """The memory model behind the chunk sizes: a step of a five-row mixed
+    Leblanc chunk, the chunk of the five schemes' c = 0.1 rows, peaks at no
+    more than ROW_STATES states per row (q^n, the workspace, and the kernel's
+    or the monitor's temporaries)."""
+    base = preset_config("leblanc_n2", "rk44", 1.0)
+    tableaux = [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS]
+    rows = limits._chunk_rows(base, len(tableaux))
+    assert rows == len(tableaux)
+    f0 = base.ic.build(base.grid)
+    dt_fe = base.scheme.dt_fe_array(f0.stack(), base.grid)
+    one_step = replace(base, t_final=0.05 * dt_fe)  # a step of 0.1 * dt_FE, cut to t_final
+    run_batch(one_step, [0.1] * rows, tableaux=tableaux)  # warm-up: numpy's caches fill
+    tracemalloc.start()
+    try:
+        (row, *_) = run_batch(one_step, [0.1] * rows, tableaux=tableaux)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.n_steps == 1
+    assert peak <= rows * limits.ROW_STATES * f0.stack().nbytes

@@ -197,6 +197,36 @@ def test_limits_rejects_empty_or_repeated_scheme_list(tmp_path, capsys, schemes)
     assert not out.exists()
 
 
+def test_run_rejects_infinite_final_time(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "upwind", "--t-final", "inf", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: t_final must be positive and finite")
+    assert not out.exists()
+
+
+def test_run_rejects_fractional_cell_count_in_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "upwind", "n_cells": 40.5}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: n_cells must be an integer, got 40.5")
+
+
+@pytest.mark.parametrize("flag", ["--c-min", "--c-max", "--granularity"])
+def test_limits_rejects_non_finite_scan_bounds(tmp_path, capsys, monkeypatch, flag):
+    """An infinite bound used to make the candidate list endless; it must be
+    refused before any candidate runs."""
+    import rkstab.limits
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(rkstab.limits, "run_batch", no_sweep)
+    out = tmp_path / "t.json"
+    assert main(["limits", "upwind", "--schemes", "rk44", flag, "inf", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite")
+    assert not out.exists()
+
+
 def test_limits_rejects_csv_out_path(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["limits", "upwind", "--schemes", "rk44", "--out", str(out)]) == 1

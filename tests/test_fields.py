@@ -31,6 +31,10 @@ def test_grid_validation():
         Grid1D(2, 0.0, 1.0)
     with pytest.raises(ValueError):
         Grid1D(10, 1.0, 1.0)
+    for n in (40.5, 40.0, True, "40"):
+        with pytest.raises(ValueError, match="n_cells must be an integer"):
+            Grid1D(n, 0.0, 1.0)
+    assert Grid1D(np.int64(40), 0.0, 1.0).n_cells == 40
 
 
 def test_grid_points_conventions():

@@ -259,6 +259,22 @@ def test_simulate_early_stop_shortens_failed_runs():
     )
 
 
+@pytest.mark.parametrize("field", ["t_final", "dt_factor"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_config_rejects_non_finite_or_non_positive_times(field, value):
+    """An infinite t_final would end the run before its first step and
+    report a pass."""
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        preset_config("upwind", "rk44", **{field: value})
+
+
+def test_preset_lf_accepts_local_or_global_only():
+    assert preset_config("leblanc_n2", lf="global").scheme.local is False
+    for lf in ("Local", "glob", ""):
+        with pytest.raises(ValueError, match="lf must be 'local' or 'global'"):
+            preset_config("leblanc_n2", lf=lf)
+
+
 def test_simulate_rejects_positivity_monitor_on_scalar_problem():
     cfg = preset_config("upwind", "rk44", 1.0)
     bad = SimulationConfig(

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,10 @@ def test_search_config_validation():
         LimitSearchConfig(base=base, c_min=2.0, c_max=1.0)
     with pytest.raises(ValueError):
         LimitSearchConfig(base=base, granularity=0.0)
+    for field in ("c_min", "c_max", "granularity"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                LimitSearchConfig(base=base, **{field: value})
 
 
 def test_upwind_forward_euler_limits():
