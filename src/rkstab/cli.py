@@ -30,14 +30,15 @@ from .tableau import (
 
 __all__ = ["main"]
 
-_CONFIG_KEYS = {
-    "experiment",
-    "scheme",
-    "dt_factor",
-    "t_final",
-    "n_cells",
-    "monitor",
-    "tolerance",
+#: Keys a run config file may hold, with the JSON type each value must have.
+_CONFIG_TYPES = {
+    "experiment": (str, "a string"),
+    "scheme": (str, "a string"),
+    "dt_factor": ((int, float), "a number"),
+    "t_final": ((int, float), "a number"),
+    "n_cells": (int, "an integer"),
+    "monitor": (str, "a string"),
+    "tolerance": ((int, float), "a number"),
 }
 
 
@@ -91,8 +92,13 @@ def _build_parser() -> _Parser:
     lim.add_argument("--c-min", type=float, default=0.1)
     lim.add_argument("--c-max", type=float, default=5.0)
     lim.add_argument("--granularity", type=float, default=0.1)
-    lim.add_argument("--refine", action="store_true", help="bisect each limit to 0.01")
-    lim.add_argument("--workers", type=int, default=1, help="parallel candidate simulations")
+    lim.add_argument(
+        "--refine",
+        action="store_true",
+        help="stop the scan once both criteria fail and bisect each limit to 0.01; each round runs a chunk's share "
+        "of ticks and midpoints per scheme ahead of need, of which at least one is used",
+    )
+    lim.add_argument("--workers", type=int, default=1, help="processes per round; results do not depend on it")
     lim.add_argument("--out", default=None, help="JSON output path (CSV written alongside)")
     _add_common_run_flags(lim)
     lim.set_defaults(func=cmd_limits)
@@ -129,9 +135,13 @@ def _load_run_settings(args) -> dict:
             raise _CliError(f"malformed JSON config {args.target}: {exc}") from None
         if not isinstance(loaded, dict):
             raise _CliError("config file must hold a JSON object")
-        unknown = set(loaded) - _CONFIG_KEYS
+        unknown = set(loaded) - set(_CONFIG_TYPES)
         if unknown:
             raise _CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in loaded.items():
+            types, what = _CONFIG_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise _CliError(f"{key} must be {what}, got {value!r}")
         if "experiment" not in loaded:
             raise _CliError("config file must name an 'experiment'")
         settings.update(loaded)

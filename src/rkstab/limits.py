@@ -146,17 +146,19 @@ def _candidate_values(c_min: float, c_max: float, granularity: float) -> list[fl
     return values
 
 
-def _scan(cfg: LimitSearchConfig):
+def _scan(cfg: LimitSearchConfig, band: int):
     """One scheme's search, as a generator: it yields the candidates it wants
     run next, in ascending c, is sent their outcomes in that order, and
     returns its :class:`LimitResult`.  Without ``refine`` it offers the whole
-    scan at once.  With ``refine`` it offers ``workers`` coarse ticks at a
-    time and stops once both criteria have failed, dropping the outcomes past
-    that tick; then it bisects ``c_p`` and then ``c_s``, a midpoint at a time.
+    scan at once.  With ``refine`` it offers ``band`` coarse ticks at a time
+    and stops once both criteria have failed, dropping the outcomes past that
+    tick; then it bisects ``c_p`` and ``c_s`` together (see :func:`_bisect`).
+    No offer holds more than ``band`` candidates, and the result is the one
+    of the serial search (a tick, then a midpoint, at a time) for any band.
     """
     candidates = _candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
     outcomes: dict[float, CandidateOutcome] = {}
-    ticks = cfg.workers if cfg.refine else len(candidates)
+    ticks = band if cfg.refine else len(candidates)
     step_failed = shifted_failed = stopped = False
     for i in range(0, len(candidates), ticks):
         for out in (yield candidates[i : i + ticks]):
@@ -173,60 +175,82 @@ def _scan(cfg: LimitSearchConfig):
         passed = list(itertools.takewhile(lambda c: c in outcomes and getattr(outcomes[c], flag), candidates))
         return passed[-1] if passed else None
 
-    c_p = prefix_largest("step_pass")
-    c_s = prefix_largest("shifted_pass")
+    limits = {"step_pass": prefix_largest("step_pass"), "shifted_pass": prefix_largest("shifted_pass")}
     if cfg.refine:
-        c_p = yield from _bisect(c_p, cfg, outcomes, "step_pass")
-        c_s = yield from _bisect(c_s, cfg, outcomes, "shifted_pass")
+        limits = yield from _bisect(cfg, outcomes, band, limits)
     return LimitResult(
         scheme=cfg.base.tableau.name,
         monitor=cfg.base.monitor.kind,
-        c_p=c_p,
-        c_s=c_s,
+        c_p=limits["step_pass"],
+        c_s=limits["shifted_pass"],
         per_candidate=tuple(outcomes[c] for c in sorted(outcomes)),
     )
 
 
-def _bisect(coarse, cfg, outcomes, flag):
-    """Bisect between the coarse limit and the next (failing) tick, reusing
-    the outcomes already known and offering one midpoint at a time."""
-    if coarse is None:
-        return None
-    hi = round(coarse + cfg.granularity, 12)
-    if hi > cfg.c_max + 1e-9 * cfg.granularity:
-        return coarse  # passed through the top of the scan; nothing bracketed
-    lo = coarse
-    while hi - lo > REFINE_RESOLUTION + 1e-12:
-        mid = round(0.5 * (lo + hi), 12)
-        if mid not in outcomes:
-            (outcomes[mid],) = yield [mid]
-        if getattr(outcomes[mid], flag):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _bisect(cfg, outcomes, band, limits):
+    """Bisect each criterion between its coarse limit and the next (failing)
+    tick, both brackets together.  A round offers the untried midpoints of
+    the open brackets' next levels, as many whole levels as fit in ``band``
+    (at least one midpoint); then each bracket walks its path through the
+    known outcomes.  Only midpoints on a path enter ``outcomes`` (the others
+    wait in ``side``), so a round wastes at most ``band - 1`` rows and the
+    result is the serial bisection's."""
+    side: dict[float, CandidateOutcome] = {}
+    top = cfg.c_max + 1e-9 * cfg.granularity  # a limit whose next tick is past it brackets nothing
+    ends = {flag: (c, round(c + cfg.granularity, 12)) for flag, c in limits.items() if c is not None}
+    brackets = {flag: (lo, hi) for flag, (lo, hi) in ends.items() if hi <= top}
+
+    def mid(lo, hi):
+        return round(0.5 * (lo + hi), 12)
+
+    def is_open(bracket):
+        return bracket[1] - bracket[0] > REFINE_RESOLUTION + 1e-12
+
+    while True:
+        for flag, (lo, hi) in brackets.items():
+            while is_open((lo, hi)) and ((m := mid(lo, hi)) in outcomes or m in side):
+                outcomes.setdefault(m, side.get(m))
+                lo, hi = (m, hi) if getattr(outcomes[m], flag) else (lo, m)
+            brackets[flag] = (lo, hi)
+        frontier = list(dict.fromkeys(b for b in brackets.values() if is_open(b)))
+        if not frontier:
+            return {**limits, **{flag: lo for flag, (lo, _) in brackets.items()}}
+        offer = []
+        while frontier:
+            level = list(dict.fromkeys(mid(*b) for b in frontier))
+            if len(offer) + len(level) > band:
+                offer = offer or level[:1]
+                break
+            offer += level
+            frontier = [b for lo, hi in frontier for b in ((lo, mid(lo, hi)), (mid(lo, hi), hi)) if is_open(b)]
+        for out in (yield sorted(offer)):
+            side[out.c] = out
 
 
 def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
     """Run one :func:`_scan` per config (they differ in their tableau only),
-    all advancing together in rounds.  A round sorts every live scan's offer
-    by (band, stage count, scheme name, c) and cuts it into chunks of at most
+    all advancing together in rounds.  Each scan offers at most ``band =
+    _chunk_rows // scans`` candidates a round (at least 1: a chunk holds a
+    row per scan).  A round sorts every live scan's offer by (c band, stage
+    count, scheme name, c), a c band being ``_chunk_rows // live scans``
+    consecutive c values, so the long low-c rows of all scans share a
+    chunk, and cuts it into chunks of at most
     ``min(_chunk_rows, ceil(rows / workers))`` rows, which run serially or,
-    with ``workers > 1``, in a process pool.  A band is ``_chunk_rows //
-    live scans`` (at least 1) consecutive c values of the round, so the long
-    low-c rows of all scans share a chunk."""
-    scans = [_scan(cfg) for cfg in cfgs]
+    with ``workers > 1``, in a process pool.  The rounds do not depend on
+    ``workers``."""
+    base = cfgs[0].base
+    band = _chunk_rows(base, len(cfgs)) // len(cfgs)
+    scans = [_scan(cfg, band) for cfg in cfgs]
     offers = {k: next(scan) for k, scan in enumerate(scans)}
     results = {}
-    base = cfgs[0].base
     tabs = [cfg.base.tableau for cfg in cfgs]
     processes = min(workers, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext() as pool:
         while offers:
             chunk_rows = _chunk_rows(base, len(offers))
-            band = chunk_rows // len(offers)
+            c_band = chunk_rows // len(offers)
             rank = {c: r for r, c in enumerate(sorted({c for cs in offers.values() for c in cs}))}
-            rows = sorted((rank[c] // band, tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs)
+            rows = sorted((rank[c] // c_band, tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs)
             size = min(chunk_rows, math.ceil(len(rows) / workers))
             chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
             jobs = [(base, [tabs[k] for *_, k in chunk], [row[3] for row in chunk]) for chunk in chunks]
@@ -254,8 +278,9 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     multipliers) and remain visible in ``per_candidate``, which records the
     full scan.  With ``refine`` the coarse scan stops once both criteria
     have failed and a bisection sharpens each limit to 0.01 inside its
-    bracketing granularity tick; it offers ``workers`` coarse ticks at a
-    time, so that little past the stop is started (see :func:`_scan`).
+    bracketing granularity tick.  Each round then runs up to a chunk's worth
+    of coarse ticks and midpoints, some of them speculatively (see
+    :func:`_scan`); the result is the serial search's.
     """
     (result,) = _lockstep([cfg], cfg.workers)
     return result

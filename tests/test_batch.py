@@ -206,9 +206,10 @@ def test_batch_composition_does_not_depend_on_scheme_order(monkeypatch):
         return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
 
     monkeypatch.setattr(limits, "run_batch", recording)
-    # Refine rounds (a row per scan) in one chunk each, and the coarse scan's
-    # one round cut into chunks.
-    for refine, rows in ((True, None), (False, 7)):
+    # Refine rounds (``band`` rows per scan: 51 // 5 at the default chunk
+    # size, 1 at 7 states) in one chunk each, and the coarse scan's one round
+    # cut into chunks.
+    for refine, rows, largest in ((True, None, 50), (True, 7, 5), (False, 7, 7)):
         if rows is not None:
             monkeypatch.setattr(limits, "CHUNK_BYTES", rows * state_bytes(short_search("muscl2", "rk44")))
         batches.clear()
@@ -216,7 +217,7 @@ def test_batch_composition_does_not_depend_on_scheme_order(monkeypatch):
             batches.append([])
             limits_table("muscl2", order, refine=refine, t_final=SHORT_T_FINAL["muscl2"])
         assert len(batches[0]) > 1
-        assert max(len(b) for b in batches[0]) == (rows or len(BUILTIN_SCHEME_IDS))
+        assert max(len(b) for b in batches[0]) == largest
         assert batches[0] == batches[1]
 
 
@@ -384,11 +385,23 @@ def test_low_c_rows_of_a_table_share_one_chunk(monkeypatch):
     assert {(name, c) for _, name, c in first if c == 0.1} == {(name, 0.1) for name in BUILTIN_SCHEME_IDS}
 
 
-def test_refine_chunks_keep_the_stage_name_c_order(monkeypatch):
+def test_refine_rounds_fit_one_sorted_chunk(monkeypatch):
+    """Under refine each scan offers at most ``band = _chunk_rows // scans``
+    candidates a round, so at one worker a round is one chunk, its rows
+    sorted by (c band, stage count, scheme name, c)."""
     batches = record_compositions(monkeypatch)
-    limits_table("muscl2", refine=True, t_final=SHORT_T_FINAL["muscl2"])
-    assert max(len(b) for b in batches) == len(BUILTIN_SCHEME_IDS)
-    assert all(b == sorted(b) for b in batches)
+    table = limits_table("muscl2", refine=True, t_final=SHORT_T_FINAL["muscl2"])
+    chunk_rows = limits._chunk_rows(preset_config("muscl2", "rk44", 1.0), len(BUILTIN_SCHEME_IDS))
+    band = chunk_rows // len(BUILTIN_SCHEME_IDS)
+    assert sum(map(len, batches)) >= sum(len(r.per_candidate) for r in table.rows)
+    assert len(batches) < max(len(r.per_candidate) for r in table.rows)
+    assert max(len(b) for b in batches) == band * len(BUILTIN_SCHEME_IDS) <= chunk_rows
+    for b in batches:
+        live = {name for _, name, _ in b}  # every live scan offers a candidate a round
+        assert max(sum(name == scheme for _, name, _ in b) for scheme in live) <= band
+        c_band = max(len(live), chunk_rows) // len(live)
+        rank = {c: r for r, c in enumerate(sorted({c for *_, c in b}))}
+        assert b == sorted(b, key=lambda row: (rank[row[2]] // c_band, row))
 
 
 def stacked_step_inputs(preset: str, cs):

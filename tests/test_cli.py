@@ -232,3 +232,26 @@ def test_limits_rejects_csv_out_path(tmp_path, capsys):
     assert main(["limits", "upwind", "--schemes", "rk44", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("t_final", "1"),
+        ("dt_factor", None),
+        ("tolerance", "x"),
+        ("experiment", ["upwind"]),
+        ("n_cells", "40"),
+        ("dt_factor", True),
+        ("scheme", 4),
+    ],
+)
+def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    """A config value of the wrong JSON type used to end in a TypeError
+    traceback; it must give an error line naming the key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "upwind", key: value}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert not out.exists()

@@ -1,11 +1,11 @@
 import json
 import math
-import time
-from dataclasses import dataclass, replace
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rkstab.limits as limits
 from rkstab.limits import (
     CandidateOutcome,
     LimitSearchConfig,
@@ -15,6 +15,7 @@ from rkstab.limits import (
 from rkstab.presets import preset_config
 
 from conftest import SWEEP_WORKERS
+from serial_search import drive, serial_limits, serial_scan
 
 
 def upwind_search(scheme="forward_euler", **kwargs):
@@ -71,38 +72,134 @@ def test_workers_do_not_change_results():
     assert seq == par
 
 
-@dataclass(frozen=True)
-class CountingIC:
-    """Initial condition that appends a line to ``path`` for every run it
-    starts (in any process) and then waits ``delay`` seconds."""
+def record_rows(monkeypatch) -> list:
+    """Patch the sweep's run_batch to record each call's (scheme, c) rows."""
+    calls = []
+    run_batch = limits.run_batch
 
-    inner: object
-    path: str
-    delay: float
+    def recording(config, dt_factors, *, tableaux, **kwargs):
+        calls.append([(t.name, c) for t, c in zip(tableaux, dt_factors)])
+        return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
 
-    def build(self, grid):
-        with open(self.path, "a") as fh:
-            fh.write("run\n")
-        time.sleep(self.delay)
-        return self.inner.build(grid)
+    monkeypatch.setattr(limits, "run_batch", recording)
+    return calls
 
 
-def test_refine_scan_drops_pending_candidates(tmp_path):
-    """With refine the coarse scan stops at the first tick where both criteria
-    have failed; the pool must not go on to run the candidates queued after it."""
-    runs = {}
-    results = {}
+def record_offers(monkeypatch) -> list:
+    """Patch the sweep's scans to record every offer as (scheme, band, cs)."""
+    offers = []
+    scan = limits._scan
+
+    def recording(cfg, band):
+        inner = scan(cfg, band)
+        offer = next(inner)
+        try:
+            while True:
+                offers.append((cfg.base.tableau.name, band, tuple(offer)))
+                offer = inner.send((yield offer))
+        except StopIteration as stop:
+            return stop.value
+
+    monkeypatch.setattr(limits, "_scan", recording)
+    return offers
+
+
+def test_refine_scan_offers_a_band_of_ticks_and_drops_the_outcomes_past_its_stop(monkeypatch):
+    """With refine the coarse scan offers ``band`` ticks a round and stops at
+    the first tick where both criteria have failed (1.4 here); the outcomes
+    past it are run but not recorded, and the result is the serial search's."""
+    cfg = upwind_search(c_min=1.1, refine=True)
+    serial = serial_limits(cfg)
+    calls = record_rows(monkeypatch)
+    for rows in (None, 3):
+        if rows is not None:
+            monkeypatch.setattr(limits, "CHUNK_BYTES", rows * 8 * cfg.base.grid.n_cells)
+        band = limits._chunk_rows(cfg.base)
+        assert band == (rows or 40)
+        calls.clear()
+        assert find_limits(cfg) == serial
+        assert max(len(call) for call in calls) <= band
+        assert [c for _, c in calls[0]] == pytest.approx([1.1 + 0.1 * k for k in range(band)])
+    ticks = set(limits._candidate_values(cfg.c_min, cfg.c_max, cfg.granularity))
+    assert [o.c for o in serial.per_candidate if o.c in ticks] == [1.1, 1.2, 1.3, 1.4]
+
+
+def test_refine_rounds_and_results_do_not_depend_on_workers(monkeypatch):
+    """``workers`` only cuts a round into chunks: every scan makes the same
+    offers, of at most ``band`` candidates, and gets the same result."""
+    offers = record_offers(monkeypatch)
+    tables = {}
     for workers in (1, 2):
-        counter = tmp_path / f"runs_{workers}"
-        base = preset_config("upwind", "forward_euler", 1.0)
-        base = replace(base, ic=CountingIC(base.ic, str(counter), delay=0.05))
-        cfg = LimitSearchConfig(base=base, c_min=1.1, refine=True, workers=workers)
-        results[workers] = find_limits(cfg)
-        runs[workers] = len(counter.read_text().splitlines())
-    assert results[2] == results[1]
-    assert runs[1] == len(results[1].per_candidate)  # 1.1 .. 1.4, then bisection
-    n_coarse = 40  # 1.1 .. 5.0
-    assert runs[1] <= runs[2] < n_coarse
+        offers.clear()
+        tables[workers] = (limits_table("upwind", c_max=2.0, refine=True, workers=workers), list(offers))
+    assert tables[1] == tables[2]
+    band = limits._chunk_rows(preset_config("upwind", "rk44", 1.0), 5) // 5
+    offers = tables[1][1]
+    assert {b for _, b, _ in offers} == {band}
+    assert max(len(cs) for *_, cs in offers) == band
+
+
+def synthetic_search(c_min=0.1, c_max=5.0, granularity=0.1, refine=True):
+    return LimitSearchConfig(
+        base=preset_config("upwind", "rk44", 1.0), c_min=c_min, c_max=c_max, granularity=granularity, refine=refine
+    )
+
+
+def synthetic(verdict):
+    """Outcomes of an offer from ``verdict(c) -> (step_pass, shifted_pass)``; no simulation."""
+    return lambda offer: [CandidateOutcome(c, *verdict(c), 1, None, None, None) for c in offer]
+
+
+def assert_speculative_equals_serial(cfg, band, verdict):
+    serial, serial_offers = drive(serial_scan(cfg), synthetic(verdict))
+    result, offers = drive(limits._scan(cfg, band), synthetic(verdict))
+    assert result == serial
+    if cfg.refine:
+        assert max(len(offer) for offer in offers) <= band
+        assert len(offers) <= len(serial_offers)
+    return offers
+
+
+# Isolated passes past the limits: muscl2 forward Euler passes at c = 2.0
+# and 4.0 (exact shock staircases); ssprk33's shifted criterion at 0.5 and
+# 1.0, above its c_s of 0.2.
+ISOLATED = {
+    "muscl2_forward_euler": lambda c: (c < 1.33 or c in (2.0, 4.0),) * 2,
+    "muscl2_ssprk33": lambda c: (c < 1.335, c < 0.21 or c in (0.5, 1.0)),
+    "muscl2_rk44": lambda c: (c < 1.73, c < 1.335),
+}
+
+
+@pytest.mark.parametrize("case", ISOLATED)
+@pytest.mark.parametrize("band", [1, 2, 3, 5, 6, 10, 14, 16, 30, 60])
+def test_isolated_passes_leave_the_speculative_search_serial(case, band):
+    offers = assert_speculative_equals_serial(synthetic_search(), band, ISOLATED[case])
+    if case == "muscl2_rk44" and band == 10:
+        # Two coarse rounds (0.1-1.0, 1.1-2.0), then both brackets' four
+        # bisection levels in two rounds of two levels each.
+        assert len(offers) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    band=st.integers(1, 60),
+    t_step=st.floats(0.0, 5.5),
+    t_shifted=st.floats(0.0, 5.5),
+    step_flips=st.frozensets(st.integers(0, 63)),
+    shifted_flips=st.frozensets(st.integers(0, 63)),
+    grid=st.sampled_from([(0.1, 5.0, 0.1), (0.5, 2.0, 0.1), (1.0, 3.3, 0.25), (0.05, 1.0, 0.05)]),
+    refine=st.booleans(),
+)
+def test_speculative_search_equals_serial_search(band, t_step, t_shifted, step_flips, shifted_flips, grid, refine):
+    """Verdicts are thresholds with arbitrary flips, on ticks and midpoints
+    alike (a c flips when a hash of it lands in the drawn set)."""
+
+    def verdict(c):
+        key = hash(c) % 64
+        return (c <= t_step) != (key in step_flips), (c <= t_shifted) != (key in shifted_flips)
+
+    c_min, c_max, granularity = grid
+    assert_speculative_equals_serial(synthetic_search(c_min, c_max, granularity, refine), band, verdict)
 
 
 def test_all_candidates_failing_yields_sentinel():
@@ -184,19 +281,6 @@ def test_ssp_guarantee_lower_bound_on_upwind():
     for row in table.rows:
         if row.c_ssp > 0:
             assert row.c_p >= row.c_ssp - 0.1 - 1e-12
-
-
-def test_refine_pool_runs_at_most_one_candidate_per_extra_worker(tmp_path):
-    """Under refine the pool keeps at most ``workers`` candidates in flight,
-    so it starts no more than one candidate past the stop per extra worker."""
-    runs = {}
-    for workers in (1, 2):
-        counter = tmp_path / f"runs_{workers}"
-        base = preset_config("upwind", "forward_euler", 1.0)
-        base = replace(base, ic=CountingIC(base.ic, str(counter), delay=0.05))
-        find_limits(LimitSearchConfig(base=base, c_min=1.1, refine=True, workers=workers))
-        runs[workers] = len(counter.read_text().splitlines())
-    assert runs[2] <= runs[1] + 2
 
 
 def test_limits_table_rejects_empty_or_repeated_scheme_list():
