@@ -41,9 +41,7 @@ from .spatial import (
     UnsupportedBoundaryError,
     UpwindBurgers,
     dt_fe,
-    godunov_flux_burgers,
     lax_friedrichs_flux_euler,
-    minmod,
     rhs_dissipative_burgers,
     rhs_llf_euler,
     rhs_muscl_burgers,

@@ -207,7 +207,8 @@ def per_row(values):
 def total_variation_array(q: np.ndarray, wrap: bool):
     """Sum of |q_{i+1} - q_i|, plus |q_0 - q_{n-1}| when ``wrap``, along the
     last axis of ``q`` (one value per leading index, see :func:`per_row`)."""
-    tv = np.sum(np.abs(np.diff(q, axis=-1)), axis=-1)
+    jumps = q[..., 1:] - q[..., :-1]
+    tv = np.add.reduce(np.abs(jumps, out=jumps), axis=-1)
     if wrap:
         tv = tv + np.abs(q[..., 0] - q[..., -1])
     return per_row(tv)
@@ -242,9 +243,13 @@ def euler_minima(U):
     rho = U[..., 0, :]
     good = rho > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhoe = np.where(good, internal_energy_density(rho, U[..., 1, :], U[..., 2, :]), np.inf)
-    min_rhoe = np.where(np.any(good, axis=-1), np.min(rhoe, axis=-1), np.nan)
-    return per_row(np.min(rho, axis=-1)), per_row(min_rhoe)
+        rhoe = internal_energy_density(rho, U[..., 1, :], U[..., 2, :])
+    if good.all():
+        min_rhoe = np.minimum.reduce(rhoe, axis=-1)
+    else:
+        rhoe = np.where(good, rhoe, np.inf)
+        min_rhoe = np.where(np.any(good, axis=-1), np.minimum.reduce(rhoe, axis=-1), np.nan)
+    return per_row(np.minimum.reduce(rho, axis=-1)), per_row(min_rhoe)
 
 
 def euler_floor(U):

@@ -25,10 +25,17 @@ from .fields import (
     Grid1D,
     NonPhysicalStateError,
     ScalarField,
-    euler_minima,
     require_admissible,
 )
-from .monitors import Monitor, bind_scale, passes, state_values, step_deltas, worst_delta
+from .monitors import (
+    Monitor,
+    bind_scale,
+    euler_state_floor,
+    family_worst,
+    passes,
+    state_values,
+    step_deltas,
+)
 from .tableau import ButcherTableau
 
 __all__ = [
@@ -41,7 +48,6 @@ __all__ = [
     "STEP_BUDGET_FACTOR",
     "rk_step_instrumented",
     "modified_representation_stage",
-    "modified_representation_solution",
     "run_batch",
     "simulate",
 ]
@@ -95,12 +101,11 @@ def rk_step_instrumented(
 
     ``rhs`` maps a state to its time derivative; states are numpy arrays,
     and ``dt`` may be an array broadcasting against them (one step size per
-    row of a stack of states), as may a coefficient (see
-    :func:`_batch_tableau`); a scalar coefficient of 0 is skipped.  In a mixed
-    step (a tableau with ``width``) stage ``i`` exists on the first
+    row of a stack of states).  ``tableau`` is a :class:`ButcherTableau` or
+    the step plan :func:`_batch_tableau` makes of it or of a mix: in a mixed
+    step (a plan whose ``width`` is not None) stage ``i`` exists on the first
     ``width[i]`` rows only: its stage solution, derivative and shifted state
-    are those rows, and ``q_rk`` is ``q_n`` plus each ``b_j`` term on its
-    prefix.
+    are those rows, and ``q_rk`` is ``q_n`` plus each ``b_j`` term on its prefix.
 
     Without ``out`` the step returns its :class:`StageTrace`.  With ``out``,
     2s + 1 arrays (stages 1..s-1, ``q_rk`` and shifted states 0..s-1, each
@@ -112,8 +117,8 @@ def rk_step_instrumented(
     :class:`StepFailedError` carrying the stage index, which callers treat as
     a stability failure of the probed step size.
     """
-    A, b, s = tableau.A, tableau.b, tableau.s
-    width = getattr(tableau, "width", None)
+    tab = tableau if hasattr(tableau, "terms") else _batch_tableau([tableau], None)
+    s, width = tab.s, tab.width
     derivs = [] if out is None else None
     if out is None:
         rows = [None] * (2 * s) if width is None else width[1:] + [len(q_n)] + width
@@ -127,7 +132,7 @@ def rk_step_instrumented(
     fresh = [True] * s + [width is None]
     if width is not None:
         np.copyto(states[s], q_n)
-    for i in range(s):
+    for i, terms in enumerate(tab.terms):
         q_0, dt_i = (q_n, dt) if width is None else (q_n[: width[i]], dt[: width[i]])
         q_i = states[i]
         if i and fresh[i]:  # a stage without terms is q^n
@@ -140,14 +145,10 @@ def rk_step_instrumented(
             derivs.append(r_i)
         np.multiply(dt_i, r_i, out=shifted[i])
         np.add(q_0, shifted[i], out=shifted[i])
-        for k in range(i + 1, s + 1):
-            a = A[k, i] if k < s else b[i]
-            if not isinstance(a, np.ndarray) and a == 0.0:
-                continue
-            if width is None:
+        for k, a, n in terms:
+            if n is None:
                 dest, base, coef, term, tmp = states[k], q_n, dt * a, r_i, scratch
-            else:  # stage k has width[k] rows; b_i's term covers stage i's
-                n = width[k] if k < s else width[i]
+            else:
                 dest, base, coef, term, tmp = states[k][:n], q_n[:n], dt[:n] * a, r_i[:n], scratch[:n]
             if fresh[k]:
                 np.multiply(coef, term, out=dest)
@@ -185,16 +186,6 @@ def modified_representation_stage(tableau: ButcherTableau, trace: StageTrace, st
         a = tableau.A[stage, j]
         if a != 0.0:
             acc = acc + a * trace.shifted_states[j]
-    return acc
-
-
-def modified_representation_solution(tableau: ButcherTableau, trace: StageTrace):
-    """Step solution rebuilt as sum_j b_j (q^n + dt R^j)."""
-    acc = 0.0 * trace.q_n
-    for j in range(tableau.s):
-        w = tableau.b[j]
-        if w != 0.0:
-            acc = acc + w * trace.shifted_states[j]
     return acc
 
 
@@ -276,27 +267,20 @@ class SimulationRecord:
         Every ``config.record_every``-th step is written, and the last one.
         """
         stride = self.config.record_every if self.config is not None else 1
-        euler = self.min_rho is not None
         header = ["t", "G_step", "worst_stage_delta", "worst_shifted_delta"]
-        if euler:
+        columns = [self.times, self.monitor_step_values, self.monitor_stage_worst, self.monitor_shifted_worst]
+        if self.min_rho is not None:
             header += ["min_rho", "min_rhoe"]
+            columns += [self.min_rho, self.min_rhoe]
         n = len(self.times)
         rows = list(range(0, n, stride))
         if rows and rows[-1] != n - 1:
             rows.append(n - 1)
+        columns = [np.asarray(col, dtype=float)[rows].tolist() for col in columns]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in rows:
-                row = [
-                    repr(float(self.times[i])),
-                    repr(float(self.monitor_step_values[i])),
-                    repr(float(self.monitor_stage_worst[i])),
-                    repr(float(self.monitor_shifted_worst[i])),
-                ]
-                if euler:
-                    row += [repr(float(self.min_rho[i])), repr(float(self.min_rhoe[i]))]
-                writer.writerow(row)
+            writer.writerows(zip(*columns))  # a float is written as its repr
 
 
 @dataclass(eq=False)
@@ -340,23 +324,31 @@ def _admissibility_error(U) -> NonPhysicalStateError | None:
     return None
 
 
-def _batch_tableau(tableaux: list, column_shape: tuple):
-    """The tableau of one step of a stack of rows: theirs when they share one.
-    Else the rows come in descending stage count, stage ``i`` runs on the
-    ``width[i]`` rows that have it, and a coefficient of stage ``i`` (``A[i, j]``
-    and ``b[i]``) becomes a column of those rows' values, or 0.0 (skipped)
-    when it is 0 in every row."""
-    if all(t is tableaux[0] for t in tableaux):
-        return tableaux[0]
-    s = max(t.s for t in tableaux)
-    width = [sum(t.s > i for t in tableaux) for i in range(s)]
-    Ab = np.zeros((s, s + 1, len(tableaux)))  # A, then b as column s
-    for k, t in enumerate(tableaux):
-        Ab[: t.s, : t.s, k] = t.A
-        Ab[: t.s, s, k] = t.b
-    coef = [[x[:n].reshape(column_shape) if x.any() else 0.0 for x in row] for n, row in zip(width, Ab)]
-    A = {(i, j): coef[i][j] for i in range(s) for j in range(i)}
-    return SimpleNamespace(A=A, b=[row[s] for row in coef], s=s, width=width)
+def _batch_tableau(tableaux: list, column_shape: tuple | None):
+    """The step plan of a stack of rows, built once per layout.
+
+    ``s`` is the largest stage count.  With one tableau for every row
+    ``width`` is None; else the rows come in descending stage count and
+    stage ``i`` runs on the ``width[i]`` rows that have it.  ``terms[i]``
+    lists the nonzero terms of derivative ``i``: ``(k, a, n)`` adds it to
+    stage ``k`` (``k = s``: q_rk) with coefficient ``a`` (``A[k, i]`` or
+    ``b[i]``), a float when every row has the same, else a column of the
+    rows' values, on the first ``n`` rows (None: all of them)."""
+    same = all(t is tableaux[0] for t in tableaux)
+    s = tableaux[0].s
+    width = None if same else [sum(t.s > i for t in tableaux) for i in range(s)]
+    Ab = np.zeros((s + 1, s, len(tableaux)))  # [k, i, row]: A, then b as row s
+    for r, t in enumerate(tableaux):
+        Ab[: t.s, : t.s, r] = t.A
+        Ab[s, : t.s, r] = t.b
+    terms = [[] for _ in range(s)]
+    for i, k in itertools.combinations(range(s + 1), 2):
+        n = None if same else width[k] if k < s else width[i]  # b_i covers stage i's rows
+        x = Ab[k, i, :n]
+        if x.any():
+            a = float(x[0]) if (x == x[0]).all() else x.reshape(column_shape)
+            terms[i].append((k, a, None if n == len(tableaux) else n))
+    return SimpleNamespace(s=s, width=width, terms=terms)
 
 
 def _step_layout(buffer: np.ndarray, scratch: np.ndarray, tab, rows: int):
@@ -448,8 +440,8 @@ def run_batch(
 
     # Per stacked row, in descending stage count (a stable sort, kept when rows
     # leave): its RunRow index, multiplier, state, time, value of q^n, step
-    # budget and whether each criterion has failed.  All live rows have taken
-    # the same number of steps.
+    # budget and whether each criterion (step, shifted) has failed.  All live
+    # rows have taken the same number of steps.
     live = np.array(sorted(range(len(rows)), key=lambda k: -tableaux[k].s))
     tab = _batch_tableau([tableaux[k] for k in live], as_column)
     c = np.array([rows[k].dt_factor for k in live])
@@ -457,28 +449,25 @@ def run_batch(
     t = np.zeros(len(rows))
     v_n = np.full(len(rows), v0)
     budget = np.zeros(len(rows))
-    failed_p = np.zeros(len(rows), dtype=bool)
-    failed_s = np.zeros(len(rows), dtype=bool)
+    failed = np.zeros((len(rows), 2), dtype=bool)
     step = 0
     # The workspace: room for the first step's states (rows only leave, so
     # later steps need less) and a scratch state per row.
-    buffer = np.empty((2 * sum(getattr(tab, "width", None) or [len(rows)] * tab.s),) + q0.shape)
+    buffer = np.empty((2 * sum(tab.width or [len(rows)] * tab.s),) + q0.shape)
     scratch = np.empty_like(q)
     out, n_states, take = _step_layout(buffer, scratch, tab, len(rows))
 
     def leave(keep, *extra):
         """Drop the rows outside ``keep``; return ``extra`` row arrays filtered alike."""
-        nonlocal live, c, q, t, v_n, budget, failed_p, failed_s, tab, out, n_states, take
+        nonlocal live, c, q, t, v_n, budget, failed, tab, out, n_states, take
         for k in np.flatnonzero(~keep):
             row = rows[live[k]]
             row.n_steps = step
             if record:
                 row.final_state = q[k]
-        live, c, q, t, v_n, budget, failed_p, failed_s = (
-            a[keep] for a in (live, c, q, t, v_n, budget, failed_p, failed_s)
-        )
+        live, c, q, t, v_n, budget, failed = (a[keep] for a in (live, c, q, t, v_n, budget, failed))
         if live.size:
-            if tab is not tableaux[live[0]]:  # a mix: step with the rows that stay
+            if tab.width is not None:  # a mix: step with the rows that stay
                 tab = _batch_tableau([tableaux[r] for r in live], as_column)
             out, n_states, take = _step_layout(buffer, scratch, tab, live.size)
         return [a[keep] for a in extra]
@@ -487,39 +476,44 @@ def run_batch(
         rows[live[k]].aborted_step = step
         rows[live[k]].abort_reason = reason
 
+    # A mask is tested with count_nonzero, which costs a fraction of .all().
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
-            running = t_final - t > t_eps
-            if not running.all():
-                leave(running)
+            remaining = t_final - t
+            running = remaining > t_eps
+            if np.count_nonzero(running) < live.size:
+                (remaining,) = leave(running, remaining)
                 if not live.size:
                     break
 
             dt = c * scheme.dt_fe_array(q, grid)
             dt_ok = dt > 0.0  # NaN is not
-            if not dt_ok.all():
+            if np.count_nonzero(dt_ok) < live.size:
                 for k in np.flatnonzero(~dt_ok):
                     cause = _admissibility_error(q[k]) if is_euler else None
                     abort(k, "degenerate_dt" if cause is None else f"degenerate_dt: {cause}")
-                (dt,) = leave(dt_ok, dt)
+                dt, remaining = leave(dt_ok, dt, remaining)
                 if not live.size:
                     break
-            dt = np.minimum(dt, t_final - t)
-            if step == 0:
+            dt = np.minimum(dt, remaining)
+            if step == 0:  # a budget is at least 100 steps; test from the smallest on
                 budget = STEP_BUDGET_FACTOR * np.ceil(t_final / dt)
-            in_budget = step < budget
-            if not in_budget.all():
+                first_over = budget.min()
+            elif step >= first_over:
+                in_budget = step < budget
                 for k in np.flatnonzero(~in_budget):
                     abort(k, "step_budget")
                 (dt,) = leave(in_budget, dt)
                 if not live.size:
                     break
+                first_over = budget.min()
 
             try:
                 # One row's dt is passed as a scalar: it broadcasts to the same
                 # values, with less overhead per operation than a 1x1 array.
                 dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
-                s, states, q_rk = tab.s, buffer[:n_states], out[tab.s - 1]  # leave() may change the layout
+                # This step's layout: an Euler leave() below re-lays the workspace.
+                s, states, q_rk, step_take = tab.s, buffer[:n_states], out[tab.s - 1], take
                 if trace_callback is None:
                     rk_step_instrumented(tab, rhs, q, dt_rows, out=out)
                 else:  # one row: trace its state, then monitor the step as any other
@@ -535,59 +529,57 @@ def run_batch(
 
             # The value of every state of the step in the (rows, 2s+1) layout:
             # q^n, whose value carries over, then stages 1..s-1, the step
-            # solution and the shifted states.
-            values = state_values(monitor, grid, states)
-            if take is None:  # s - 1 stages, q_rk and s shifted states of all rows, in turn
+            # solution and the shifted states.  A recorded Euler run takes the
+            # minima of q_rk for its history from the same pass.
+            minima = ()
+            if positivity and record:
+                values, minima = euler_state_floor(states, with_minima=True)
+                at = sum(map(len, out[: s - 1]))  # q_rk follows stages 1..s-1
+                minima = [m[at : at + live.size] for m in minima]
+            else:
+                values = state_values(monitor, grid, states)
+            if step_take is None:  # s - 1 stages, q_rk and s shifted states of all rows, in turn
                 values = np.concatenate((v_n[:, None], values.reshape(2 * s, -1).T), axis=1)
             else:
-                values = np.concatenate((v_n, values))[take]
+                values = np.concatenate((v_n, values))[step_take]
             if is_euler:
                 # A stage whose floor is not positive is one the kernel may not see.
-                bad = ~(values[:, :s] > 0.0)
-                inadmissible = bad.any(axis=1)
-                if inadmissible.any():
+                admissible = values[:, :s] > 0.0
+                if np.count_nonzero(admissible) < admissible.size:
+                    inadmissible = ~admissible.all(axis=1)
                     for k in np.flatnonzero(inadmissible):
-                        i = int(np.argmax(bad[k]))
+                        i = int(np.argmin(admissible[k]))
                         # Stage i of row k in the workspace; stage 0 is q^n.
-                        at = (i - 1) * live.size + k if take is None else take[k, i] - live.size
+                        at = (i - 1) * live.size + k if step_take is None else step_take[k, i] - live.size
                         cause = _admissibility_error(q[k] if at < 0 else states[at])
                         abort(k, str(StepFailedError(i, cause)))
-                    dt, values, q_rk = leave(~inadmissible, dt, values, q_rk)
+                    dt, values, q_rk, *minima = leave(~inadmissible, dt, values, q_rk, *minima)
                     if not live.size:
                         break
 
-            deltas = step_deltas(monitor, values)
-            worst_p = worst_delta(monitor, deltas[:, : s + 1])
-            worst_s = worst_delta(monitor, deltas[:, s + 1 :])
-            v_rk = values[:, s]
-            t = t + dt
+            # Per row, the worst delta of the step family (q^n, the stages and
+            # q_rk) and of the shifted family; columns 0 and 1 of ``failed``.
+            worst = family_worst(monitor, step_deltas(monitor, values), s)
+            v_n = values[:, s]
+            t += dt
             if record:
-                minima = euler_minima(q_rk) if positivity else ()
-                for k, r in enumerate(live):
-                    rows[r].history.append(
-                        (float(t[k]), float(v_rk[k]), float(worst_p[k]), float(worst_s[k]))
-                        + tuple(float(m[k]) for m in minima)
-                    )
-            fail_p = ~passes(monitor, worst_p)
-            fail_s = ~passes(monitor, worst_s)
-            new_p = fail_p > failed_p
-            new_s = fail_s > failed_s
-            if new_p.any() or new_s.any():
-                for k in np.flatnonzero(new_p):
-                    rows[live[k]].first_step_failure = step
-                for k in np.flatnonzero(new_s):
-                    rows[live[k]].first_shifted_failure = step
-                failed_p |= fail_p
-                failed_s |= fail_s
+                columns = (t, v_n, worst[:, 0], worst[:, 1], *minima)
+                for k, r in enumerate(live.tolist()):
+                    rows[r].history.append(tuple(float(x[k]) for x in columns))
+            fail = ~passes(monitor, worst)
+            new = fail > failed
+            if np.count_nonzero(new):
+                for k, family in zip(*np.nonzero(new)):
+                    setattr(rows[live[k]], ("first_step_failure", "first_shifted_failure")[family], step)
+                failed |= fail
             if trace_callback is not None:
                 trace_callback(step, float(t[0]), trace)
             # q^{n+1} leaves the workspace, which the next step overwrites.
             q = q_rk.copy()
-            v_n = v_rk
             step += 1
             if early_stop:
-                both = failed_p & failed_s
-                if both.any():
+                both = failed.all(axis=1)
+                if np.count_nonzero(both):
                     leave(~both)
     return rows
 

@@ -30,7 +30,7 @@ __all__ = [
     "bind_scale",
     "step_deltas",
     "passes",
-    "worst_delta",
+    "family_worst",
     "check_step_criterion",
     "check_shifted_criterion",
     "positivity_of_trace",
@@ -93,16 +93,18 @@ def evaluate_functional(monitor: Monitor, state: np.ndarray, grid):
     raise ValueError("positivity monitor does not define a scalar functional")
 
 
-def euler_state_floor(U: np.ndarray):
+def euler_state_floor(U: np.ndarray, *, with_minima: bool = False):
     """min over cells of (rho, rho*e); only min(rho) when any rho <= 0.
 
     Positive return means the state is admissible.  NaN anywhere yields a
     non-passing value.  ``U`` may be a stack ``(..., 3, n)``: one floor per
-    leading index, a float for a single state.
+    leading index, a float for a single state.  ``with_minima`` returns
+    ``(floor, (min_rho, min_rhoe))``, the :func:`euler_minima` it came from.
     """
-    min_rho, min_rhoe = euler_minima(U)
-    # NaN propagates through both comparisons
-    return per_row(np.where(min_rho > 0.0, np.where(min_rhoe >= min_rho, min_rho, min_rhoe), min_rho))
+    minima = min_rho, min_rhoe = euler_minima(U)
+    # NaN propagates through the comparison and the minimum
+    floor = per_row(np.where(min_rho > 0.0, np.minimum(min_rho, min_rhoe), min_rho))
+    return (floor, minima) if with_minima else floor
 
 
 def state_values(monitor: Monitor, grid, states: np.ndarray):
@@ -133,15 +135,15 @@ def passes(monitor: Monitor, delta):
     return delta <= monitor.slack
 
 
-def worst_delta(monitor: Monitor, deltas: np.ndarray):
-    """The most-violating delta of a family (NaN if any delta is NaN), taken
-    along the last axis: a float for one family, one value per leading index
-    of a stack of families.
+def family_worst(monitor: Monitor, deltas: np.ndarray, s: int) -> np.ndarray:
+    """The most-violating delta (NaN if any is NaN) of each row's step family,
+    columns 0..s of ``deltas`` (q^n, the stages and the step solution), and of
+    its shifted family, columns s+1..2s: a ``(rows, 2)`` array.
 
-    The family passes exactly when this value passes.
+    A family passes exactly when this value passes.
     """
-    reduce = np.min if monitor.kind == "positivity" else np.max
-    return per_row(reduce(deltas, axis=-1))
+    reduce = np.minimum if monitor.kind == "positivity" else np.maximum
+    return reduce.reduceat(deltas, (0, s + 1), axis=1)
 
 
 def _verdicts(monitor: Monitor, trace, labelled) -> list[MonitorVerdict]:

@@ -140,6 +140,11 @@ class ExperimentPreset:
         lf: str = "local",
         record_every: int = 1,
     ) -> SimulationConfig:
+        kind = monitor_kind if monitor_kind is not None else self.monitor_kind
+        if lf == "global" and self.scheme_kind != "llf":  # flags that would do nothing are errors
+            raise ValueError(f"lf='global' needs a Lax-Friedrichs preset; {self.id!r} is {self.scheme_kind} Burgers")
+        if tv_wrap is not None and kind != "tv":
+            raise ValueError(f"tv_wrap applies to the tv monitor only, not to {kind!r}")
         grid = Grid1D(
             n_cells=n_cells if n_cells is not None else self.default_n_cells,
             x_min=self.x_min,
@@ -148,7 +153,7 @@ class ExperimentPreset:
             sampling=self.sampling,
         )
         monitor = Monitor(
-            kind=monitor_kind if monitor_kind is not None else self.monitor_kind,
+            kind=kind,
             tolerance=tolerance if tolerance is not None else 1e-12,
             tv_wrap=tv_wrap,
         )

@@ -41,8 +41,6 @@ __all__ = [
     "UpwindBurgers",
     "MusclBurgers",
     "LaxFriedrichsEuler",
-    "minmod",
-    "godunov_flux_burgers",
     "lax_friedrichs_flux_euler",
     "rhs_dissipative_burgers",
     "rhs_upwind_burgers",
@@ -102,7 +100,7 @@ class MusclBurgers:
         return _muscl_rhs(q, grid.dx, grid.boundary)
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
-        return _bound_over(grid.dx, 2.0 * np.max(np.abs(q), axis=-1))
+        return _bound_over(grid.dx, 2.0 * np.maximum.reduce(np.abs(q), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,8 @@ def _require_periodic(grid: Grid1D, what: str) -> None:
 
 def _bound_over(dx: float, speed):
     """dx / speed per row, +inf where the speed is zero (NaN stays NaN)."""
-    speed = np.asarray(speed)
-    return per_row(np.divide(dx, speed, out=np.full(speed.shape, math.inf), where=speed != 0.0))
+    with np.errstate(divide="ignore"):  # speeds are +0.0 or more, or NaN: never -0.0
+        return per_row(dx / np.asarray(speed))
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -167,49 +165,15 @@ def _upwind_rhs(q: np.ndarray, dx: float) -> np.ndarray:
     return -(f - _prev(f)) / dx
 
 
-def minmod(a: float, b: float) -> float:
-    """(sign(a) + sign(b))/2 * min(|a|, |b|), with sign(0) = 0."""
-    return 0.5 * (np.sign(a) + np.sign(b)) * min(abs(a), abs(b))
-
-
-def _minmod_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
-
-
-def godunov_flux_burgers(q_minus: float, q_plus: float) -> float:
-    """Exact Riemann flux of f(q) = q^2/2 for left/right interface states.
-
-    For q_minus <= q_plus the flux is the minimum of f over the interval
-    (zero when it straddles the sonic point q = 0), otherwise the maximum of
-    the endpoint values.
-    """
-    fm = 0.5 * q_minus * q_minus
-    fp = 0.5 * q_plus * q_plus
-    if q_minus <= q_plus:
-        if q_minus <= 0.0 <= q_plus:
-            return 0.0
-        return min(fm, fp)
-    return max(fm, fp)
-
-
-def _godunov_arr(qm: np.ndarray, qp: np.ndarray) -> np.ndarray:
-    fm = 0.5 * qm * qm
-    fp = 0.5 * qp * qp
-    return np.where(
-        qm <= qp,
-        np.where((qm <= 0.0) & (qp >= 0.0), 0.0, np.minimum(fm, fp)),
-        np.maximum(fm, fp),
-    )
-
-
 def _extend_scalar(q: np.ndarray, boundary, width: int) -> np.ndarray:
     if isinstance(boundary, Periodic):
         return np.concatenate((q[..., -width:], q, q[..., :width]), axis=-1)
     if isinstance(boundary, Dirichlet):
-        ghost = q.shape[:-1] + (width,)
-        left = np.full(ghost, float(boundary.left))
-        right = np.full(ghost, float(boundary.right))
-        return np.concatenate((left, q, right), axis=-1)
+        qe = np.empty(q.shape[:-1] + (q.shape[-1] + 2 * width,))
+        qe[..., :width] = float(boundary.left)
+        qe[..., width:-width] = q
+        qe[..., -width:] = float(boundary.right)
+        return qe
     raise UnsupportedBoundaryError(
         "MUSCL Burgers supports periodic or dirichlet boundaries only"
     )
@@ -217,13 +181,30 @@ def _extend_scalar(q: np.ndarray, boundary, width: int) -> np.ndarray:
 
 def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
     qe = _extend_scalar(q, boundary, 2)  # two ghost cells per side
-    dq = np.diff(qe, axis=-1)
-    # slope of extended cell k+1 is slo[k], k = 0 .. n+1
-    slo = _minmod_arr(dq[..., 1:], dq[..., :-1])
-    qm = qe[..., 1:-2] + 0.5 * slo[..., :-1]  # q^- at interfaces -1/2 .. n-1/2
-    qp = qe[..., 2:-1] - 0.5 * slo[..., 1:]  # q^+ at the same interfaces
-    f = _godunov_arr(qm, qp)
-    return -(f[..., 1:] - f[..., :-1]) / dx
+    dq = qe[..., 1:] - qe[..., :-1]
+    # half the minmod slope of extended cell k+1, k = 0 .. n+1:
+    # 0.5 * (0.5 * (sign(a) + sign(b)) * min(|a|, |b|)), a = dq[k+1], b = dq[k]
+    sign = np.sign(dq)
+    np.abs(dq, out=dq)
+    half = np.minimum(dq[..., 1:], dq[..., :-1])
+    sign = sign[..., 1:] + sign[..., :-1]
+    sign *= 0.5
+    half *= sign
+    half *= 0.5
+    qm = qe[..., 1:-2] + half[..., :-1]  # q^- at interfaces -1/2 .. n-1/2
+    qp = qe[..., 2:-1] - half[..., 1:]  # q^+ at the same interfaces
+    # Godunov flux of q^2/2: max(f(max(q^-, 0)), f(min(q^+, 0))), f(x) = (0.5 x) x,
+    # which is 0 when q^- <= 0 <= q^+, else min or max of the endpoint fluxes.
+    np.maximum(qm, 0.0, out=qm)
+    np.minimum(qp, 0.0, out=qp)
+    f = 0.5 * qm
+    f *= qm
+    fp = 0.5 * qp
+    fp *= qp
+    np.maximum(f, fp, out=f)
+    r = f[..., 1:] - f[..., :-1]
+    r /= -dx
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +214,19 @@ def _primitive_parts(U: np.ndarray, gamma: float):
     """Velocity, pressure and maximal signal speed |u| + sqrt(gamma p / rho) per cell."""
     rho, m, E = U[..., 0, :], U[..., 1, :], U[..., 2, :]
     u = m / rho
-    p = (gamma - 1.0) * (E - 0.5 * m * u)
-    return u, p, np.abs(u) + np.sqrt(gamma * p / rho)
+    p = 0.5 * m  # p = (gamma - 1) * (E - 0.5 * m * u)
+    p *= u
+    np.subtract(E, p, out=p)
+    p *= gamma - 1.0
+    sound = gamma * p
+    sound /= rho
+    speed = np.abs(u)
+    speed += np.sqrt(sound, out=sound)
+    return u, p, speed
 
 
 def _max_wavespeed(U: np.ndarray, gamma: float):
-    return per_row(np.max(_primitive_parts(U, gamma)[2], axis=-1))
+    return per_row(np.maximum.reduce(_primitive_parts(U, gamma)[2], axis=-1))
 
 
 def lax_friedrichs_flux_euler(left, right, gamma: float):
@@ -279,8 +267,14 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool) -> n
     Ue = _extend_euler(U, boundary)
     m, E = Ue[..., 1, :], Ue[..., 2, :]
     u, p, speed = _primitive_parts(Ue, gamma)
-    flux = np.stack((m, m * u + p, u * (E + p)), axis=-2)
-    del u, p
+    flux = np.empty_like(Ue)  # m, m * u + p, u * (E + p)
+    flux[..., 0, :] = m
+    mom, ene = flux[..., 1, :], flux[..., 2, :]
+    np.multiply(m, u, out=mom)
+    mom += p
+    np.add(E, p, out=ene)
+    ene *= u
+    del u, p, mom, ene
     if local:
         a_ifc = np.maximum(speed[..., :-1], speed[..., 1:])
     else:
@@ -298,8 +292,7 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool) -> n
     h *= 0.5
     r = h[..., 1:] - h[..., :-1]
     del h
-    np.negative(r, out=r)
-    r /= dx
+    r /= -dx
     return r
 
 

@@ -1,0 +1,118 @@
+"""Reference oracles for the MUSCL and LLF kernels of ``rkstab.spatial``.
+
+``muscl_rhs`` and ``llf_rhs`` are the straightforward forms of the two
+kernels: minmod slopes from two ``np.sign`` and two ``np.abs`` calls, the
+Godunov flux as nested ``np.where``, the LLF flux from ``np.stack`` and
+``-(h_r - h_l) / dx``; ``muscl_dt_fe`` and ``llf_dt_fe`` are the step bounds
+dx / speed with +inf where the speed is zero.  The library's kernels make
+fewer numpy calls and must return the same values bit for bit, NaN in the
+same cells.  ``minmod`` and ``godunov_flux_burgers`` are the scalar
+definitions the array forms follow.
+"""
+
+import numpy as np
+
+from rkstab.fields import Dirichlet, Outflow, Periodic
+
+
+def minmod(a: float, b: float) -> float:
+    """(sign(a) + sign(b))/2 * min(|a|, |b|), with sign(0) = 0."""
+    return 0.5 * (np.sign(a) + np.sign(b)) * min(abs(a), abs(b))
+
+
+def godunov_flux_burgers(q_minus: float, q_plus: float) -> float:
+    """Exact Riemann flux of f(q) = q^2/2 for left/right interface states.
+
+    For q_minus <= q_plus the flux is the minimum of f over the interval
+    (zero when it straddles the sonic point q = 0), otherwise the maximum of
+    the endpoint values.
+    """
+    fm = 0.5 * q_minus * q_minus
+    fp = 0.5 * q_plus * q_plus
+    if q_minus <= q_plus:
+        if q_minus <= 0.0 <= q_plus:
+            return 0.0
+        return min(fm, fp)
+    return max(fm, fp)
+
+
+def _minmod_arr(a, b):
+    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
+
+
+def _godunov_arr(qm, qp):
+    fm = 0.5 * qm * qm
+    fp = 0.5 * qp * qp
+    return np.where(
+        qm <= qp,
+        np.where((qm <= 0.0) & (qp >= 0.0), 0.0, np.minimum(fm, fp)),
+        np.maximum(fm, fp),
+    )
+
+
+def _extend_scalar(q, boundary, width):
+    if isinstance(boundary, Periodic):
+        return np.concatenate((q[..., -width:], q, q[..., :width]), axis=-1)
+    assert isinstance(boundary, Dirichlet)
+    ghost = q.shape[:-1] + (width,)
+    left = np.full(ghost, float(boundary.left))
+    right = np.full(ghost, float(boundary.right))
+    return np.concatenate((left, q, right), axis=-1)
+
+
+def muscl_rhs(q, dx, boundary):
+    qe = _extend_scalar(q, boundary, 2)  # two ghost cells per side
+    dq = np.diff(qe, axis=-1)
+    # slope of extended cell k+1 is slo[k], k = 0 .. n+1
+    slo = _minmod_arr(dq[..., 1:], dq[..., :-1])
+    qm = qe[..., 1:-2] + 0.5 * slo[..., :-1]  # q^- at interfaces -1/2 .. n-1/2
+    qp = qe[..., 2:-1] - 0.5 * slo[..., 1:]  # q^+ at the same interfaces
+    f = _godunov_arr(qm, qp)
+    return -(f[..., 1:] - f[..., :-1]) / dx
+
+
+def _primitive_parts(U, gamma):
+    rho, m, E = U[..., 0, :], U[..., 1, :], U[..., 2, :]
+    u = m / rho
+    p = (gamma - 1.0) * (E - 0.5 * m * u)
+    return u, p, np.abs(u) + np.sqrt(gamma * p / rho)
+
+
+def _extend_euler(U, boundary):
+    if isinstance(boundary, Outflow):
+        return np.concatenate((U[..., :1], U, U[..., -1:]), axis=-1)
+    assert isinstance(boundary, Periodic)
+    return np.concatenate((U[..., -1:], U, U[..., :1]), axis=-1)
+
+
+def llf_rhs(U, dx, gamma, boundary, local):
+    Ue = _extend_euler(U, boundary)
+    m, E = Ue[..., 1, :], Ue[..., 2, :]
+    u, p, speed = _primitive_parts(Ue, gamma)
+    flux = np.stack((m, m * u + p, u * (E + p)), axis=-2)
+    if local:
+        a_ifc = np.maximum(speed[..., :-1], speed[..., 1:])
+    else:
+        a_ifc = np.max(speed, axis=-1, keepdims=True)
+    h = flux[..., :-1] + flux[..., 1:]
+    jump = Ue[..., 1:] - Ue[..., :-1]
+    jump *= a_ifc[..., None, :]
+    h -= jump
+    h *= 0.5
+    r = h[..., 1:] - h[..., :-1]
+    np.negative(r, out=r)
+    r /= dx
+    return r
+
+
+def _bound_over(dx, speed):
+    speed = np.asarray(speed)
+    return np.divide(dx, speed, out=np.full(speed.shape, np.inf), where=speed != 0.0)
+
+
+def muscl_dt_fe(q, dx):
+    return _bound_over(dx, 2.0 * np.max(np.abs(q), axis=-1))
+
+
+def llf_dt_fe(U, dx, gamma):
+    return _bound_over(dx, np.max(_primitive_parts(U, gamma)[2], axis=-1))

@@ -255,3 +255,30 @@ def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, valu
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "upwind", "--lf", "global"], "error: lf='global' needs a Lax-Friedrichs preset"),
+        (["run", "dissipative", "--lf", "global"], "error: lf='global' needs a Lax-Friedrichs preset"),
+        (["run", "leblanc_n2", "--tv-wrap", "on"], "error: tv_wrap applies to the tv monitor only"),
+        (["run", "dissipative", "--tv-wrap", "off"], "error: tv_wrap applies to the tv monitor only"),
+        (["limits", "muscl2", "--schemes", "rk44", "--lf", "global"], "error: lf='global' needs"),
+    ],
+)
+def test_flags_a_preset_would_ignore_are_errors(tmp_path, capsys, argv, message):
+    """--lf global on a Burgers preset and --tv-wrap without the tv monitor
+    used to exit 0 with the default result."""
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_flags_that_apply_are_accepted(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "upwind", "--tv-wrap", "off", "--t-final", "0.1", "--out", str(out / "u")]) == 0
+    argv = ["run", "leblanc_n2", "--lf", "global", "--dt-factor", "0.5", "--t-final", "0.01", "--out", str(out / "l")]
+    assert main(argv) in (0, 2)
+    assert json.loads((out / "l" / "verdict.json").read_text())["n_steps"] > 0

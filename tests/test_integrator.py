@@ -4,19 +4,29 @@ import numpy as np
 import pytest
 
 from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField
-from rkstab.fields import positivity_check
+from rkstab.fields import euler_minima, positivity_check
 from rkstab.integrator import (
     SimulationConfig,
     StepFailedError,
-    modified_representation_solution,
     modified_representation_stage,
     rk_step_instrumented,
+    run_batch,
     simulate,
 )
 from rkstab.monitors import Monitor
 from rkstab.presets import preset_config
 from rkstab.spatial import LaxFriedrichsEuler
 from rkstab.tableau import BUILTIN_SCHEME_IDS, ButcherTableau, builtin_scheme
+
+
+def modified_representation_solution(tableau, trace):
+    """Step solution rebuilt as sum_j b_j (q^n + dt R^j)."""
+    acc = 0.0 * trace.q_n
+    for j in range(tableau.s):
+        w = tableau.b[j]
+        if w != 0.0:
+            acc = acc + w * trace.shifted_states[j]
+    return acc
 
 
 def scalar_ode(tableau, rhs, q0, dt, n_steps):
@@ -288,3 +298,40 @@ def test_simulate_rejects_positivity_monitor_on_scalar_problem():
     )
     with pytest.raises(ValueError, match="positivity"):
         simulate(bad)
+
+
+def bits(x):
+    """Float bits, with every NaN alike: signed zeros differ, NaN equals NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "scheme, c, lf, abort",
+    [
+        ("rk44", 0.7, "local", None),
+        ("rk31", 1.0, "global", "RHS evaluation failed at stage 2"),
+        ("midpoint", 2.5, "local", "RHS evaluation failed at stage 0"),
+    ],
+)
+def test_history_minima_are_those_of_each_step_solution(scheme, c, lf, abort):
+    """The Euler history's min_rho/min_rhoe come from the monitor's pass over
+    the step's states; they must be euler_minima of each step's q_rk, also
+    in a run that aborts on an inadmissible stage (whose step is not kept),
+    and a batched row must keep the same history."""
+    cfg = preset_config("leblanc_n2", scheme, c, t_final=0.02, lf=lf)
+    q_rk = []
+    record = simulate(cfg, trace_callback=lambda step, t, trace: q_rk.append(trace.q_rk.copy()))
+    if abort is None:
+        assert record.verdict.aborted_step is None and record.n_steps > 3
+    else:
+        assert record.verdict.abort_reason.startswith(abort)
+    assert len(q_rk) == len(record.times) == record.n_steps > 0
+    want = np.array([euler_minima(q) for q in q_rk])
+    np.testing.assert_array_equal(bits(record.min_rho), bits(want[:, 0]))
+    np.testing.assert_array_equal(bits(record.min_rhoe), bits(want[:, 1]))
+    rows = run_batch(cfg, [0.3, c, 0.5], tableaux=[builtin_scheme("ssprk33"), cfg.tableau, cfg.tableau], record=True)
+    got = np.array(rows[1].history).reshape(-1, 6)
+    np.testing.assert_array_equal(bits(got[:, 4]), bits(record.min_rho))
+    np.testing.assert_array_equal(bits(got[:, 5]), bits(record.min_rhoe))
+    assert rows[1].verdict == record.verdict

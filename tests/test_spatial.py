@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_oracles import godunov_flux_burgers, minmod
 from rkstab.fields import (
     Dirichlet,
     EulerField,
@@ -19,9 +20,7 @@ from rkstab.spatial import (
     UnsupportedBoundaryError,
     UpwindBurgers,
     dt_fe,
-    godunov_flux_burgers,
     lax_friedrichs_flux_euler,
-    minmod,
     rhs_dissipative_burgers,
     rhs_llf_euler,
     rhs_muscl_burgers,
