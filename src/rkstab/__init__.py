@@ -40,8 +40,6 @@ from .spatial import (
     MusclBurgers,
     UnsupportedBoundaryError,
     UpwindBurgers,
-    dt_fe,
-    lax_friedrichs_flux_euler,
     rhs_dissipative_burgers,
     rhs_llf_euler,
     rhs_muscl_burgers,

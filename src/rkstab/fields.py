@@ -240,16 +240,20 @@ def euler_minima(U):
     none.  ``U`` may be a stack ``(..., 3, n)``: one pair of minima per
     leading index (floats for a single state).  NaN propagates.
     """
-    rho = U[..., 0, :]
-    good = rho > 0.0
+    rho, m = U[..., 0, :], U[..., 1, :]
+    min_rho = np.minimum.reduce(rho, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhoe = internal_energy_density(rho, U[..., 1, :], U[..., 2, :])
-    if good.all():
+        rhoe = 0.5 * m  # internal_energy_density, E - ((0.5 m) m) / rho, in one buffer
+        rhoe *= m
+        rhoe /= rho
+        np.subtract(U[..., 2, :], rhoe, out=rhoe)
+    if np.count_nonzero(min_rho > 0.0) == min_rho.size:  # every rho > 0 (NaN is not)
         min_rhoe = np.minimum.reduce(rhoe, axis=-1)
     else:
-        rhoe = np.where(good, rhoe, np.inf)
+        good = rho > 0.0
+        rhoe[~good] = np.inf
         min_rhoe = np.where(np.any(good, axis=-1), np.minimum.reduce(rhoe, axis=-1), np.nan)
-    return per_row(np.minimum.reduce(rho, axis=-1)), per_row(min_rhoe)
+    return per_row(min_rho), per_row(min_rhoe)
 
 
 def euler_floor(U):

@@ -96,6 +96,7 @@ def rk_step_instrumented(
     is_euler: bool = False,
     *,
     out=None,
+    r0=None,
 ) -> StageTrace | None:
     """Advance one step, keeping every stage quantity.
 
@@ -113,9 +114,12 @@ def rk_step_instrumented(
     see :func:`_step_layout`), it writes its states there and returns None;
     each derivative is dropped as soon as its terms are added.  Both ways
     make the same operations in the same order, so their states are equal
-    bit for bit.  An RHS failure (``NonPhysicalStateError``) is re-raised as
-    :class:`StepFailedError` carrying the stage index, which callers treat as
-    a stability failure of the probed step size.
+    bit for bit.  ``r0`` is a list that holds ``rhs(q_n)`` when the caller
+    has evaluated it already; the step pops it as stage 0's derivative, so
+    that it too is dropped once its terms are added.  An RHS failure
+    (``NonPhysicalStateError``) is re-raised as :class:`StepFailedError`
+    carrying the stage index, which callers treat as a stability failure of
+    the probed step size.
     """
     tab = tableau if hasattr(tableau, "terms") else _batch_tableau([tableau], None)
     s, width = tab.s, tab.width
@@ -138,7 +142,7 @@ def rk_step_instrumented(
         if i and fresh[i]:  # a stage without terms is q^n
             np.copyto(q_i, q_0)
         try:
-            r_i = rhs(q_i)
+            r_i = r0.pop() if r0 else rhs(q_i)
         except NonPhysicalStateError as exc:
             raise StepFailedError(i, exc) from exc
         if derivs is not None:
@@ -436,6 +440,10 @@ def run_batch(
     t_final = config.t_final
     t_eps = 1e-12 * max(1.0, t_final)
     rhs = lambda state: scheme.rhs_array(state, grid)  # noqa: E731
+    # A scheme whose kernel also bounds the step gets q^n's bound from the
+    # stage-0 call; the others are asked for it apart.
+    fused = bool(getattr(scheme, "rhs_gives_dt_fe", False))
+    r0 = None  # that call's derivative, until the step takes it
     as_column = (-1,) + (1,) * q0.ndim  # per-row dt against a stack of states
 
     # Per stacked row, in descending stage count (a stable sort, kept when rows
@@ -470,7 +478,7 @@ def run_batch(
             if tab.width is not None:  # a mix: step with the rows that stay
                 tab = _batch_tableau([tableaux[r] for r in live], as_column)
             out, n_states, take = _step_layout(buffer, scratch, tab, live.size)
-        return [a[keep] for a in extra]
+        return [None if a is None else a[keep] for a in extra]
 
     def abort(k, reason: str) -> None:
         rows[live[k]].aborted_step = step
@@ -486,13 +494,17 @@ def run_batch(
                 if not live.size:
                     break
 
-            dt = c * scheme.dt_fe_array(q, grid)
+            if fused:
+                r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)
+                dt = c * dt
+            else:
+                dt = c * scheme.dt_fe_array(q, grid)
             dt_ok = dt > 0.0  # NaN is not
             if np.count_nonzero(dt_ok) < live.size:
                 for k in np.flatnonzero(~dt_ok):
                     cause = _admissibility_error(q[k]) if is_euler else None
                     abort(k, "degenerate_dt" if cause is None else f"degenerate_dt: {cause}")
-                dt, remaining = leave(dt_ok, dt, remaining)
+                dt, remaining, r0 = leave(dt_ok, dt, remaining, r0)
                 if not live.size:
                     break
             dt = np.minimum(dt, remaining)
@@ -503,7 +515,7 @@ def run_batch(
                 in_budget = step < budget
                 for k in np.flatnonzero(~in_budget):
                     abort(k, "step_budget")
-                (dt,) = leave(in_budget, dt)
+                dt, r0 = leave(in_budget, dt, r0)
                 if not live.size:
                     break
                 first_over = budget.min()
@@ -514,10 +526,12 @@ def run_batch(
                 dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
                 # This step's layout: an Euler leave() below re-lays the workspace.
                 s, states, q_rk, step_take = tab.s, buffer[:n_states], out[tab.s - 1], take
+                first, r0 = ([] if r0 is None else [r0]), None
                 if trace_callback is None:
-                    rk_step_instrumented(tab, rhs, q, dt_rows, out=out)
+                    rk_step_instrumented(tab, rhs, q, dt_rows, out=out, r0=first)
                 else:  # one row: trace its state, then monitor the step as any other
-                    trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, is_euler)
+                    first = [r[0] for r in first]
+                    trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, is_euler, r0=first)
                     for dest, state in zip(out, trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states):
                         np.copyto(dest, state)
             except StepFailedError as exc:

@@ -36,20 +36,27 @@ __all__ = [
 #: Gap below which the optional refinement bisection stops.
 REFINE_RESOLUTION = 0.01
 
+#: Decimals a candidate c is rounded to, so that c_min + k * granularity
+#: lands on the decimal tick it stands for.
+TICK_DECIMALS = 12
+
+#: Most coarse ticks one scan may have; each is a full simulation.
+MAX_TICKS = 10**6
+
 #: States one row keeps alive at the peak of a step on the 3x600 Euler shock
 #: tube, at most: q^n, the step workspace (up to 2s states, s <= 4, and a
 #: scratch state) and the kernel's or the monitor's temporaries.  Measured
-#: with tracemalloc: 13 on a mixed step of the five built-in schemes (the
-#: bound tests/test_batch.py checks), 17 on an rk44 step; 13-16 on the
-#: dissipative problem and 19-27 on MUSCL, whose TV monitor makes more
-#: temporaries.
+#: with tracemalloc on one step of a chunk at c = 0.1: 12.3 on a mixed step
+#: of the five built-in schemes (the bound tests/test_batch.py checks), 9-16
+#: on one scheme's rows (16 for rk44); 9-16 on the dissipative problem and
+#: 16-23 on MUSCL, whose TV monitor makes more temporaries.
 ROW_STATES = 18
 
 #: Bytes of candidate states one chunk may stack; a chunk holds
 #: max(scans, CHUNK_BYTES // bytes of one state) candidates: at least one per
 #: live scan, so that every scheme's long low-c rows share a chunk.  A chunk's
-#: step then peaks at about 0.4-0.5 MB on the 50-cell dissipative problem (81
-#: rows), 0.6-0.9 MB on the 80-cell MUSCL one (51 rows) and 0.9 MB on the
+#: step then peaks at about 0.3-0.5 MB on the 50-cell dissipative problem (81
+#: rows), 0.5-0.7 MB on the 80-cell MUSCL one (51 rows) and 0.84 MB on the
 #: 3x600 Euler shock tube (the five schemes at one c; 2 rows of one scheme
 #: took 0.8 MB when a step kept every stage, derivative and a stacked copy of
 #: its states).
@@ -78,6 +85,16 @@ class LimitSearchConfig:
             raise ValueError("granularity must be positive")
         if not self.c_max > self.c_min:
             raise ValueError("c_max must exceed c_min")
+        # Rounding moves a tick by up to half a decimal unit, so ticks two
+        # units apart (and many float spacings of c_max) stay in order.
+        finest = 2.0 * 10.0**-TICK_DECIMALS * max(1.0, self.c_max)
+        if not self.granularity >= finest:
+            raise ValueError(
+                f"granularity must be at least {finest!r} (ticks are rounded to "
+                f"{TICK_DECIMALS} decimals), got {self.granularity!r}"
+            )
+        if (self.c_max - self.c_min) / self.granularity >= MAX_TICKS:
+            raise ValueError(f"granularity {self.granularity!r} makes {MAX_TICKS} or more ticks")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -138,7 +155,7 @@ def _candidate_values(c_min: float, c_max: float, granularity: float) -> list[fl
     values = []
     k = 0
     while True:
-        c = round(c_min + k * granularity, 12)
+        c = round(c_min + k * granularity, TICK_DECIMALS)
         if c > c_max + 1e-9 * granularity:
             break
         values.append(c)
@@ -197,11 +214,11 @@ def _bisect(cfg, outcomes, band, limits):
     result is the serial bisection's."""
     side: dict[float, CandidateOutcome] = {}
     top = cfg.c_max + 1e-9 * cfg.granularity  # a limit whose next tick is past it brackets nothing
-    ends = {flag: (c, round(c + cfg.granularity, 12)) for flag, c in limits.items() if c is not None}
+    ends = {flag: (c, round(c + cfg.granularity, TICK_DECIMALS)) for flag, c in limits.items() if c is not None}
     brackets = {flag: (lo, hi) for flag, (lo, hi) in ends.items() if hi <= top}
 
     def mid(lo, hi):
-        return round(0.5 * (lo + hi), 12)
+        return round(0.5 * (lo + hi), TICK_DECIMALS)
 
     def is_open(bracket):
         return bracket[1] - bracket[0] > REFINE_RESOLUTION + 1e-12

@@ -9,6 +9,7 @@ q^n + dt * R^j (the "shifted" criterion).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,8 +58,9 @@ class Monitor:
     def __post_init__(self):
         if self.kind not in MONITOR_KINDS:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
+        # NaN slack would fail every comparison, and +inf pass every one.
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
 
     @property
     def slack(self) -> float:

@@ -17,7 +17,6 @@ admissibility; the stepping loop does, once per row and stage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +25,9 @@ from .fields import (
     Dirichlet,
     EulerField,
     Grid1D,
-    NonPhysicalStateError,
     Outflow,
     Periodic,
     ScalarField,
-    internal_energy_density,
     per_row,
     require_admissible,
 )
@@ -41,12 +38,10 @@ __all__ = [
     "UpwindBurgers",
     "MusclBurgers",
     "LaxFriedrichsEuler",
-    "lax_friedrichs_flux_euler",
     "rhs_dissipative_burgers",
     "rhs_upwind_burgers",
     "rhs_muscl_burgers",
     "rhs_llf_euler",
-    "dt_fe",
 ]
 
 
@@ -114,19 +109,19 @@ class LaxFriedrichsEuler:
     gamma: float = 5.0 / 3.0
     local: bool = True
     is_euler = True
+    #: ``rhs_array(U, grid, with_dt_fe=True)`` returns ``(R, dt_fe_array(U,
+    #: grid))``, the bound taken from the wavespeeds of the same pass.
+    rhs_gives_dt_fe = True
 
     def __post_init__(self):
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
 
-    def rhs_array(self, U: np.ndarray, grid: Grid1D) -> np.ndarray:
-        return _llf_rhs(U, grid.dx, self.gamma, grid.boundary, self.local)
+    def rhs_array(self, U: np.ndarray, grid: Grid1D, *, with_dt_fe: bool = False):
+        return _llf_rhs(U, grid.dx, self.gamma, grid.boundary, self.local, with_dt_fe)
 
     def dt_fe_array(self, U: np.ndarray, grid: Grid1D):
         return _bound_over(grid.dx, _max_wavespeed(U, self.gamma))
-
-
-SchemeSpec = DissipativeBurgers | UpwindBurgers | MusclBurgers | LaxFriedrichsEuler
 
 
 def _require_periodic(grid: Grid1D, what: str) -> None:
@@ -229,30 +224,6 @@ def _max_wavespeed(U: np.ndarray, gamma: float):
     return per_row(np.maximum.reduce(_primitive_parts(U, gamma)[2], axis=-1))
 
 
-def lax_friedrichs_flux_euler(left, right, gamma: float):
-    """Lax-Friedrichs interface flux and the interface wavespeed.
-
-    h(l, r) = (f(l) + f(r) - a*(r - l)) / 2 with a the larger of the two
-    one-sided maximal signal speeds |u| + sqrt(gamma p / rho).
-    """
-    parts = []
-    for side, state in (("left", left), ("right", right)):
-        rho, m, E = state
-        if not rho > 0.0:
-            raise NonPhysicalStateError(f"{side} state has non-positive density")
-        u = m / rho
-        p = (gamma - 1.0) * internal_energy_density(rho, m, E)
-        if p < 0.0:
-            raise NonPhysicalStateError(f"{side} state has negative pressure")
-        flux = np.array([m, m * u + p, u * (E + p)])
-        parts.append((flux, abs(u) + math.sqrt(gamma * p / rho)))
-    (f_l, a_l), (f_r, a_r) = parts
-    a = max(a_l, a_r)
-    l_arr = np.asarray(left, dtype=float)
-    r_arr = np.asarray(right, dtype=float)
-    return 0.5 * (f_l + f_r - a * (r_arr - l_arr)), a
-
-
 def _extend_euler(U: np.ndarray, boundary) -> np.ndarray:
     if isinstance(boundary, Outflow):
         return np.concatenate((U[..., :1], U, U[..., -1:]), axis=-1)
@@ -263,7 +234,7 @@ def _extend_euler(U: np.ndarray, boundary) -> np.ndarray:
     )
 
 
-def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool) -> np.ndarray:
+def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool, with_dt_fe: bool = False):
     Ue = _extend_euler(U, boundary)
     m, E = Ue[..., 1, :], Ue[..., 2, :]
     u, p, speed = _primitive_parts(Ue, gamma)
@@ -275,24 +246,43 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool) -> n
     np.add(E, p, out=ene)
     ene *= u
     del u, p, mom, ene
+    # The interface arithmetic runs on the flattened (..., 3, n+2) arrays:
+    # lane k pairs entries k and k+1, so the last lane of each row of cells
+    # pairs it with the next row's first cell.  Those lanes are scratch,
+    # computed and dropped; the others are the interfaces -1/2 .. n+1/2.  The
+    # very last lane has no partner and is zeroed, so that no uninitialized
+    # memory enters the broadcast product.
     if local:
-        a_ifc = np.maximum(speed[..., :-1], speed[..., 1:])
+        # The ghost cells copy real cells: this is the max over U's cells.
+        top = np.maximum.reduce(speed, axis=-1) if with_dt_fe else None
+        a_ifc = np.empty_like(speed)
+        lanes, speed = a_ifc.reshape(-1), speed.reshape(-1)
+        np.maximum(speed[:-1], speed[1:], out=lanes[:-1])
+        lanes[-1:] = 0.0
     else:
-        a_ifc = np.max(speed, axis=-1, keepdims=True)
+        a_ifc = np.maximum.reduce(speed, axis=-1, keepdims=True)
+        top = a_ifc[..., 0]
     del speed
     # h = 0.5 * (flux_l + flux_r - a * (U_r - U_l)) and -(h_r - h_l) / dx,
     # the same operations done in place, so that a row keeps fewer states
     # alive while a batch steps (see limits.CHUNK_BYTES).
-    h = flux[..., :-1] + flux[..., 1:]
-    del flux
-    jump = Ue[..., 1:] - Ue[..., :-1]
+    h = np.empty_like(Ue)
+    lanes = h.reshape(-1)[:-1]
+    fluxes = flux.reshape(-1)
+    np.add(fluxes[:-1], fluxes[1:], out=lanes)
+    del flux, fluxes
+    jump = np.empty_like(Ue)
+    cells, jumps = Ue.reshape(-1), jump.reshape(-1)
+    np.subtract(cells[1:], cells[:-1], out=jumps[:-1])
+    jumps[-1:] = 0.0
     jump *= a_ifc[..., None, :]
-    h -= jump
-    del jump
-    h *= 0.5
-    r = h[..., 1:] - h[..., :-1]
-    del h
-    r /= -dx
+    lanes -= jumps[:-1]
+    lanes *= 0.5
+    np.subtract(lanes[1:], lanes[:-1], out=jumps[:-2])  # h_r - h_l
+    del h, lanes
+    r = np.divide(jump[..., :-2], -dx)
+    if with_dt_fe:
+        return r, _bound_over(dx, top)
     return r
 
 
@@ -329,14 +319,3 @@ def rhs_llf_euler(f: EulerField, local: bool = True):
     require_admissible(U)
     R = LaxFriedrichsEuler(f.gamma, local).rhs_array(U, f.grid)
     return EulerField.from_stack(f.grid, R, f.gamma), _max_wavespeed(U, f.gamma)
-
-
-def dt_fe(scheme: SchemeSpec, f) -> float:
-    """Forward-Euler stability step bound of ``scheme`` on the current field.
-
-    Constant for the two fixed-rule Burgers schemes, adaptive (evaluated on
-    the current data) for MUSCL and Lax-Friedrichs Euler.  Quiescent Euler
-    flow (zero maximal wavespeed) yields +inf.
-    """
-    state = f.stack() if isinstance(f, EulerField) else f.q
-    return scheme.dt_fe_array(state, f.grid)

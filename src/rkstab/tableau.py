@@ -8,6 +8,7 @@ bisection on the standard matrix feasibility conditions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,11 +225,13 @@ def ssp_coefficient(t: ButcherTableau, tol: float = 1e-9) -> SspAnalysis:
     The coefficient is the supremum of r >= 0 for which (I + rA) is
     invertible, A(I+rA)^-1 and b^T(I+rA)^-1 are elementwise non-negative,
     r*A(I+rA)^-1*e <= e elementwise and r*b^T(I+rA)^-1*e <= 1.  The bracket
-    is [0, 2s] and the result is located to absolute tolerance ``tol``; any
-    method with a negative a_ij or b_j has coefficient exactly 0.
+    is [0, 2s] and the result is located to absolute tolerance ``tol`` (a
+    finite positive number), or to adjacent floats when ``tol`` is finer than
+    their spacing; any method with a negative a_ij or b_j has coefficient
+    exactly 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     report = validate_consistency(t)
     if not report.ok:
         raise ValueError(f"tableau {t.name!r} is inconsistent: {report}")
@@ -242,6 +245,8 @@ def ssp_coefficient(t: ButcherTableau, tol: float = 1e-9) -> SspAnalysis:
         return SspAnalysis(hi, assumption1, tol)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats
+            break
         if _absolutely_monotone(t.A, t.b, mid):
             lo = mid
         else:

@@ -7,12 +7,23 @@ Godunov flux as nested ``np.where``, the LLF flux from ``np.stack`` and
 dx / speed with +inf where the speed is zero.  The library's kernels make
 fewer numpy calls and must return the same values bit for bit, NaN in the
 same cells.  ``minmod`` and ``godunov_flux_burgers`` are the scalar
-definitions the array forms follow.
+definitions the array forms follow, ``lax_friedrichs_flux_euler`` the one
+interface flux of the LLF kernel, and ``dt_fe`` a scheme's step bound on a
+field object.
 """
+
+import math
 
 import numpy as np
 
-from rkstab.fields import Dirichlet, Outflow, Periodic
+from rkstab.fields import (
+    Dirichlet,
+    EulerField,
+    NonPhysicalStateError,
+    Outflow,
+    Periodic,
+    internal_energy_density,
+)
 
 
 def minmod(a: float, b: float) -> float:
@@ -34,6 +45,41 @@ def godunov_flux_burgers(q_minus: float, q_plus: float) -> float:
             return 0.0
         return min(fm, fp)
     return max(fm, fp)
+
+
+def lax_friedrichs_flux_euler(left, right, gamma: float):
+    """Lax-Friedrichs interface flux and the interface wavespeed.
+
+    h(l, r) = (f(l) + f(r) - a*(r - l)) / 2 with a the larger of the two
+    one-sided maximal signal speeds |u| + sqrt(gamma p / rho).
+    """
+    parts = []
+    for side, state in (("left", left), ("right", right)):
+        rho, m, E = state
+        if not rho > 0.0:
+            raise NonPhysicalStateError(f"{side} state has non-positive density")
+        u = m / rho
+        p = (gamma - 1.0) * internal_energy_density(rho, m, E)
+        if p < 0.0:
+            raise NonPhysicalStateError(f"{side} state has negative pressure")
+        flux = np.array([m, m * u + p, u * (E + p)])
+        parts.append((flux, abs(u) + math.sqrt(gamma * p / rho)))
+    (f_l, a_l), (f_r, a_r) = parts
+    a = max(a_l, a_r)
+    l_arr = np.asarray(left, dtype=float)
+    r_arr = np.asarray(right, dtype=float)
+    return 0.5 * (f_l + f_r - a * (r_arr - l_arr)), a
+
+
+def dt_fe(scheme, f) -> float:
+    """Forward-Euler stability step bound of ``scheme`` on the current field.
+
+    Constant for the two fixed-rule Burgers schemes, adaptive (evaluated on
+    the current data) for MUSCL and Lax-Friedrichs Euler.  Quiescent Euler
+    flow (zero maximal wavespeed) yields +inf.
+    """
+    state = f.stack() if isinstance(f, EulerField) else f.q
+    return scheme.dt_fe_array(state, f.grid)
 
 
 def _minmod_arr(a, b):
@@ -116,3 +162,15 @@ def muscl_dt_fe(q, dx):
 
 def llf_dt_fe(U, dx, gamma):
     return _bound_over(dx, np.max(_primitive_parts(U, gamma)[2], axis=-1))
+
+
+def euler_minima_per_cell(U):
+    """min(rho) and min(rho*e) over the cells with rho > 0 of one state
+    (rows rho, m, E), cell by cell in Python floats: NaN when any term is
+    NaN, rho*e NaN when no cell has rho > 0."""
+    rho, m, E = ([float(x) for x in row] for row in U)
+    min_rho = math.nan if any(map(math.isnan, rho)) else min(rho)
+    rhoe = [e - 0.5 * mk * mk / r for r, mk, e in zip(rho, m, E) if r > 0.0]
+    if not rhoe or any(map(math.isnan, rhoe)):
+        return min_rho, math.nan
+    return min_rho, min(rhoe)

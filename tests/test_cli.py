@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import time_limit
 from rkstab.cli import main
 
 
@@ -171,6 +172,18 @@ def test_coef_malformed_file_reports_line(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_coef_rejects_a_tol_that_is_not_finite_and_positive(tol, capsys):
+    assert main(["coef", "ssprk33", f"--tol={tol}"]) == 1
+    assert capsys.readouterr().err.startswith("error: tol must be positive and finite")
+
+
+def test_coef_with_a_tol_below_float_spacing(capsys):
+    with time_limit(10.0):
+        assert main(["coef", "ssprk33", "--tol", "1e-300"]) == 0
+    assert capsys.readouterr().out.startswith("c_ssp = 1.000000")
+
+
 def test_coef_unknown_target(capsys):
     assert main(["coef", "rk99"]) == 1
     err = capsys.readouterr().err
@@ -224,6 +237,31 @@ def test_limits_rejects_non_finite_scan_bounds(tmp_path, capsys, monkeypatch, fl
     out = tmp_path / "t.json"
     assert main(["limits", "upwind", "--schemes", "rk44", flag, "inf", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "granularity, message",
+    [
+        ("1e-13", "error: granularity must be at least 1e-11 (ticks are rounded to 12 decimals)"),
+        ("1e-300", "error: granularity must be at least 1e-11"),
+        ("1e-11", "error: granularity 1e-11 makes 1000000 or more ticks"),
+    ],
+)
+def test_limits_rejects_a_granularity_that_makes_ticks_repeat_or_too_many(
+    tmp_path, capsys, monkeypatch, granularity, message
+):
+    """Ticks are rounded to 12 decimals: below that unit consecutive ticks
+    used to repeat, and the candidate list grew until memory ran out."""
+    import rkstab.limits
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(rkstab.limits, "run_batch", no_sweep)
+    out = tmp_path / "t.json"
+    assert main(["limits", "upwind", "--schemes", "rk44", "--granularity", granularity, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 
@@ -282,3 +320,20 @@ def test_flags_that_apply_are_accepted(tmp_path):
     argv = ["run", "leblanc_n2", "--lf", "global", "--dt-factor", "0.5", "--t-final", "0.01", "--out", str(out / "l")]
     assert main(argv) in (0, 2)
     assert json.loads((out / "l" / "verdict.json").read_text())["n_steps"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "upwind", "--t-final", "0.1", "--tolerance", "nan"],
+        ["run", "dissipative", "--t-final", "0.1", "--tolerance", "inf"],
+        ["limits", "upwind", "--schemes", "rk44", "--t-final", "0.1", "--tolerance", "nan"],
+    ],
+)
+def test_a_tolerance_that_is_not_finite_is_an_error(tmp_path, capsys, argv):
+    """A NaN tolerance used to fail every energy/tv comparison: the run
+    reported a stability violation and exited 2."""
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: tolerance must be non-negative and finite")
+    assert not out.exists()

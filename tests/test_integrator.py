@@ -335,3 +335,77 @@ def test_history_minima_are_those_of_each_step_solution(scheme, c, lf, abort):
     np.testing.assert_array_equal(bits(got[:, 4]), bits(record.min_rho))
     np.testing.assert_array_equal(bits(got[:, 5]), bits(record.min_rhoe))
     assert rows[1].verdict == record.verdict
+
+
+class Counting:
+    """Forwards to a scheme, counting its kernel calls; ``fuse=False`` hides
+    the scheme's ``rhs_gives_dt_fe``, so the loop asks for the bound apart."""
+
+    def __init__(self, inner, fuse: bool):
+        self.inner, self.fuse, self.rhs_calls, self.dt_fe_calls = inner, fuse, 0, 0
+
+    def rhs_array(self, U, grid, **kwargs):
+        self.rhs_calls += 1
+        return self.inner.rhs_array(U, grid, **kwargs)
+
+    def dt_fe_array(self, U, grid):
+        self.dt_fe_calls += 1
+        return self.inner.dt_fe_array(U, grid)
+
+    def __getattr__(self, name):
+        if name == "rhs_gives_dt_fe" and not self.fuse:
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize("lf", ["local", "global"])
+@pytest.mark.parametrize(
+    "scheme_id, c, abort",
+    [
+        ("rk44", 0.6, None),
+        ("rk44", 1.6, "RHS evaluation failed at stage 2"),
+        ("midpoint", 2.5, "RHS evaluation failed at stage 0"),
+        ("forward_euler", 2.5, "degenerate_dt"),
+    ],
+)
+def test_step_bound_from_the_stage_0_pass_equals_the_bound_asked_apart(lf, scheme_id, c, abort):
+    """An LLF run takes dt_FE(q^n) from its stage-0 kernel call; runs, batches
+    and traced states must equal those of a loop asking dt_fe_array apart,
+    bit for bit, also when a run aborts."""
+    base = preset_config("leblanc_n2", scheme_id, c, t_final=0.02, lf=lf)
+    runs = {}
+    for fuse in (True, False):
+        scheme = Counting(base.scheme, fuse)
+        cfg = SimulationConfig(scheme, base.tableau, base.grid, base.ic, base.t_final, c, base.monitor)
+        states = []
+        record = simulate(cfg, trace_callback=lambda step, t, trace: states.append(np.concatenate(
+            [np.ravel(x) for x in (*trace.stage_solutions, *trace.stage_derivatives, *trace.shifted_states)])))
+        assert (scheme.dt_fe_calls == 0) == fuse
+        # One tableau and the five built-ins; at c >= 1.6 a forward Euler row
+        # leaves on a degenerate dt_FE while the low-c rows step on.
+        rows = [
+            row
+            for tableaux in ([cfg.tableau] * 5, [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS])
+            for row in run_batch(cfg, [0.3, 0.9, c, 1.6, 2.5], tableaux=tableaux, record=True)
+        ]
+        runs[fuse] = (record, states, rows, scheme.rhs_calls)
+    (record, states, rows, calls), (apart, apart_states, apart_rows, apart_calls) = runs[True], runs[False]
+    # The stage-0 pass is stage 0's one kernel call.  It runs before the bound
+    # is known, so a batch whose last rows leave on a degenerate dt_FE makes
+    # one call that the apart loop does not: at most one per run_batch call.
+    assert apart_calls <= calls <= apart_calls + 3
+    if abort is None:
+        assert record.verdict.aborted_step is None
+    else:
+        assert record.verdict.abort_reason.startswith(abort)
+    assert record.verdict == apart.verdict and record.n_steps == apart.n_steps
+    for name in ("times", "monitor_step_values", "monitor_stage_worst", "monitor_shifted_worst", "min_rho", "min_rhoe"):
+        np.testing.assert_array_equal(bits(getattr(record, name)), bits(getattr(apart, name)))
+    np.testing.assert_array_equal(bits(record.final_field.stack()), bits(apart.final_field.stack()))
+    assert len(states) == len(apart_states) == record.n_steps
+    for got, want in zip(states, apart_states):
+        np.testing.assert_array_equal(bits(got), bits(want))
+    for row, other in zip(rows, apart_rows):
+        assert row.verdict == other.verdict and row.n_steps == other.n_steps
+        np.testing.assert_array_equal(bits(row.history), bits(other.history))
+        np.testing.assert_array_equal(bits(row.final_state), bits(other.final_state))

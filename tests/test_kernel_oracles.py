@@ -3,18 +3,25 @@
 Every non-NaN value must have the oracle's bits (compared as ``int64``, so
 that -0.0 and +0.0 differ) and NaN must sit in the same cells, for single
 states and stacks, on both boundaries each kernel supports, with NaN,
-infinities, signed zeros and 1e-300 in the data.
+infinities, signed zeros and 1e-300 in the data.  The LLF kernel works on
+flattened rows, whose lanes at cells 0 and n-1 pair a row with the next:
+special values sit there too.  ``euler_minima`` is checked against a
+per-cell oracle.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernel_oracles import llf_dt_fe, llf_rhs, muscl_dt_fe, muscl_rhs
-from rkstab.fields import Dirichlet, Grid1D, Outflow, Periodic
+from kernel_oracles import euler_minima_per_cell, llf_dt_fe, llf_rhs, muscl_dt_fe, muscl_rhs
+from rkstab.fields import Dirichlet, Grid1D, Outflow, Periodic, euler_minima
 from rkstab.spatial import LaxFriedrichsEuler, MusclBurgers
 
 # 1.234e-161 squares into the subnormals, where (0.5 * x) * x and 0.5 * (x * x) differ.
 SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 1.234e-161, -1.234e-161, 1.0, -0.5, 0.5])
+# ... and subnormals themselves.
+EDGE = np.concatenate([SPECIAL, [5e-324, -5e-324, 1e-310, -1e-310]])
 GAMMA = 5.0 / 3.0
 
 
@@ -67,26 +74,54 @@ def test_muscl_kernel_equals_oracle_bitwise(boundary):
             assert_bitwise(scheme.rhs_array(q, grid), muscl_rhs(q, grid.dx, boundary))
 
 
+def admissible(rng, lead, n):
+    """Random admissible states shaped lead + (3, n)."""
+    rho = rng.uniform(1e-3, 2.0, size=lead + (n,))
+    u = rng.uniform(-1.0, 1.0, size=lead + (n,))
+    p = rng.uniform(1e-10, 1.0, size=lead + (n,))
+    return np.stack([rho, rho * u, p / (GAMMA - 1.0) + 0.5 * rho * u * u], axis=-2)
+
+
 def euler_stacks(rng, n):
     """Admissible random states, then with special values in rho, m and E."""
     for lead in ((), (1,), (4,)):
-        rho = rng.uniform(1e-3, 2.0, size=lead + (n,))
-        u = rng.uniform(-1.0, 1.0, size=lead + (n,))
-        p = rng.uniform(1e-10, 1.0, size=lead + (n,))
-        U = np.stack([rho, rho * u, p / (GAMMA - 1.0) + 0.5 * rho * u * u], axis=-2)
+        U = admissible(rng, lead, n)
         yield U
         for share in (0.05, 0.3):
             yield sprinkle(rng, U, share)
 
 
+def edge_stacks(rng, n):
+    """Admissible states with special values in cells 0 and n-1 of every row
+    and component: every pair of them, then random draws per row."""
+    pairs = np.array(np.meshgrid(EDGE, EDGE)).reshape(2, -1).T
+    for lead, edges in (
+        ((len(pairs),), np.stack([pairs, pairs[:, ::-1], pairs], axis=1)),
+        ((), rng.choice(EDGE, size=(3, 2))),
+        ((1,), rng.choice(EDGE, size=(1, 3, 2))),
+        ((5,), rng.choice(EDGE, size=(5, 3, 2))),
+    ):
+        U = admissible(rng, lead, n)
+        U[..., 0], U[..., -1] = edges[..., 0], edges[..., 1]
+        yield U
+
+
 @pytest.mark.parametrize("boundary", [Outflow(), Periodic()], ids=["outflow", "periodic"])
 @pytest.mark.parametrize("local", [True, False], ids=["local", "global"])
 def test_llf_kernel_equals_oracle_bitwise(boundary, local):
+    """The kernel, and its stage-0 pass, which also returns the scheme's
+    step bound, bit for bit, also with special values in the scratch lanes."""
     rng = np.random.default_rng(43)
     grid = Grid1D(17, 0.0, 1.0, boundary)
     scheme = LaxFriedrichsEuler(GAMMA, local)
-    for U in euler_stacks(rng, 17):
-        assert_bitwise(scheme.rhs_array(U, grid), llf_rhs(U, grid.dx, GAMMA, boundary, local))
+    for U in [*euler_stacks(rng, 17), *edge_stacks(rng, 17)]:
+        R = scheme.rhs_array(U, grid)
+        assert_bitwise(R, llf_rhs(U, grid.dx, GAMMA, boundary, local))
+        R0, bound = scheme.rhs_array(U, grid, with_dt_fe=True)
+        assert R0.flags.c_contiguous
+        assert_bitwise(R0, R)
+        assert_bitwise(np.asarray(bound), llf_dt_fe(U, grid.dx, GAMMA))
+        assert type(bound) is type(scheme.dt_fe_array(U, grid))  # a float for one state
     # the Leblanc jump, with a zero, a negative zero and a tiny density behind it
     x = grid.points()
     for rho_r in (1e-3, 0.0, -0.0, 1e-300):
@@ -102,3 +137,44 @@ def test_llf_step_bound_equals_oracle_bitwise():
         assert_bitwise(np.asarray(scheme.dt_fe_array(U, grid)), llf_dt_fe(U, grid.dx, GAMMA))
     U = np.stack([np.ones(17), np.zeros(17), np.zeros(17)])  # at rest, no pressure: speed 0
     assert_bitwise(np.asarray(scheme.dt_fe_array(U, grid)), np.asarray(np.inf))
+    assert scheme.rhs_array(U, grid, with_dt_fe=True)[1] == np.inf
+
+
+ROW_KINDS = ("mixed", "all_good", "all_bad")
+CELL = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([float(x) for x in EDGE]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+GOOD_RHO = st.one_of(st.floats(1e-3, 3.0), st.sampled_from([1e-300, 1.234e-161, 5e-324, 1e-310, np.inf]))
+BAD_RHO = st.sampled_from([0.0, -0.0, -1.0, -1e-300, -5e-324, -np.inf, np.nan])
+
+
+@st.composite
+def euler_rows(draw):
+    """A stack (B, 3, n) of rows that are mixed, all rho > 0 or all rho <= 0 / NaN."""
+    n = draw(st.integers(1, 9))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=5)):
+        rho = {"mixed": st.one_of(CELL, GOOD_RHO, BAD_RHO), "all_good": GOOD_RHO, "all_bad": BAD_RHO}[kind]
+        rows.append([draw(st.lists(rho, min_size=n, max_size=n))] + [draw(st.lists(CELL, min_size=n, max_size=n)) for _ in "mE"])
+    return np.array(rows)
+
+
+def assert_same_value(got, want):
+    """Equal as values (-0.0 == 0.0: a minimum over signed zeros may take
+    either), NaN alike."""
+    assert (np.isnan(got) and np.isnan(want)) or got == want, (got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(U=euler_rows())
+def test_euler_minima_equal_a_per_cell_oracle(U):
+    stacked = euler_minima(U)
+    for k, row in enumerate(U):
+        want = euler_minima_per_cell(row)
+        single = euler_minima(row)
+        assert all(type(x) is float for x in single)
+        for got in (single, (stacked[0][k], stacked[1][k])):
+            assert_same_value(got[0], want[0])
+            assert_same_value(got[1], want[1])

@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
+from kernel_oracles import lax_friedrichs_flux_euler
 from rkstab.fields import EulerField, positivity_check
 from rkstab.integrator import rk_step_instrumented, simulate
 from rkstab.monitors import Monitor, check_shifted_criterion, check_step_criterion
 from rkstab.presets import preset_config
-from rkstab.spatial import LaxFriedrichsEuler, lax_friedrichs_flux_euler
+from rkstab.spatial import LaxFriedrichsEuler
 
 #: scheme -> (c_s, c_p) of both Leblanc presets, at sweep granularity 0.1.
 LEBLANC_LIMITS = {

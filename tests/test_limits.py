@@ -37,6 +37,29 @@ def test_search_config_validation():
                 LimitSearchConfig(base=base, **{field: value})
 
 
+@pytest.mark.parametrize("c_max", [0.3, 1.0, 5.0, 123.456, 1e6, 1e12])
+def test_the_finest_accepted_granularity_gives_strictly_increasing_ticks(c_max):
+    """Ticks are rounded to TICK_DECIMALS decimals; the finest granularity a
+    config accepts keeps consecutive ticks apart, on and off the decimal grid."""
+    base = preset_config("upwind", "rk44", 1.0)
+    finest = 2.0 * 10.0**-limits.TICK_DECIMALS * max(1.0, c_max)
+    for ticks_below in (20_000, 20_000.25, 20_000.5):
+        c_min = c_max - ticks_below * finest
+        with pytest.raises(ValueError, match="granularity must be at least"):
+            LimitSearchConfig(base=base, c_min=c_min, c_max=c_max, granularity=math.nextafter(finest, 0.0))
+        cfg = LimitSearchConfig(base=base, c_min=c_min, c_max=c_max, granularity=finest)
+        ticks = limits._candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
+        assert len(ticks) >= 20_000
+        assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+
+def test_a_scan_has_fewer_than_max_ticks():
+    base = preset_config("upwind", "rk44", 1.0)
+    with pytest.raises(ValueError, match="or more ticks"):
+        LimitSearchConfig(base=base, c_min=1.0, c_max=2.0, granularity=1.0 / limits.MAX_TICKS)
+    LimitSearchConfig(base=base, c_min=1.0, c_max=2.0, granularity=1.01 / limits.MAX_TICKS)
+
+
 def test_upwind_forward_euler_limits():
     result = find_limits(upwind_search())
     assert result.c_p == pytest.approx(1.3)

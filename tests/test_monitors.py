@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,13 @@ def test_monitor_validation():
         Monitor(kind="entropy")
     with pytest.raises(ValueError):
         Monitor(kind="tv", tolerance=-1.0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["energy", "tv", "positivity"])
+def test_monitor_rejects_a_tolerance_that_is_not_finite(kind, tolerance):
+    with pytest.raises(ValueError, match="tolerance must be non-negative and finite"):
+        Monitor(kind=kind, tolerance=tolerance)
 
 
 def test_forward_euler_verdict_structure():

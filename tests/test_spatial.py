@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kernel_oracles import godunov_flux_burgers, minmod
+from kernel_oracles import dt_fe, godunov_flux_burgers, lax_friedrichs_flux_euler, minmod
 from rkstab.fields import (
     Dirichlet,
     EulerField,
@@ -19,8 +19,6 @@ from rkstab.spatial import (
     MusclBurgers,
     UnsupportedBoundaryError,
     UpwindBurgers,
-    dt_fe,
-    lax_friedrichs_flux_euler,
     rhs_dissipative_burgers,
     rhs_llf_euler,
     rhs_muscl_burgers,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from rkstab.tableau import (
     tableau_to_text,
     validate_consistency,
 )
+
+from conftest import time_limit
 
 # Kutta's third-order scheme: third order but with a negative coefficient,
 # outside the all-coefficients-in-[0,1] class.
@@ -118,6 +122,26 @@ def test_ssp_feasibility_is_monotone_around_result(scheme_id):
     for probe in np.linspace(0.0, max(r - 2 * tol, 0.0), 7):
         assert _absolutely_monotone(t.A, t.b, probe)
     assert not _absolutely_monotone(t.A, t.b, r + 2 * tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_ssp_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ssp_coefficient(builtin_scheme("ssprk33"), tol=tol)
+
+
+@pytest.mark.parametrize("scheme_id", BUILTIN_SCHEME_IDS)
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+def test_ssp_bisection_below_float_spacing_ends_on_adjacent_floats(scheme_id, tol):
+    """A tol finer than the float spacing near the result ends the bisection
+    once lo and hi are adjacent: lo is feasible, the next float up is not."""
+    t = builtin_scheme(scheme_id)
+    with time_limit(10.0):
+        r = ssp_coefficient(t, tol=tol).ssp_coefficient
+    assert r == pytest.approx(EXPECTED_CSSP[scheme_id], abs=1e-12)
+    assert _absolutely_monotone(t.A, t.b, r)
+    if r < 2.0 * t.s:  # else the bracket's top was feasible: no bisection
+        assert not _absolutely_monotone(t.A, t.b, np.nextafter(r, math.inf))
 
 
 def test_ssp_rejects_inconsistent_tableau():
