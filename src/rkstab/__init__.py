@@ -14,10 +14,7 @@ from .fields import (
     NonPhysicalStateError,
     Outflow,
     Periodic,
-    PrimitiveState,
     ScalarField,
-    conserved_to_primitive,
-    euler_flux,
     positivity_check,
     quadratic_energy,
     total_variation,

@@ -21,11 +21,8 @@ __all__ = [
     "Grid1D",
     "ScalarField",
     "EulerField",
-    "PrimitiveState",
     "PositivityReport",
     "NonPhysicalStateError",
-    "conserved_to_primitive",
-    "euler_flux",
     "per_row",
     "tv_includes_wrap",
     "total_variation_array",
@@ -36,7 +33,6 @@ __all__ = [
     "euler_floor",
     "require_admissible",
     "positivity_check",
-    "energy_numerator_coefficients",
     "internal_energy_density",
     "field_to_csv",
 ]
@@ -153,13 +149,6 @@ class EulerField:
 
 
 @dataclass(frozen=True)
-class PrimitiveState:
-    rho: float
-    u: float
-    p: float
-
-
-@dataclass(frozen=True)
 class PositivityReport:
     passed: bool
     min_rho: float
@@ -171,25 +160,6 @@ class PositivityReport:
 def internal_energy_density(rho, m, E):
     """rho*e = E - m^2/(2 rho); works elementwise on arrays."""
     return E - 0.5 * m * m / rho
-
-
-def conserved_to_primitive(rho: float, m: float, E: float, gamma: float) -> PrimitiveState:
-    """Convert one conserved triple to (rho, u, p)."""
-    if rho == 0.0:
-        raise NonPhysicalStateError("cannot convert state with zero density")
-    u = m / rho
-    rhoe = internal_energy_density(rho, m, E)
-    return PrimitiveState(rho=rho, u=u, p=(gamma - 1.0) * rhoe)
-
-
-def euler_flux(state, gamma: float) -> np.ndarray:
-    """Physical Euler flux [m, m*u + p, u*(E + p)] of one conserved triple."""
-    rho, m, E = state
-    if not rho > 0.0:
-        raise NonPhysicalStateError(f"flux of non-physical state rho={rho}")
-    u = m / rho
-    p = (gamma - 1.0) * internal_energy_density(rho, m, E)
-    return np.array([m, m * u + p, u * (E + p)])
 
 
 def tv_includes_wrap(boundary, override: bool | None = None) -> bool:
@@ -298,24 +268,6 @@ def positivity_check(f: EulerField) -> PositivityReport:
         return PositivityReport(True, min_rho, min_rhoe, None, None)
     reason, cell = failure
     return PositivityReport(False, min_rho, min_rhoe, cell, reason)
-
-
-def energy_numerator_coefficients(state, rhs):
-    """Quadratic coefficients (a, b, c) of the internal-energy numerator.
-
-    For a state (rho, m, E) advanced by a frozen rate (R_rho, R_m, R_E), the
-    numerator of rho*e after a step of size dt is c + b*dt + a*dt^2 with
-
-        a = R_E*R_rho - 0.5*R_m^2
-        b = E*R_rho + rho*R_E - m*R_m
-        c = E*rho - 0.5*m^2
-    """
-    rho, m, E = state
-    r_rho, r_m, r_E = rhs
-    a = r_E * r_rho - 0.5 * r_m * r_m
-    b = E * r_rho + rho * r_E - m * r_m
-    c = E * rho - 0.5 * m * m
-    return a, b, c
 
 
 def field_to_csv(f, path) -> None:

@@ -103,10 +103,10 @@ def rk_step_instrumented(
     ``rhs`` maps a state to its time derivative; states are numpy arrays,
     and ``dt`` may be an array broadcasting against them (one step size per
     row of a stack of states).  ``tableau`` is a :class:`ButcherTableau` or
-    the step plan :func:`_batch_tableau` makes of it or of a mix: in a mixed
-    step (a plan whose ``width`` is not None) stage ``i`` exists on the first
-    ``width[i]`` rows only: its stage solution, derivative and shifted state
-    are those rows, and ``q_rk`` is ``q_n`` plus each ``b_j`` term on its prefix.
+    the step plan :func:`_batch_tableau` makes of it or of a stack of rows:
+    stage ``i`` exists on the first ``width[i]`` rows (None: on all of them):
+    its stage solution, derivative and shifted state are those rows, and
+    ``q_rk`` is ``q_n`` plus each ``b_j`` term on its prefix.
 
     Without ``out`` the step returns its :class:`StageTrace`.  With ``out``,
     2s + 1 arrays (stages 1..s-1, ``q_rk`` and shifted states 0..s-1, each
@@ -125,19 +125,17 @@ def rk_step_instrumented(
     s, width = tab.s, tab.width
     derivs = [] if out is None else None
     if out is None:
-        rows = [None] * (2 * s) if width is None else width[1:] + [len(q_n)] + width
-        out = [np.empty_like(q_n[:n], dtype=float) for n in rows] + [np.empty_like(q_n, dtype=float)]
+        out = [np.empty_like(q_n[:n], dtype=float) for n in width[1:] + [None] + width + [None]]
     # Index k < s is stage k, index s is q_rk.  Each gets its terms as soon as
     # the derivative they need exists, in the order of j, and the first term
-    # makes it q^n + term; a mixed q_rk starts as q^n, as its rows differ in
+    # makes a stage q^n + term; q_rk starts as q^n, as its rows may differ in
     # the terms they have.
     states = [q_n, *out[: s - 1], out[s - 1]]
     shifted, scratch = out[s : 2 * s], out[2 * s]
-    fresh = [True] * s + [width is None]
-    if width is not None:
-        np.copyto(states[s], q_n)
+    fresh = [True] * s + [False]
+    np.copyto(states[s], q_n)
     for i, terms in enumerate(tab.terms):
-        q_0, dt_i = (q_n, dt) if width is None else (q_n[: width[i]], dt[: width[i]])
+        q_0, dt_i = (q_n, dt) if width[i] is None else (q_n[: width[i]], dt[: width[i]])
         q_i = states[i]
         if i and fresh[i]:  # a stage without terms is q^n
             np.copyto(q_i, q_0)
@@ -162,8 +160,6 @@ def rk_step_instrumented(
                 np.multiply(coef, term, out=tmp)
                 np.add(dest, tmp, out=dest)
         del r_i  # not alive during the next stage's rhs call
-    if fresh[s]:
-        np.copyto(states[s], q_n)
     if derivs is None:
         return None
     return StageTrace(
@@ -331,27 +327,27 @@ def _admissibility_error(U) -> NonPhysicalStateError | None:
 def _batch_tableau(tableaux: list, column_shape: tuple | None):
     """The step plan of a stack of rows, built once per layout.
 
-    ``s`` is the largest stage count.  With one tableau for every row
-    ``width`` is None; else the rows come in descending stage count and
-    stage ``i`` runs on the ``width[i]`` rows that have it.  ``terms[i]``
+    The rows come in descending stage count; ``s`` is the largest, and
+    stage ``i`` runs on the first ``width[i]`` rows, those that have it
+    (None: all of them, so a full stage is never sliced).  ``terms[i]``
     lists the nonzero terms of derivative ``i``: ``(k, a, n)`` adds it to
     stage ``k`` (``k = s``: q_rk) with coefficient ``a`` (``A[k, i]`` or
     ``b[i]``), a float when every row has the same, else a column of the
     rows' values, on the first ``n`` rows (None: all of them)."""
-    same = all(t is tableaux[0] for t in tableaux)
     s = tableaux[0].s
-    width = None if same else [sum(t.s > i for t in tableaux) for i in range(s)]
+    width = [sum(t.s > i for t in tableaux) for i in range(s)]
+    width = [None if n == len(tableaux) else n for n in width]
     Ab = np.zeros((s + 1, s, len(tableaux)))  # [k, i, row]: A, then b as row s
     for r, t in enumerate(tableaux):
         Ab[: t.s, : t.s, r] = t.A
         Ab[s, : t.s, r] = t.b
     terms = [[] for _ in range(s)]
     for i, k in itertools.combinations(range(s + 1), 2):
-        n = None if same else width[k] if k < s else width[i]  # b_i covers stage i's rows
+        n = width[k] if k < s else width[i]  # b_i covers stage i's rows
         x = Ab[k, i, :n]
         if x.any():
             a = float(x[0]) if (x == x[0]).all() else x.reshape(column_shape)
-            terms[i].append((k, a, None if n == len(tableaux) else n))
+            terms[i].append((k, a, n))
     return SimpleNamespace(s=s, width=width, terms=terms)
 
 
@@ -362,20 +358,17 @@ def _step_layout(buffer: np.ndarray, scratch: np.ndarray, tab, rows: int):
     blocks of ``buffer`` holding stages 1..s-1 (each on the rows that have
     it), q_rk and shifted states 0..s-1, then ``scratch`` cut to ``rows``; and
     the number of states in those blocks, which the monitor reads as one
-    stack.  A mixed step also returns ``take``, which places the values of
-    ``v_n`` and of those states, concatenated, into the ``(rows, 2s+1)``
-    layout of a one-tableau step: a stage a row lacks would be q^n and takes
-    the value of stage 0, its shifted state shifted state 0's.  A one-tableau
-    step has ``take`` None, its blocks being ``rows`` states each."""
+    stack; and ``take``, which places the values of ``v_n`` and of those
+    states, concatenated, into a ``(rows, 2s+1)`` layout, row by row: q^n,
+    stages 1..s-1, q_rk, shifted states 0..s-1.  A stage a row lacks would
+    be q^n and takes the value of stage 0, its shifted state shifted state
+    0's."""
     s = tab.s
-    width = getattr(tab, "width", None)
-    stage_rows = width or [rows] * s
+    stage_rows = [rows if n is None else n for n in tab.width]
     sizes = [rows] + stage_rows[1:] + [rows] + stage_rows  # v_n, stages 1.., q_rk, shifted
     starts = list(itertools.accumulate(sizes, initial=0))
     out = [buffer[a - rows : b - rows] for a, b in zip(starts[1:-1], starts[2:])] + [scratch[:rows]]
     n_states = starts[-1] - rows
-    if width is None:
-        return out, n_states, None
     k = np.arange(rows)
     home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
     take = np.stack([np.where(k < n, a + k, starts[h] + k) for n, a, h in zip(sizes, starts, home)], axis=1)
@@ -461,7 +454,7 @@ def run_batch(
     step = 0
     # The workspace: room for the first step's states (rows only leave, so
     # later steps need less) and a scratch state per row.
-    buffer = np.empty((2 * sum(tab.width or [len(rows)] * tab.s),) + q0.shape)
+    buffer = np.empty((2 * sum(n or len(rows) for n in tab.width),) + q0.shape)
     scratch = np.empty_like(q)
     out, n_states, take = _step_layout(buffer, scratch, tab, len(rows))
 
@@ -474,9 +467,8 @@ def run_batch(
             if record:
                 row.final_state = q[k]
         live, c, q, t, v_n, budget, failed = (a[keep] for a in (live, c, q, t, v_n, budget, failed))
-        if live.size:
-            if tab.width is not None:  # a mix: step with the rows that stay
-                tab = _batch_tableau([tableaux[r] for r in live], as_column)
+        if live.size:  # step with the rows that stay
+            tab = _batch_tableau([tableaux[r] for r in live], as_column)
             out, n_states, take = _step_layout(buffer, scratch, tab, live.size)
         return [None if a is None else a[keep] for a in extra]
 
@@ -525,7 +517,7 @@ def run_batch(
                 # values, with less overhead per operation than a 1x1 array.
                 dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
                 # This step's layout: an Euler leave() below re-lays the workspace.
-                s, states, q_rk, step_take = tab.s, buffer[:n_states], out[tab.s - 1], take
+                s, states, q_rk = tab.s, buffer[:n_states], out[tab.s - 1]
                 first, r0 = ([] if r0 is None else [r0]), None
                 if trace_callback is None:
                     rk_step_instrumented(tab, rhs, q, dt_rows, out=out, r0=first)
@@ -552,10 +544,7 @@ def run_batch(
                 minima = [m[at : at + live.size] for m in minima]
             else:
                 values = state_values(monitor, grid, states)
-            if step_take is None:  # s - 1 stages, q_rk and s shifted states of all rows, in turn
-                values = np.concatenate((v_n[:, None], values.reshape(2 * s, -1).T), axis=1)
-            else:
-                values = np.concatenate((v_n, values))[step_take]
+            values = np.concatenate((v_n, values))[take]
             if is_euler:
                 # A stage whose floor is not positive is one the kernel may not see.
                 admissible = values[:, :s] > 0.0
@@ -564,7 +553,7 @@ def run_batch(
                     for k in np.flatnonzero(inadmissible):
                         i = int(np.argmin(admissible[k]))
                         # Stage i of row k in the workspace; stage 0 is q^n.
-                        at = (i - 1) * live.size + k if step_take is None else step_take[k, i] - live.size
+                        at = take[k, i] - live.size
                         cause = _admissibility_error(q[k] if at < 0 else states[at])
                         abort(k, str(StepFailedError(i, cause)))
                     dt, values, q_rk, *minima = leave(~inadmissible, dt, values, q_rk, *minima)

@@ -252,9 +252,10 @@ def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
     count, scheme name, c), a c band being ``_chunk_rows // live scans``
     consecutive c values, so the long low-c rows of all scans share a
     chunk, and cuts it into chunks of at most
-    ``min(_chunk_rows, ceil(rows / workers))`` rows, which run serially or,
-    with ``workers > 1``, in a process pool.  The rounds do not depend on
-    ``workers``."""
+    ``min(_chunk_rows, ceil(rows / processes))`` rows, ``processes`` being
+    ``workers`` capped at the CPU count; they run serially or, with two or
+    more processes and chunks, in a process pool.  The rounds do not depend
+    on ``workers``."""
     base = cfgs[0].base
     band = _chunk_rows(base, len(cfgs)) // len(cfgs)
     scans = [_scan(cfg, band) for cfg in cfgs]
@@ -268,7 +269,7 @@ def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
             c_band = chunk_rows // len(offers)
             rank = {c: r for r, c in enumerate(sorted({c for cs in offers.values() for c in cs}))}
             rows = sorted((rank[c] // c_band, tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs)
-            size = min(chunk_rows, math.ceil(len(rows) / workers))
+            size = min(chunk_rows, math.ceil(len(rows) / processes))
             chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
             jobs = [(base, [tabs[k] for *_, k in chunk], [row[3] for row in chunk]) for chunk in chunks]
             # Outcomes arrive in row order, serial or pooled.

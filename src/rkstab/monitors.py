@@ -34,7 +34,6 @@ __all__ = [
     "family_worst",
     "check_step_criterion",
     "check_shifted_criterion",
-    "positivity_of_trace",
 ]
 
 MONITOR_KINDS = ("energy", "tv", "positivity")
@@ -181,8 +180,3 @@ def check_shifted_criterion(monitor: Monitor, trace) -> list[MonitorVerdict]:
     All of them passing is the per-step requirement behind c^s.
     """
     return _verdicts(monitor, trace, _shifted_states(trace))
-
-
-def positivity_of_trace(trace) -> list[MonitorVerdict]:
-    """Strict positivity of every state in the trace: stages, step, shifted."""
-    return _verdicts(Monitor(kind="positivity"), trace, _step_states(trace) + _shifted_states(trace))

@@ -9,7 +9,8 @@ fewer numpy calls and must return the same values bit for bit, NaN in the
 same cells.  ``minmod`` and ``godunov_flux_burgers`` are the scalar
 definitions the array forms follow, ``lax_friedrichs_flux_euler`` the one
 interface flux of the LLF kernel, and ``dt_fe`` a scheme's step bound on a
-field object.
+field object.  ``rk_step_rows`` is the textbook RK step of each row of a
+stack on its own, which the integrator's batched step must equal.
 """
 
 import math
@@ -174,3 +175,26 @@ def euler_minima_per_cell(U):
     if not rhoe or any(map(math.isnan, rhoe)):
         return min_rho, math.nan
     return min_rho, min(rhoe)
+
+
+def rk_step_rows(tableaux, rhs, q, dts):
+    """One RK step of each row ``q[k]`` with ``tableaux[k]`` and ``dts[k]``,
+    row by row: stage i is q^n + (dt a_ij) R^j summed over the nonzero
+    a_ij in the order of j, q_rk likewise with the b_j, shifted state j is
+    q^n + dt R^j.  Returns per row (stages 0..s-1, q_rk, shifted states)."""
+    steps = []
+    for tab, q_n, dt in zip(tableaux, q, dts):
+        stages, derivs = [], []
+        for i in range(tab.s):
+            q_i = q_n
+            for j in range(i):
+                if tab.A[i, j] != 0.0:
+                    q_i = q_i + (dt * tab.A[i, j]) * derivs[j]
+            stages.append(q_i)
+            derivs.append(rhs(q_i[None])[0])  # the kernel on a one-row stack
+        q_rk = q_n
+        for j in range(tab.s):
+            if tab.b[j] != 0.0:
+                q_rk = q_rk + (dt * tab.b[j]) * derivs[j]
+        steps.append((stages, q_rk, [q_n + dt * r for r in derivs]))
+    return steps

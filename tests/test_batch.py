@@ -21,6 +21,7 @@ from rkstab.presets import PRESET_IDS, preset_config
 from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme
 
 from conftest import SWEEP_WORKERS
+from kernel_oracles import rk_step_rows
 
 # Final times short enough for a quick sweep that still passes and fails
 # candidates of every preset.
@@ -404,6 +405,17 @@ def test_refine_rounds_fit_one_sorted_chunk(monkeypatch):
         assert b == sorted(b, key=lambda row: (rank[row[2]] // c_band, row))
 
 
+def test_a_round_is_cut_by_the_processes_started(monkeypatch):
+    """With one CPU, two workers start no pool and cut each round as one
+    worker does, rather than into chunks run one after another."""
+    monkeypatch.setattr(limits.os, "cpu_count", lambda: 1)
+    calls = {}
+    for workers in (1, 2):
+        calls[workers] = record_compositions(monkeypatch)
+        limits_table("muscl2", refine=True, t_final=SHORT_T_FINAL["muscl2"], workers=workers)
+    assert calls[2] == calls[1]
+
+
 def stacked_step_inputs(preset: str, cs):
     """q^0 of ``preset`` stacked once per multiplier, each row's dt, and the RHS."""
     base = preset_config(preset, "rk44", 1.0)
@@ -438,8 +450,10 @@ def test_workspace_step_equals_traced_step(preset):
     base, q, dt, rhs = stacked_step_inputs(preset, cs)
     for name in BUILTIN_SCHEME_IDS:
         tab = builtin_scheme(name)
-        states, take = workspace_step(tab, rhs, q, dt)
-        assert take is None and len(states) == 2 * tab.s
+        states, take = workspace_step(integrator._batch_tableau([tab] * len(q), (-1,) + dt.shape[1:]), rhs, q, dt)
+        # Every row has every state: take reads block after block, row by row.
+        assert len(states) == 2 * tab.s
+        np.testing.assert_array_equal(take, np.arange(len(q) * (2 * tab.s + 1)).reshape(-1, len(q)).T)
         for got, want in zip(states, trace_states(integrator.rk_step_instrumented(tab, rhs, q, dt))):
             np.testing.assert_array_equal(got, want)
 
@@ -447,7 +461,6 @@ def test_workspace_step_equals_traced_step(preset):
     base, q, dt, rhs = stacked_step_inputs(preset, [0.3, 0.9, 1.4, 0.6, 1.1])
     tab = integrator._batch_tableau(tableaux, (-1,) + dt.shape[1:])
     states, take = workspace_step(tab, rhs, q, dt)
-    assert take is not None
     for got, want in zip(states, trace_states(integrator.rk_step_instrumented(tab, rhs, q, dt))):
         np.testing.assert_array_equal(got, want)
     s = tab.s
@@ -458,6 +471,27 @@ def test_workspace_step_equals_traced_step(preset):
         np.testing.assert_array_equal(states[s - 1][k], alone.q_rk[0])
         for j in range(row_tab.s):
             np.testing.assert_array_equal(states[s + j][k], alone.shifted_states[j][0])
+
+
+@pytest.mark.parametrize("preset", ["muscl2", "leblanc_n2", "dissipative"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # c = 1.4 takes Leblanc's stages out of the admissible set
+def test_workspace_step_equals_row_by_row_oracle(preset):
+    """The workspace step equals the textbook step of each row on its own,
+    bit for bit, on every stage, q_rk and shifted state: for each built-in
+    tableau on a stack of rows, and for the five mixed."""
+    _, q, dt, rhs = stacked_step_inputs(preset, [0.3, 0.9, 1.4, 0.6, 1.1])
+    mixed = sorted((builtin_scheme(name) for name in BUILTIN_SCHEME_IDS), key=lambda t: -t.s)
+    for tableaux in [[builtin_scheme(name)] * len(q) for name in BUILTIN_SCHEME_IDS] + [mixed]:
+        tab = integrator._batch_tableau(tableaux, (-1,) + dt.shape[1:])
+        states, _ = workspace_step(tab, rhs, q, dt)
+        s = tab.s
+        steps = rk_step_rows(tableaux, rhs, q, [float(x.item()) for x in dt])
+        for k, (row_tab, (stages, q_rk, shifted)) in enumerate(zip(tableaux, steps)):
+            for i in range(1, row_tab.s):
+                np.testing.assert_array_equal(states[i - 1][k], stages[i])
+            np.testing.assert_array_equal(states[s - 1][k], q_rk)
+            for j in range(row_tab.s):
+                np.testing.assert_array_equal(states[s + j][k], shifted[j])
 
 
 def test_a_leblanc_chunk_keeps_at_most_row_states_per_row():

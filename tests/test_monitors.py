@@ -13,10 +13,15 @@ from rkstab.monitors import (
     check_step_criterion,
     euler_state_floor,
     evaluate_functional,
-    positivity_of_trace,
 )
 from rkstab.presets import preset_config
 from rkstab.tableau import builtin_scheme, check_assumption1
+
+
+def positivity_of_trace(trace):
+    """Strict positivity of every state in the trace: stages, step, shifted."""
+    monitor = Monitor(kind="positivity")
+    return check_step_criterion(monitor, trace) + check_shifted_criterion(monitor, trace)
 
 
 def upwind_trace(scheme_id="forward_euler", dt_factor=1.0):
