@@ -15,7 +15,6 @@ from .fields import (
     Outflow,
     Periodic,
     ScalarField,
-    positivity_check,
     quadratic_energy,
     total_variation,
 )

@@ -21,7 +21,6 @@ __all__ = [
     "Grid1D",
     "ScalarField",
     "EulerField",
-    "PositivityReport",
     "NonPhysicalStateError",
     "per_row",
     "tv_includes_wrap",
@@ -30,9 +29,8 @@ __all__ = [
     "total_variation",
     "quadratic_energy",
     "euler_minima",
-    "euler_floor",
+    "admissibility_error",
     "require_admissible",
-    "positivity_check",
     "internal_energy_density",
     "field_to_csv",
 ]
@@ -120,7 +118,7 @@ class EulerField:
 
     Admissibility (positive density and internal energy) is deliberately not
     enforced at construction: intermediate states of a run may violate it,
-    and that violation is exactly what :func:`positivity_check` measures.
+    and that violation is exactly what :func:`admissibility_error` locates.
     """
 
     grid: Grid1D
@@ -146,15 +144,6 @@ class EulerField:
     @classmethod
     def from_stack(cls, grid: Grid1D, U: np.ndarray, gamma: float) -> "EulerField":
         return cls(grid=grid, rho=U[0], m=U[1], E=U[2], gamma=gamma)
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    passed: bool
-    min_rho: float
-    min_rhoe: float | None
-    first_bad_cell: int | None
-    reason: str | None  # None | "density" | "internal_energy"
 
 
 def internal_energy_density(rho, m, E):
@@ -226,48 +215,30 @@ def euler_minima(U):
     return per_row(min_rho), per_row(min_rhoe)
 
 
-def euler_floor(U):
-    """Minima of rho and rho*e of one conserved state, and where it fails.
+def admissibility_error(U) -> NonPhysicalStateError | None:
+    """The error naming where one conserved state (rows rho, m, E) is
+    inadmissible, or None when it is admissible; built, not raised.
 
-    Returns ``(min_rho, min_rhoe, failure)`` with the minima of
-    :func:`euler_minima`, except that ``min_rhoe`` is None when no cell has
-    rho > 0.  ``failure`` is None for an admissible state, else
-    ``(quantity, cell)``: the first cell with rho <= 0 and quantity
-    "density", or, when every density is positive, the first cell with
-    rho*e <= 0 and quantity "internal_energy".  NaN counts as non-positive.
+    The first cell with rho <= 0 fails on "density"; when every density is
+    positive, the first cell with rho*e <= 0 fails on "internal energy".
+    NaN counts as non-positive, so this fails exactly the states whose
+    :func:`~rkstab.monitors.euler_state_floor` is not positive.
     """
-    U = np.asarray(U)
-    min_rho, min_rhoe = euler_minima(U)
     rho, m, E = U
-    if min_rho > 0.0:
-        if min_rhoe > 0.0:
-            return min_rho, min_rhoe, None
-        rhoe = internal_energy_density(rho, m, E)
-        return min_rho, min_rhoe, ("internal_energy", int(np.argmax(~(rhoe > 0.0))))
-    good = rho > 0.0
-    return min_rho, min_rhoe if good.any() else None, ("density", int(np.argmax(~good)))
+    quantity, bad = "density", ~(rho > 0.0)
+    if not bad.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            quantity, bad = "internal energy", ~(internal_energy_density(rho, m, E) > 0.0)
+        if not bad.any():
+            return None
+    return NonPhysicalStateError(f"non-positive {quantity} in Euler state", int(np.argmax(bad)))
 
 
 def require_admissible(U) -> None:
-    """Raise :class:`NonPhysicalStateError` naming the first inadmissible cell."""
-    failure = euler_floor(U)[2]
-    if failure is not None:
-        quantity, cell = failure
-        raise NonPhysicalStateError(f"non-positive {quantity.replace('_', ' ')} in Euler state", cell)
-
-
-def positivity_check(f: EulerField) -> PositivityReport:
-    """Strict positivity of density and internal energy, with diagnostics.
-
-    A cell with rho <= 0 fails with reason "density" and its internal energy
-    is not evaluated; otherwise the minimum of rho*e decides.  Exactly zero
-    counts as a failure.
-    """
-    min_rho, min_rhoe, failure = euler_floor((f.rho, f.m, f.E))
-    if failure is None:
-        return PositivityReport(True, min_rho, min_rhoe, None, None)
-    reason, cell = failure
-    return PositivityReport(False, min_rho, min_rhoe, cell, reason)
+    """Raise the :func:`admissibility_error` of ``U``, if it has one."""
+    error = admissibility_error(U)
+    if error is not None:
+        raise error
 
 
 def field_to_csv(f, path) -> None:

@@ -25,7 +25,7 @@ from .fields import (
     Grid1D,
     NonPhysicalStateError,
     ScalarField,
-    require_admissible,
+    admissibility_error,
 )
 from .monitors import (
     Monitor,
@@ -46,6 +46,7 @@ __all__ = [
     "SimulationRecord",
     "RunRow",
     "STEP_BUDGET_FACTOR",
+    "END_TIME_TOLERANCE",
     "rk_step_instrumented",
     "modified_representation_stage",
     "run_batch",
@@ -56,6 +57,10 @@ __all__ = [
 #: being its first step; the next step ends it with abort reason
 #: "step_budget", so a collapsing adaptive dt_FE cannot make a run hang.
 STEP_BUDGET_FACTOR = 100
+
+#: A run ends once t_final - t is at most this times max(1, t_final), so a
+#: t_final at or below it would end the run before its first step.
+END_TIME_TOLERANCE = 1e-12
 
 
 class StepFailedError(RuntimeError):
@@ -118,8 +123,8 @@ def rk_step_instrumented(
     has evaluated it already; the step pops it as stage 0's derivative, so
     that it too is dropped once its terms are added.  An RHS failure
     (``NonPhysicalStateError``) is re-raised as :class:`StepFailedError`
-    carrying the stage index, which callers treat as a stability failure of
-    the probed step size.
+    carrying the stage index.  :func:`run_batch` does not catch it: there
+    the monitor judges admissibility after the step, and kernels do not raise.
     """
     tab = tableau if hasattr(tableau, "terms") else _batch_tableau([tableau], None)
     s, width = tab.s, tab.width
@@ -208,9 +213,10 @@ class SimulationConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        # An infinite t_final would end every run before its first step.
-        if not 0 < self.t_final < math.inf:
-            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
+        # An infinite t_final, or one at or below the end-time tolerance,
+        # would end every run before its first step.
+        if not END_TIME_TOLERANCE < self.t_final < math.inf:
+            raise ValueError(f"t_final must be positive and finite, above {END_TIME_TOLERANCE}, got {self.t_final!r}")
         if not 0 < self.dt_factor < math.inf:
             raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor!r}")
         if self.record_every < 1:
@@ -313,17 +319,6 @@ class RunRow:
         )
 
 
-def _admissibility_error(U) -> NonPhysicalStateError | None:
-    try:
-        require_admissible(U)
-    except NonPhysicalStateError as exc:
-        # Without its traceback, whose frames lead back to the caller's: a
-        # caller that keeps the error would otherwise keep its own frame, and
-        # the step workspace with it, alive until a garbage collection.
-        return exc.with_traceback(None)
-    return None
-
-
 def _batch_tableau(tableaux: list, column_shape: tuple | None):
     """The step plan of a stack of rows, built once per layout.
 
@@ -397,25 +392,26 @@ def run_batch(
     itself, so its value is the one carried over from the previous step.  A
     criterion violation is recorded (first-failure step per criterion) and
     the row continues.
-    A row leaves the stack when it reaches ``t_final``; when it aborts on a
-    degenerate step size, on an inadmissible Euler stage (the reason names
-    the stage, the quantity and the first bad cell, as the scheme's own
-    check would) or on the step budget (:data:`STEP_BUDGET_FACTOR`); or,
-    with ``early_stop``, once both criteria have failed, which cannot change
-    its verdict.  With ``record`` each row keeps its history and final
-    state.  ``trace_callback(step, t, trace)`` is invoked after each
-    completed step of a one-row batch; only then is a :class:`StageTrace`
-    built.
+    A row leaves the stack when it reaches ``t_final`` (within
+    :data:`END_TIME_TOLERANCE`); when it aborts on a degenerate step size,
+    on an inadmissible Euler stage or on the step budget
+    (:data:`STEP_BUDGET_FACTOR`); or, with ``early_stop``, once both
+    criteria have failed, which cannot change its verdict.  Kernels do not
+    check admissibility: after each step the monitor's floor judges every
+    Euler stage, and the abort reason names the first stage whose floor is
+    not positive with the :func:`~rkstab.fields.admissibility_error` of its
+    state.  A kernel that raises anyway raises :class:`StepFailedError` out
+    of the call, at any batch size.  With ``record`` each row keeps its
+    history and final state.  ``trace_callback(step, t, trace)`` is invoked
+    after each completed step of a one-row batch; only then is a
+    :class:`StageTrace` built.
     """
     scheme = config.scheme
     grid = config.grid
     is_euler = bool(getattr(scheme, "is_euler", False))
     monitor = config.monitor
-    positivity = monitor.kind == "positivity"
-    if positivity and not is_euler:
-        raise ValueError("positivity monitor requires an Euler scheme")
-    if is_euler and not positivity:
-        raise ValueError(f"{monitor.kind} monitor requires a scalar scheme")
+    if (monitor.kind == "positivity") != is_euler:  # so is_euler also means the positivity monitor
+        raise ValueError(f"{monitor.kind} monitor requires {'a scalar' if is_euler else 'an Euler'} scheme")
     rows = [RunRow(float(c), history=[] if record else None) for c in dt_factors]
     if trace_callback is not None and len(rows) != 1:
         raise ValueError("trace_callback needs a one-row batch")
@@ -427,11 +423,11 @@ def run_batch(
     f0 = config.ic.build(grid)
     q0 = f0.stack() if is_euler else f0.q
     v0 = state_values(monitor, grid, q0)  # G(q^0), or the floor of q^0
-    if not positivity:
+    if not is_euler:
         monitor = bind_scale(monitor, v0)
 
     t_final = config.t_final
-    t_eps = 1e-12 * max(1.0, t_final)
+    t_eps = END_TIME_TOLERANCE * max(1.0, t_final)
     rhs = lambda state: scheme.rhs_array(state, grid)  # noqa: E731
     # A scheme whose kernel also bounds the step gets q^n's bound from the
     # stage-0 call; the others are asked for it apart.
@@ -494,7 +490,7 @@ def run_batch(
             dt_ok = dt > 0.0  # NaN is not
             if np.count_nonzero(dt_ok) < live.size:
                 for k in np.flatnonzero(~dt_ok):
-                    cause = _admissibility_error(q[k]) if is_euler else None
+                    cause = admissibility_error(q[k]) if is_euler else None
                     abort(k, "degenerate_dt" if cause is None else f"degenerate_dt: {cause}")
                 dt, remaining, r0 = leave(dt_ok, dt, remaining, r0)
                 if not live.size:
@@ -512,33 +508,26 @@ def run_batch(
                     break
                 first_over = budget.min()
 
-            try:
-                # One row's dt is passed as a scalar: it broadcasts to the same
-                # values, with less overhead per operation than a 1x1 array.
-                dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
-                # This step's layout: an Euler leave() below re-lays the workspace.
-                s, states, q_rk = tab.s, buffer[:n_states], out[tab.s - 1]
-                first, r0 = ([] if r0 is None else [r0]), None
-                if trace_callback is None:
-                    rk_step_instrumented(tab, rhs, q, dt_rows, out=out, r0=first)
-                else:  # one row: trace its state, then monitor the step as any other
-                    first = [r[0] for r in first]
-                    trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, is_euler, r0=first)
-                    for dest, state in zip(out, trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states):
-                        np.copyto(dest, state)
-            except StepFailedError as exc:
-                if live.size > 1:
-                    raise  # a batched kernel must not raise; rows are checked below
-                abort(0, str(exc))
-                leave(np.zeros(1, dtype=bool))
-                break
+            # One row's dt is passed as a scalar: it broadcasts to the same
+            # values, with less overhead per operation than a 1x1 array.
+            dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
+            # This step's layout: an Euler leave() below re-lays the workspace.
+            s, states, q_rk = tab.s, buffer[:n_states], out[tab.s - 1]
+            first, r0 = ([] if r0 is None else [r0]), None
+            if trace_callback is None:
+                rk_step_instrumented(tab, rhs, q, dt_rows, out=out, r0=first)
+            else:  # one row: trace its state, then monitor the step as any other
+                first = [r[0] for r in first]
+                trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, is_euler, r0=first)
+                for dest, state in zip(out, trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states):
+                    np.copyto(dest, state)
 
             # The value of every state of the step in the (rows, 2s+1) layout:
             # q^n, whose value carries over, then stages 1..s-1, the step
             # solution and the shifted states.  A recorded Euler run takes the
             # minima of q_rk for its history from the same pass.
             minima = ()
-            if positivity and record:
+            if is_euler and record:
                 values, minima = euler_state_floor(states, with_minima=True)
                 at = sum(map(len, out[: s - 1]))  # q_rk follows stages 1..s-1
                 minima = [m[at : at + live.size] for m in minima]
@@ -554,7 +543,7 @@ def run_batch(
                         i = int(np.argmin(admissible[k]))
                         # Stage i of row k in the workspace; stage 0 is q^n.
                         at = take[k, i] - live.size
-                        cause = _admissibility_error(q[k] if at < 0 else states[at])
+                        cause = admissibility_error(q[k] if at < 0 else states[at])
                         abort(k, str(StepFailedError(i, cause)))
                     dt, values, q_rk, *minima = leave(~inadmissible, dt, values, q_rk, *minima)
                     if not live.size:
@@ -594,9 +583,9 @@ def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callba
     per-step history.  Monitor values for the step solution, every stage
     solution and every shifted state are recorded each step.  A criterion
     violation is recorded (first-failure step per criterion) but the run
-    continues; only an RHS failure, a degenerate step size or the step
-    budget aborts it (when an Euler step solution lost positivity, the
-    degenerate-step reason names the quantity and the first bad cell).  With
+    continues; only an inadmissible Euler stage, a degenerate step size or
+    the step budget aborts it (when an Euler step solution lost positivity,
+    the degenerate-step reason names the quantity and the first bad cell).  With
     ``early_stop`` the run stops once both criteria have already failed,
     which cannot change the verdict (used by limit sweeps).
     ``trace_callback(step, t, trace)`` is invoked after each completed step.

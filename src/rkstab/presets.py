@@ -9,7 +9,7 @@ the grid); the MUSCL and Euler problems use cell centers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,18 +114,7 @@ class ExperimentPreset:
     ic: object
     monitor_kind: str
     default_t_final: float
-    scheme_kind: str  # "dissipative" | "upwind" | "muscl" | "llf"
-
-    def make_scheme(self, lf: str = "local"):
-        if lf not in ("local", "global"):
-            raise ValueError(f"lf must be 'local' or 'global', got {lf!r}")
-        if self.scheme_kind == "dissipative":
-            return DissipativeBurgers(mu=1e-3)
-        if self.scheme_kind == "upwind":
-            return UpwindBurgers()
-        if self.scheme_kind == "muscl":
-            return MusclBurgers()
-        return LaxFriedrichsEuler(gamma=_LEBLANC_GAMMA, local=(lf == "local"))
+    scheme: object  # the spatial scheme, with local Lax-Friedrichs for Euler
 
     def config(
         self,
@@ -141,8 +130,13 @@ class ExperimentPreset:
         record_every: int = 1,
     ) -> SimulationConfig:
         kind = monitor_kind if monitor_kind is not None else self.monitor_kind
-        if lf == "global" and self.scheme_kind != "llf":  # flags that would do nothing are errors
-            raise ValueError(f"lf='global' needs a Lax-Friedrichs preset; {self.id!r} is {self.scheme_kind} Burgers")
+        if lf not in ("local", "global"):
+            raise ValueError(f"lf must be 'local' or 'global', got {lf!r}")
+        scheme = self.scheme
+        if lf == "global":
+            if not isinstance(scheme, LaxFriedrichsEuler):  # flags that would do nothing are errors
+                raise ValueError(f"lf='global' needs a Lax-Friedrichs preset; {self.id!r} is {type(scheme).__name__}")
+            scheme = replace(scheme, local=False)
         if tv_wrap is not None and kind != "tv":
             raise ValueError(f"tv_wrap applies to the tv monitor only, not to {kind!r}")
         grid = Grid1D(
@@ -158,7 +152,7 @@ class ExperimentPreset:
             tv_wrap=tv_wrap,
         )
         return SimulationConfig(
-            scheme=self.make_scheme(lf),
+            scheme=scheme,
             tableau=builtin_scheme(scheme_id),
             grid=grid,
             ic=self.ic,
@@ -188,7 +182,7 @@ def _leblanc_preset(preset_id: str) -> ExperimentPreset:
         ),
         monitor_kind="positivity",
         default_t_final=2.0 / 3.0,
-        scheme_kind="llf",
+        scheme=LaxFriedrichsEuler(gamma=_LEBLANC_GAMMA),
     )
 
 
@@ -208,7 +202,7 @@ _PRESETS = {
         ic=GaussianPulse(decay=30.0),
         monitor_kind="energy",
         default_t_final=1.0,
-        scheme_kind="dissipative",
+        scheme=DissipativeBurgers(mu=1e-3),
     ),
     "upwind": ExperimentPreset(
         id="upwind",
@@ -220,7 +214,7 @@ _PRESETS = {
         ic=SinePerturbation(mean=0.5, amplitude=0.25),
         monitor_kind="tv",
         default_t_final=3.0,
-        scheme_kind="upwind",
+        scheme=UpwindBurgers(),
     ),
     "muscl2": ExperimentPreset(
         id="muscl2",
@@ -232,7 +226,7 @@ _PRESETS = {
         ic=StepFunction(left=1.0, right=-0.5, x0=0.0),
         monitor_kind="tv",
         default_t_final=200.0,
-        scheme_kind="muscl",
+        scheme=MusclBurgers(),
     ),
     "leblanc_n2": _leblanc_preset("leblanc_n2"),
     "leblanc_n5": _leblanc_preset("leblanc_n5"),

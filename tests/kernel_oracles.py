@@ -177,6 +177,20 @@ def euler_minima_per_cell(U):
     return min_rho, min(rhoe)
 
 
+def first_inadmissible_cell(U):
+    """``(quantity, cell)`` of one state (rows rho, m, E), cell by cell in
+    Python floats: the first cell whose rho is not > 0 ("density"), else the
+    first whose rho*e is not > 0 ("internal energy"); None when neither."""
+    rho, m, E = ([float(x) for x in row] for row in U)
+    for k, r in enumerate(rho):
+        if not r > 0.0:
+            return "density", k
+    for k, (r, mk, e) in enumerate(zip(rho, m, E)):
+        if not e - 0.5 * mk * mk / r > 0.0:
+            return "internal energy", k
+    return None
+
+
 def rk_step_rows(tableaux, rhs, q, dts):
     """One RK step of each row ``q[k]`` with ``tableaux[k]`` and ``dts[k]``,
     row by row: stage i is q^n + (dt a_ij) R^j summed over the nonzero

@@ -217,6 +217,16 @@ def test_run_rejects_infinite_final_time(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run", "leblanc_n2"], ["limits", "upwind", "--schemes", "rk44"]])
+def test_a_final_time_within_the_end_tolerance_is_an_error(tmp_path, capsys, command):
+    """t_final = 1e-13 used to end every run before its first step: run
+    passed with 0 steps and limits reported the scan's top as both limits."""
+    out = tmp_path / "o"
+    assert main(command + ["--t-final", "1e-13", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: t_final must be positive and finite")
+    assert not out.exists()
+
+
 def test_run_rejects_fractional_cell_count_in_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "upwind", "n_cells": 40.5}))

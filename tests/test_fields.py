@@ -10,8 +10,9 @@ from rkstab.fields import (
     NonPhysicalStateError,
     Periodic,
     ScalarField,
+    admissibility_error,
+    euler_minima,
     field_to_csv,
-    positivity_check,
     quadratic_energy,
     total_variation,
 )
@@ -194,35 +195,29 @@ def leblanc_ic(n=600):
 
 
 def test_positivity_leblanc_ic_passes():
-    report = positivity_check(leblanc_ic())
-    assert report.passed
-    assert report.min_rho == pytest.approx(1e-3)
-    assert report.min_rhoe == pytest.approx(1e-10)
-    assert report.first_bad_cell is None
+    U = leblanc_ic().stack()
+    assert admissibility_error(U) is None
+    min_rho, min_rhoe = euler_minima(U)
+    assert min_rho == pytest.approx(1e-3)
+    assert min_rhoe == pytest.approx(1e-10)
 
 
 def test_positivity_tiny_negative_density_fails():
-    f = leblanc_ic()
-    rho = f.rho.copy()
-    rho[5] = -1e-16
-    bad = EulerField(f.grid, rho, f.m, f.E, f.gamma)
-    report = positivity_check(bad)
-    assert not report.passed
-    assert report.reason == "density"
-    assert report.first_bad_cell == 5
+    U = leblanc_ic().stack()
+    U[0, 5] = -1e-16
+    error = admissibility_error(U)
+    assert str(error) == "non-positive density in Euler state (cell 5)"
+    assert error.cell == 5
 
 
 def test_positivity_negative_internal_energy():
-    grid = Grid1D(3, 0.0, 1.0, Periodic())
-    f = EulerField(grid, np.ones(3), np.array([0.0, 2.0, 0.0]), np.ones(3), 1.4)
-    report = positivity_check(f)
-    assert not report.passed
-    assert report.reason == "internal_energy"
-    assert report.first_bad_cell == 1
-    assert report.min_rhoe == pytest.approx(-1.0)  # 1 - 4/2
+    U = np.stack([np.ones(3), np.array([0.0, 2.0, 0.0]), np.ones(3)])
+    error = admissibility_error(U)
+    assert str(error) == "non-positive internal energy in Euler state (cell 1)"
+    assert error.cell == 1
+    assert euler_minima(U)[1] == pytest.approx(-1.0)  # 1 - 4/2
 
 
 def test_positivity_exact_zero_fails():
-    grid = Grid1D(3, 0.0, 1.0, Periodic())
-    f = EulerField(grid, np.array([1.0, 0.0, 1.0]), np.zeros(3), np.ones(3), 1.4)
-    assert not positivity_check(f).passed
+    U = np.stack([np.array([1.0, 0.0, 1.0]), np.zeros(3), np.ones(3)])
+    assert admissibility_error(U) is not None

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField
-from rkstab.fields import euler_minima, positivity_check
+from rkstab.fields import EulerField, Grid1D, NonPhysicalStateError, Periodic, ScalarField
+from rkstab.fields import admissibility_error, euler_minima
 from rkstab.integrator import (
+    END_TIME_TOLERANCE,
     SimulationConfig,
     StepFailedError,
     modified_representation_stage,
@@ -250,11 +252,11 @@ def test_abort_after_lost_positivity_names_quantity_and_cell():
     assert (v.aborted_step, rec.n_steps) == (1, 1)
     assert (v.first_step_failure, v.first_shifted_failure) == (0, 0)
     assert not v.step_pass and not v.shifted_pass
-    report = positivity_check(rec.final_field)  # the last recorded step solution
-    assert report.reason == "density" and report.first_bad_cell is not None
+    error = admissibility_error(rec.final_field.stack())  # the last recorded step solution
+    assert str(error).startswith("non-positive density") and error.cell is not None
     assert v.abort_reason.startswith("degenerate_dt")
     assert "density" in v.abort_reason
-    assert f"(cell {report.first_bad_cell})" in v.abort_reason
+    assert f"(cell {error.cell})" in v.abort_reason
 
 
 def test_simulate_early_stop_shortens_failed_runs():
@@ -276,6 +278,39 @@ def test_config_rejects_non_finite_or_non_positive_times(field, value):
     report a pass."""
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
         preset_config("upwind", "rk44", **{field: value})
+
+
+@pytest.mark.parametrize("t_final", [1e-13, END_TIME_TOLERANCE])
+def test_config_rejects_a_t_final_the_end_tolerance_swallows(t_final):
+    """A run ends once t_final - t is within the end-time tolerance, so such a
+    t_final used to end the run before its first step, with a pass."""
+    with pytest.raises(ValueError, match="t_final must be positive and finite"):
+        preset_config("leblanc_n2", "rk44", t_final=t_final)
+    rec = simulate(preset_config("leblanc_n2", "rk44", t_final=2 * END_TIME_TOLERANCE, n_cells=8))
+    assert rec.n_steps == 1 and rec.times[-1] == 2 * END_TIME_TOLERANCE
+
+
+class RaisingEuler:
+    """An Euler scheme whose kernel raises on every call."""
+
+    is_euler = True
+    gamma = 5.0 / 3.0
+
+    def rhs_array(self, U, grid):
+        raise NonPhysicalStateError("kernel refused", cell=0)
+
+    def dt_fe_array(self, U, grid):
+        return np.full(U.shape[0], 1e-3)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_a_raising_kernel_raises_out_of_run_batch_at_any_batch_size(n_rows):
+    """The loop, not the kernel, judges admissibility: a kernel that raises is
+    a fault, and its error leaves run_batch at one row as at two (one row
+    used to turn it into an abort verdict)."""
+    cfg = dataclasses.replace(preset_config("leblanc_n2", n_cells=8, t_final=0.01), scheme=RaisingEuler())
+    with pytest.raises(StepFailedError, match="stage 0: kernel refused"):
+        run_batch(cfg, [1.0, 0.5][:n_rows])
 
 
 def test_preset_lf_accepts_local_or_global_only():

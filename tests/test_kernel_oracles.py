@@ -6,7 +6,8 @@ states and stacks, on both boundaries each kernel supports, with NaN,
 infinities, signed zeros and 1e-300 in the data.  The LLF kernel works on
 flattened rows, whose lanes at cells 0 and n-1 pair a row with the next:
 special values sit there too.  ``euler_minima`` is checked against a
-per-cell oracle.
+per-cell oracle, and the one admissibility rule (the state floor judges,
+``admissibility_error`` locates) against another.
 """
 
 import numpy as np
@@ -14,8 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracles import euler_minima_per_cell, llf_dt_fe, llf_rhs, muscl_dt_fe, muscl_rhs
-from rkstab.fields import Dirichlet, Grid1D, Outflow, Periodic, euler_minima
+from kernel_oracles import (
+    euler_minima_per_cell,
+    first_inadmissible_cell,
+    llf_dt_fe,
+    llf_rhs,
+    muscl_dt_fe,
+    muscl_rhs,
+)
+from rkstab.fields import Dirichlet, Grid1D, Outflow, Periodic, admissibility_error, euler_minima
+from rkstab.monitors import euler_state_floor
 from rkstab.spatial import LaxFriedrichsEuler, MusclBurgers
 
 # 1.234e-161 squares into the subnormals, where (0.5 * x) * x and 0.5 * (x * x) differ.
@@ -178,3 +187,31 @@ def test_euler_minima_equal_a_per_cell_oracle(U):
         for got in (single, (stacked[0][k], stacked[1][k])):
             assert_same_value(got[0], want[0])
             assert_same_value(got[1], want[1])
+
+
+SPRINKLED = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 1e308])
+
+
+@st.composite
+def sprinkled_stacks(draw):
+    """A stack (B, 3, n) of ordinary values with special ones sprinkled in."""
+    b, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    U = np.array(draw(st.lists(st.floats(-0.2, 3.0), min_size=3 * b * n, max_size=3 * b * n))).reshape(b, 3, n)
+    for _ in range(draw(st.integers(0, 6))):
+        U[draw(st.integers(0, b - 1)), draw(st.integers(0, 2)), draw(st.integers(0, n - 1))] = draw(SPRINKLED)
+    return U
+
+
+@settings(max_examples=400, deadline=None)
+@given(U=sprinkled_stacks())
+def test_state_floor_and_locator_are_one_rule(U):
+    """A row's floor is positive exactly when it has no admissibility error,
+    and the error names the oracle's quantity and cell."""
+    floors = euler_state_floor(U)
+    for k, row in enumerate(U):
+        error, want = admissibility_error(row), first_inadmissible_cell(row)
+        assert (floors[k] > 0.0) == (error is None) == (want is None)
+        if want is not None:
+            quantity, cell = want
+            assert error.cell == cell
+            assert str(error) == f"non-positive {quantity} in Euler state (cell {cell})"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField
-from rkstab.fields import positivity_check
+from rkstab.fields import admissibility_error
 from rkstab.integrator import StageTrace, rk_step_instrumented, simulate
 from rkstab.monitors import (
     Monitor,
@@ -158,11 +158,9 @@ def test_nan_states_fail_positivity_monitor(row):
     assert not check_step_criterion(monitor, trace)[-1].passed
     assert not check_shifted_criterion(monitor, trace)[0].passed
     assert [v.passed for v in positivity_of_trace(trace)] == [True, False, False]
-    # the field-level check agrees on the same cell
-    field = EulerField.from_stack(Grid1D(3, 0.0, 1.0), np.hstack([bad, U[:, :1]]), 1.4)
-    report = positivity_check(field)
-    assert not report.passed
-    assert (report.reason, report.first_bad_cell) == ("internal_energy", 1)
+    # the locator agrees on the same cell
+    error = admissibility_error(np.hstack([bad, U[:, :1]]))
+    assert str(error) == "non-positive internal energy in Euler state (cell 1)"
 
 
 def euler_trace(n=32, dt_factor=1.0):
