@@ -78,8 +78,8 @@ class StageTrace:
 
     ``stage_solutions[0]`` is ``q_n`` itself (explicit method, c_1 = 0) and
     ``shifted_states[j]`` equals ``q_n + dt * stage_derivatives[j]`` by
-    construction.  ``grid`` and ``is_euler`` are metadata for the monitors;
-    they stay None/False for bare ODE usage.
+    construction.  ``grid`` is metadata for the monitors; it stays None for
+    bare ODE usage.
     """
 
     q_n: np.ndarray
@@ -89,7 +89,6 @@ class StageTrace:
     shifted_states: tuple
     q_rk: np.ndarray
     grid: Grid1D | None = None
-    is_euler: bool = False
 
 
 def rk_step_instrumented(
@@ -98,7 +97,6 @@ def rk_step_instrumented(
     q_n,
     dt: float,
     grid: Grid1D | None = None,
-    is_euler: bool = False,
     *,
     out=None,
     r0=None,
@@ -175,7 +173,6 @@ def rk_step_instrumented(
         shifted_states=tuple(shifted),
         q_rk=states[s],
         grid=grid,
-        is_euler=is_euler,
     )
 
 
@@ -518,7 +515,7 @@ def run_batch(
                 rk_step_instrumented(tab, rhs, q, dt_rows, out=out, r0=first)
             else:  # one row: trace its state, then monitor the step as any other
                 first = [r[0] for r in first]
-                trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, is_euler, r0=first)
+                trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, r0=first)
                 for dest, state in zip(out, trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states):
                     np.copyto(dest, state)
 

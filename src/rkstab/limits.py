@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 
 from .integrator import SimulationConfig, run_batch
-from .tableau import ssp_coefficient
+from .tableau import BUILTIN_SCHEME_IDS, builtin_scheme, ssp_coefficient
 
 __all__ = [
     "LimitSearchConfig",
@@ -42,15 +42,6 @@ TICK_DECIMALS = 12
 
 #: Most coarse ticks one scan may have; each is a full simulation.
 MAX_TICKS = 10**6
-
-#: States one row keeps alive at the peak of a step on the 3x600 Euler shock
-#: tube, at most: q^n, the step workspace (up to 2s states, s <= 4, and a
-#: scratch state) and the kernel's or the monitor's temporaries.  Measured
-#: with tracemalloc on one step of a chunk at c = 0.1: 12.3 on a mixed step
-#: of the five built-in schemes (the bound tests/test_batch.py checks), 9-16
-#: on one scheme's rows (16 for rk44); 9-16 on the dissipative problem and
-#: 16-23 on MUSCL, whose TV monitor makes more temporaries.
-ROW_STATES = 18
 
 #: Bytes of candidate states one chunk may stack; a chunk holds
 #: max(scans, CHUNK_BYTES // bytes of one state) candidates: at least one per
@@ -244,34 +235,36 @@ def _bisect(cfg, outcomes, band, limits):
             side[out.c] = out
 
 
-def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
-    """Run one :func:`_scan` per config (they differ in their tableau only),
-    all advancing together in rounds.  Each scan offers at most ``band =
-    _chunk_rows // scans`` candidates a round (at least 1: a chunk holds a
-    row per scan).  A round sorts every live scan's offer by (c band, stage
-    count, scheme name, c), a c band being ``_chunk_rows // live scans``
-    consecutive c values, so the long low-c rows of all scans share a
-    chunk, and cuts it into chunks of at most
+def _lockstep(search: LimitSearchConfig, tableaux: list) -> list[LimitResult]:
+    """Run one :func:`_scan` per tableau, each on ``search`` with its
+    tableau in ``search.base``, all advancing together in rounds.  Each scan
+    offers at most ``band = _chunk_rows // scans`` candidates a round (at
+    least 1: a chunk holds a row per scan).  A round sorts every live scan's
+    offer by (c band, stage count, scheme name, c), a c band being
+    ``_chunk_rows // live scans`` consecutive c values, so the long low-c
+    rows of all scans share a chunk, and cuts it into chunks of at most
     ``min(_chunk_rows, ceil(rows / processes))`` rows, ``processes`` being
-    ``workers`` capped at the CPU count; they run serially or, with two or
-    more processes and chunks, in a process pool.  The rounds do not depend
-    on ``workers``."""
-    base = cfgs[0].base
-    band = _chunk_rows(base, len(cfgs)) // len(cfgs)
-    scans = [_scan(cfg, band) for cfg in cfgs]
+    ``search.workers`` capped at the CPU count; they run serially or, with
+    two or more processes and chunks, in a process pool.  Every chunk steps
+    on ``search.base`` with its rows' tableaux.  The rounds do not depend on
+    ``workers``."""
+    base = search.base
+    band = _chunk_rows(base, len(tableaux)) // len(tableaux)
+    scans = [_scan(dataclasses.replace(search, base=dataclasses.replace(base, tableau=t)), band) for t in tableaux]
     offers = {k: next(scan) for k, scan in enumerate(scans)}
     results = {}
-    tabs = [cfg.base.tableau for cfg in cfgs]
-    processes = min(workers, os.cpu_count() or 1)
+    processes = min(search.workers, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext() as pool:
         while offers:
             chunk_rows = _chunk_rows(base, len(offers))
             c_band = chunk_rows // len(offers)
             rank = {c: r for r, c in enumerate(sorted({c for cs in offers.values() for c in cs}))}
-            rows = sorted((rank[c] // c_band, tabs[k].s, tabs[k].name, c, k) for k, cs in offers.items() for c in cs)
+            rows = sorted(
+                (rank[c] // c_band, tableaux[k].s, tableaux[k].name, c, k) for k, cs in offers.items() for c in cs
+            )
             size = min(chunk_rows, math.ceil(len(rows) / processes))
             chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
-            jobs = [(base, [tabs[k] for *_, k in chunk], [row[3] for row in chunk]) for chunk in chunks]
+            jobs = [(base, [tableaux[k] for *_, k in chunk], [row[3] for row in chunk]) for chunk in chunks]
             # Outcomes arrive in row order, serial or pooled.
             outs = (pool.map if pool and len(jobs) > 1 else map)(_run_chunk, jobs)
             got = {k: [] for k in offers}
@@ -283,7 +276,7 @@ def _lockstep(cfgs: list[LimitSearchConfig], workers: int) -> list[LimitResult]:
                 except StopIteration as stop:
                     results[k] = stop.value
                     del offers[k]
-    return [results[k] for k in range(len(cfgs))]
+    return [results[k] for k in range(len(tableaux))]
 
 
 def find_limits(cfg: LimitSearchConfig) -> LimitResult:
@@ -300,7 +293,7 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     of coarse ticks and midpoints, some of them speculatively (see
     :func:`_scan`); the result is the serial search's.
     """
-    (result,) = _lockstep([cfg], cfg.workers)
+    (result,) = _lockstep(cfg, [cfg.base.tableau])
     return result
 
 
@@ -387,12 +380,12 @@ def limits_table(
     """Sweep every scheme on one experiment and join the formal SSP coefficients.
 
     ``schemes`` is a non-empty list of distinct built-in scheme ids (default:
-    all five), whose scans advance in lockstep (see :func:`_lockstep`);
-    ``preset_overrides`` (n_cells, t_final, tolerance, tv_wrap, lf, ...) are
-    forwarded to the experiment preset.
+    all five).  The table is one search: one preset config, from
+    ``preset_overrides`` (n_cells, t_final, tolerance, tv_wrap, lf, ...), and
+    one :class:`LimitSearchConfig`, whose scans, one per scheme, advance in
+    lockstep (see :func:`_lockstep`).
     """
     from .presets import preset_config
-    from .tableau import BUILTIN_SCHEME_IDS
 
     schemes = list(BUILTIN_SCHEME_IDS if schemes is None else schemes)
     if not schemes:
@@ -400,30 +393,28 @@ def limits_table(
     repeated = sorted({name for name in schemes if schemes.count(name) > 1})
     if repeated:
         raise ValueError(f"schemes listed more than once: {', '.join(repeated)}")
-    cfgs = [
-        LimitSearchConfig(
-            base=preset_config(experiment, scheme_id=name, dt_factor=1.0, **preset_overrides),
-            c_min=c_min,
-            c_max=c_max,
-            granularity=granularity,
-            refine=refine,
-            workers=workers,
-        )
-        for name in schemes
-    ]
+    tableaux = [builtin_scheme(name) for name in schemes]
+    search = LimitSearchConfig(
+        base=preset_config(experiment, dt_factor=1.0, **preset_overrides),
+        c_min=c_min,
+        c_max=c_max,
+        granularity=granularity,
+        refine=refine,
+        workers=workers,
+    )
     rows = tuple(
         TableRow(
-            scheme=name,
-            c_ssp=ssp_coefficient(cfg.base.tableau, tol=ssp_tol).ssp_coefficient,
+            scheme=t.name,
+            c_ssp=ssp_coefficient(t, tol=ssp_tol).ssp_coefficient,
             c_s=result.c_s,
             c_p=result.c_p,
             per_candidate=result.per_candidate,
         )
-        for name, cfg, result in zip(schemes, cfgs, _lockstep(cfgs, workers))
+        for t, result in zip(tableaux, _lockstep(search, tableaux))
     )
     return ExperimentTable(
         experiment=experiment,
-        monitor=cfgs[0].base.monitor.kind,
+        monitor=search.base.monitor.kind,
         c_min=c_min,
         c_max=c_max,
         granularity=granularity,

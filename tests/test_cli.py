@@ -198,7 +198,7 @@ def test_usage_error_exit_code_is_one(capsys):
 def test_limits_rejects_worker_count_below_one(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["limits", "upwind", "--schemes", "rk44", "--workers", "0", "--out", str(out)]) == 1
-    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert "error: workers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -347,3 +347,79 @@ def test_a_tolerance_that_is_not_finite_is_an_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: tolerance must be non-negative and finite")
     assert not out.exists()
+
+
+VALID_SCHEME_IDS = "forward_euler, midpoint, ssprk33, rk31, rk44"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "upwind", "--scheme", "rk99"], f"error: unknown scheme 'rk99'; valid ids: {VALID_SCHEME_IDS}\n"),
+        (["run", "upwind", "--record-every", "0"], "error: record_every must be at least 1\n"),
+        (["limits", "sod"], "error: unknown experiment 'sod'; valid ids: dissipative, upwind, muscl2, "),
+        (
+            ["limits", "upwind", "--schemes", "rk44,rk5,rk6"],
+            f"error: unknown scheme 'rk5'; valid ids: {VALID_SCHEME_IDS}\n",
+        ),
+        (["limits", "upwind", "--schemes", "rk44", "--workers", "0"], "error: workers must be at least 1\n"),
+    ],
+)
+def test_inputs_the_library_checks_exit_one_before_writing(tmp_path, capsys, argv, message):
+    """The CLI leaves these checks to the library: each bad value still
+    exits 1 with one error line, and nothing is written."""
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_config_file_with_an_unknown_scheme(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "upwind", "scheme": "rk99"}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown scheme 'rk99'; valid ids: {VALID_SCHEME_IDS}\n"
+    assert not out.exists()
+
+
+def test_coef_rejects_an_inconsistent_tableau_file(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("short\n2\n0 0\n0.5 0\n0.5 0.4\n")  # weights sum to 0.9
+    assert main(["coef", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: tableau 'short' is inconsistent: weight_sum[None] residual=-1.000e-01\n"
+    assert captured.out == ""
+
+
+def test_verdict_json_key_order(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "leblanc_n2", "--dt-factor", "4.5", "--t-final", "0.01", "--out", str(out)]) == 2
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert list(verdict) == [
+        "experiment",
+        "scheme",
+        "dt_factor",
+        "monitor",
+        "passed",
+        "step_pass",
+        "shifted_pass",
+        "first_step_failure",
+        "first_shifted_failure",
+        "aborted_step",
+        "abort_reason",
+        "n_steps",
+        "t_final",
+    ]
+    assert verdict["aborted_step"] is not None and verdict["abort_reason"]
+
+
+def test_record_every_writes_every_kth_step_and_the_last(tmp_path):
+    every, third = tmp_path / "every", tmp_path / "third"
+    for out, stride in ((every, "1"), (third, "3")):
+        assert main(["run", "upwind", "--t-final", "0.4", "--record-every", stride, "--out", str(out)]) == 0
+    rows = read_history(every / "history.csv")
+    assert len(rows) == 20  # so the last step, 19, is off the stride
+    assert read_history(third / "history.csv") == [rows[k] for k in (0, 3, 6, 9, 12, 15, 18, 19)]
+    assert (third / "final_field.csv").read_bytes() == (every / "final_field.csv").read_bytes()

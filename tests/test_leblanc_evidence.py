@@ -71,7 +71,7 @@ def _first_step(cfg, rhs=None):
     if rhs is None:
         rhs = lambda U: cfg.scheme.rhs_array(U, grid)  # noqa: E731
     dt = cfg.dt_factor * cfg.scheme.dt_fe_array(U0, grid)
-    return rk_step_instrumented(cfg.tableau, rhs, U0, dt, grid, True)
+    return rk_step_instrumented(cfg.tableau, rhs, U0, dt, grid)
 
 
 def _onset(first_failure, verdict):

@@ -23,6 +23,23 @@ def upwind_search(scheme="forward_euler", **kwargs):
     return LimitSearchConfig(base=base, **kwargs)
 
 
+def test_a_table_is_one_search_on_one_preset_config(monkeypatch):
+    """A table's scans share one base: it is built once, not once per scheme."""
+    import rkstab.presets as presets
+
+    calls = []
+    preset_config = presets.preset_config
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return preset_config(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "preset_config", counting)
+    table = limits_table("upwind", ["rk44", "forward_euler"], c_max=1.0, t_final=0.1)
+    assert len(calls) == 1
+    assert [r.scheme for r in table.rows] == ["rk44", "forward_euler"]
+
+
 def test_search_config_validation():
     base = preset_config("upwind", "rk44", 1.0)
     with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ def upwind_trace(scheme_id="forward_euler", dt_factor=1.0):
         field.q,
         dt,
         cfg.grid,
-        False,
     )
 
 
@@ -99,7 +98,7 @@ def test_zero_tolerance_is_exact_on_constant_fields():
     grid = Grid1D(8, 0.0, 1.0, Periodic())
     q = np.full(8, 1.25)
     trace = rk_step_instrumented(
-        builtin_scheme("midpoint"), lambda s: np.zeros_like(s), q, 0.5, grid, False
+        builtin_scheme("midpoint"), lambda s: np.zeros_like(s), q, 0.5, grid
     )
     for kind in ("energy", "tv"):
         monitor = Monitor(kind=kind, tolerance=0.0)
@@ -152,7 +151,6 @@ def test_nan_states_fail_positivity_monitor(row):
         stage_derivatives=(np.zeros_like(U),),
         shifted_states=(bad,),
         q_rk=bad,
-        is_euler=True,
     )
     monitor = Monitor(kind="positivity")
     assert not check_step_criterion(monitor, trace)[-1].passed
@@ -169,7 +167,7 @@ def euler_trace(n=32, dt_factor=1.0):
     U = field.stack()
     dt = dt_factor * cfg.scheme.dt_fe_array(U, cfg.grid)
     return rk_step_instrumented(
-        cfg.tableau, lambda s: cfg.scheme.rhs_array(s, cfg.grid), U, dt, cfg.grid, True
+        cfg.tableau, lambda s: cfg.scheme.rhs_array(s, cfg.grid), U, dt, cfg.grid
     )
 
 
@@ -177,7 +175,7 @@ def test_positivity_of_trace_quiescent_gas():
     grid = Grid1D(6, 0.0, 1.0, Periodic())
     U = EulerField(grid, np.full(6, 2.0), np.zeros(6), np.full(6, 3.0), 1.4).stack()
     trace = rk_step_instrumented(
-        builtin_scheme("rk44"), lambda s: np.zeros_like(s), U, 0.3, grid, True
+        builtin_scheme("rk44"), lambda s: np.zeros_like(s), U, 0.3, grid
     )
     verdicts = positivity_of_trace(trace)
     assert len(verdicts) == 9  # 4 stages + step + 4 shifted
@@ -197,7 +195,6 @@ def test_positivity_of_trace_flags_doctored_stage():
         shifted_states=trace.shifted_states,
         q_rk=trace.q_rk,
         grid=trace.grid,
-        is_euler=True,
     )
     verdicts = check_step_criterion(Monitor(kind="positivity"), doctored)
     assert not verdicts[2].passed

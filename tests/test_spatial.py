@@ -401,7 +401,7 @@ def test_forward_euler_contract_on_presets():
         state = field.stack() if cfg.scheme.is_euler else field.q
         dt = cfg.scheme.dt_fe_array(state, cfg.grid)
         trace = rk_step_instrumented(
-            fe, lambda s: cfg.scheme.rhs_array(s, cfg.grid), state, dt, cfg.grid, cfg.scheme.is_euler
+            fe, lambda s: cfg.scheme.rhs_array(s, cfg.grid), state, dt, cfg.grid
         )
         from rkstab.monitors import bind_scale, evaluate_functional
 
