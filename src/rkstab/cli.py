@@ -168,10 +168,9 @@ def cmd_run(args) -> int:
         lf=args.lf,
         record_every=args.record_every,
     )
-    record = simulate(config)
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
+    record = simulate(config)
     record.write_csv(out / "history.csv")
     field_to_csv(record.final_field, out / "final_field.csv")
     v = record.verdict
@@ -197,6 +196,11 @@ def cmd_limits(args) -> int:
     out = Path(args.out) if args.out else Path(f"limits_{args.preset}.json")
     if out.suffix == ".csv":
         raise _CliError(f"--out {out} would be overwritten by the CSV table; give the JSON path")
+    if not out.parent.is_dir():
+        raise _CliError(f"--out {out}: {out.parent} is not a directory")
+    for path in (out, out.with_suffix(".csv")):
+        if path.is_dir():
+            raise _CliError(f"--out {out}: {path} is a directory")
     schemes = None if args.schemes == "all" else [s.strip() for s in args.schemes.split(",") if s.strip()]
     table = limits_table(
         args.preset,

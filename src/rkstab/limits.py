@@ -45,7 +45,7 @@ MAX_TICKS = 10**6
 
 #: Bytes of candidate states one chunk may stack; a chunk holds
 #: max(scans, CHUNK_BYTES // bytes of one state) candidates: at least one per
-#: live scan, so that every scheme's long low-c rows share a chunk.  A chunk's
+#: scan of the table, so that every scheme's long low-c rows share a chunk.  A chunk's
 #: step then peaks at about 0.3-0.5 MB on the 50-cell dissipative problem (81
 #: rows), 0.5-0.7 MB on the 80-cell MUSCL one (51 rows) and 0.84 MB on the
 #: 3x600 Euler shock tube (the five schemes at one c; 2 rows of one scheme
@@ -161,8 +161,9 @@ def _scan(cfg: LimitSearchConfig, band: int):
     scan at once.  With ``refine`` it offers ``band`` coarse ticks at a time
     and stops once both criteria have failed, dropping the outcomes past that
     tick; then it bisects ``c_p`` and ``c_s`` together (see :func:`_bisect`).
-    No offer holds more than ``band`` candidates, and the result is the one
-    of the serial search (a tick, then a midpoint, at a time) for any band.
+    A coarse offer holds at most ``band`` ticks and a bisection offer at most
+    ``max(band, open brackets)`` midpoints, and the result is the one of the
+    serial search (a tick, then a midpoint, at a time) for any band.
     """
     candidates = _candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
     outcomes: dict[float, CandidateOutcome] = {}
@@ -199,10 +200,11 @@ def _bisect(cfg, outcomes, band, limits):
     """Bisect each criterion between its coarse limit and the next (failing)
     tick, both brackets together.  A round offers the untried midpoints of
     the open brackets' next levels, as many whole levels as fit in ``band``
-    (at least one midpoint); then each bracket walks its path through the
-    known outcomes.  Only midpoints on a path enter ``outcomes`` (the others
-    wait in ``side``), so a round wastes at most ``band - 1`` rows and the
-    result is the serial bisection's."""
+    and at least one: the next midpoint of every open bracket, each on its
+    bracket's path.  Then each bracket walks its path through the known
+    outcomes.  Only midpoints on a path enter ``outcomes`` (the others wait
+    in ``side``), so a round wastes at most ``band - 1`` rows and the result
+    is the serial bisection's."""
     side: dict[float, CandidateOutcome] = {}
     top = cfg.c_max + 1e-9 * cfg.granularity  # a limit whose next tick is past it brackets nothing
     ends = {flag: (c, round(c + cfg.granularity, TICK_DECIMALS)) for flag, c in limits.items() if c is not None}
@@ -227,7 +229,7 @@ def _bisect(cfg, outcomes, band, limits):
         while frontier:
             level = list(dict.fromkeys(mid(*b) for b in frontier))
             if len(offer) + len(level) > band:
-                offer = offer or level[:1]
+                offer = offer or level
                 break
             offer += level
             frontier = [b for lo, hi in frontier for b in ((lo, mid(lo, hi)), (mid(lo, hi), hi)) if is_open(b)]
@@ -237,39 +239,34 @@ def _bisect(cfg, outcomes, band, limits):
 
 def _lockstep(search: LimitSearchConfig, tableaux: list) -> list[LimitResult]:
     """Run one :func:`_scan` per tableau, each on ``search`` with its
-    tableau in ``search.base``, all advancing together in rounds.  Each scan
-    offers at most ``band = _chunk_rows // scans`` candidates a round (at
-    least 1: a chunk holds a row per scan).  A round sorts every live scan's
-    offer by (c band, stage count, scheme name, c), a c band being
-    ``_chunk_rows // live scans`` consecutive c values, so the long low-c
-    rows of all scans share a chunk, and cuts it into chunks of at most
-    ``min(_chunk_rows, ceil(rows / processes))`` rows, ``processes`` being
-    ``search.workers`` capped at the CPU count; they run serially or, with
-    two or more processes and chunks, in a process pool.  Every chunk steps
-    on ``search.base`` with its rows' tableaux.  The rounds do not depend on
-    ``workers``."""
+    tableau in ``search.base``, all advancing together in rounds.  A table
+    has one chunk size, ``_chunk_rows(base, scans)`` (a chunk holds at least
+    a row per scan), and each scan offers at most ``band = chunk size //
+    scans`` coarse ticks a round (at least 1).  A round sorts every live
+    scan's offer by (c, scheme name), so the long low-c rows of all scans
+    share a chunk, and cuts it into chunks of ``min(chunk size, ceil(rows /
+    processes))`` rows, ``processes`` being ``search.workers`` capped at the
+    CPU count; they run serially or, with two or more processes and chunks,
+    in a process pool.  Every chunk steps on ``search.base`` with its rows'
+    tableaux.  The rounds do not depend on ``workers``."""
     base = search.base
-    band = _chunk_rows(base, len(tableaux)) // len(tableaux)
+    chunk_rows = _chunk_rows(base, len(tableaux))
+    band = chunk_rows // len(tableaux)
     scans = [_scan(dataclasses.replace(search, base=dataclasses.replace(base, tableau=t)), band) for t in tableaux]
     offers = {k: next(scan) for k, scan in enumerate(scans)}
     results = {}
     processes = min(search.workers, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext() as pool:
         while offers:
-            chunk_rows = _chunk_rows(base, len(offers))
-            c_band = chunk_rows // len(offers)
-            rank = {c: r for r, c in enumerate(sorted({c for cs in offers.values() for c in cs}))}
-            rows = sorted(
-                (rank[c] // c_band, tableaux[k].s, tableaux[k].name, c, k) for k, cs in offers.items() for c in cs
-            )
+            rows = sorted((c, tableaux[k].name, k) for k, cs in offers.items() for c in cs)
             size = min(chunk_rows, math.ceil(len(rows) / processes))
             chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
-            jobs = [(base, [tableaux[k] for *_, k in chunk], [row[3] for row in chunk]) for chunk in chunks]
+            jobs = [(base, [tableaux[k] for _, _, k in chunk], [c for c, _, _ in chunk]) for chunk in chunks]
             # Outcomes arrive in row order, serial or pooled.
             outs = (pool.map if pool and len(jobs) > 1 else map)(_run_chunk, jobs)
             got = {k: [] for k in offers}
-            for row, out in zip(rows, itertools.chain.from_iterable(outs)):
-                got[row[4]].append(out)
+            for (_, _, k), out in zip(rows, itertools.chain.from_iterable(outs)):
+                got[k].append(out)
             for k in got:
                 try:
                     offers[k] = scans[k].send(got[k])
@@ -290,8 +287,9 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     full scan.  With ``refine`` the coarse scan stops once both criteria
     have failed and a bisection sharpens each limit to 0.01 inside its
     bracketing granularity tick.  Each round then runs up to a chunk's worth
-    of coarse ticks and midpoints, some of them speculatively (see
-    :func:`_scan`); the result is the serial search's.
+    of coarse ticks or midpoints (and at least the next midpoint of each open
+    bracket), some of them speculatively (see :func:`_scan`); the result is
+    the serial search's.
     """
     (result,) = _lockstep(cfg, [cfg.base.tableau])
     return result
@@ -318,23 +316,9 @@ class ExperimentTable:
     rows: tuple[TableRow, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "monitor": self.monitor,
-            "c_min": self.c_min,
-            "c_max": self.c_max,
-            "granularity": self.granularity,
-            "rows": [
-                {
-                    "scheme": r.scheme,
-                    "c_ssp": r.c_ssp,
-                    "c_s": r.c_s,
-                    "c_p": r.c_p,
-                    "per_candidate": [dataclasses.asdict(o) for o in r.per_candidate],
-                }
-                for r in self.rows
-            ],
-        }
+        table = dataclasses.asdict(self)
+        table["rows"] = [{**row, "per_candidate": list(row["per_candidate"])} for row in table["rows"]]
+        return table
 
     def _cell(self, value: float | None) -> str:
         return f"<{self.c_min:g}" if value is None else repr(float(value))
@@ -374,7 +358,6 @@ def limits_table(
     granularity: float = 0.1,
     refine: bool = False,
     workers: int = 1,
-    ssp_tol: float = 1e-9,
     **preset_overrides,
 ) -> ExperimentTable:
     """Sweep every scheme on one experiment and join the formal SSP coefficients.
@@ -405,7 +388,7 @@ def limits_table(
     rows = tuple(
         TableRow(
             scheme=t.name,
-            c_ssp=ssp_coefficient(t, tol=ssp_tol).ssp_coefficient,
+            c_ssp=ssp_coefficient(t).ssp_coefficient,
             c_s=result.c_s,
             c_p=result.c_p,
             per_candidate=result.per_candidate,

@@ -4,6 +4,8 @@ from contextlib import contextmanager
 
 import pytest
 
+import rkstab.limits as limits
+from rkstab.integrator import run_batch
 from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme
 
 #: Worker processes for the sweep-heavy tests; candidates are independent
@@ -30,3 +32,17 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def record_chunks(monkeypatch) -> list:
+    """Patch the sweep's run_batch to record each chunk it runs, in call
+    order, as its rows' (c, scheme name) pairs in row order.  A second call
+    records into a new list."""
+    chunks = []
+
+    def recording(config, dt_factors, *, tableaux, **kwargs):
+        chunks.append([(c, t.name) for t, c in zip(tableaux, dt_factors)])
+        return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
+
+    monkeypatch.setattr(limits, "run_batch", recording)
+    return chunks

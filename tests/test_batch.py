@@ -20,7 +20,7 @@ from rkstab.monitors import Monitor
 from rkstab.presets import PRESET_IDS, preset_config
 from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme
 
-from conftest import SWEEP_WORKERS
+from conftest import SWEEP_WORKERS, record_chunks
 from kernel_oracles import rk_step_rows
 
 # Final times short enough for a quick sweep that still passes and fails
@@ -210,26 +210,22 @@ def test_table_sweep_equals_per_scheme_sweeps(preset, monkeypatch):
 
 
 def test_batch_composition_does_not_depend_on_scheme_order(monkeypatch):
-    batches = []
-
-    def recording(config, dt_factors, *, tableaux, **kwargs):
-        batches[-1].append(sorted(zip((t.name for t in tableaux), dt_factors)))
-        return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
-
-    monkeypatch.setattr(limits, "run_batch", recording)
-    # Refine rounds (``band`` rows per scan: 51 // 5 at the default chunk
-    # size, 1 at 7 states) in one chunk each, and the coarse scan's one round
-    # cut into chunks.
-    for refine, rows, largest in ((True, None, 50), (True, 7, 5), (False, 7, 7)):
+    batches = {}
+    # Refine rounds (``band`` ticks per scan: 51 // 5 at the default chunk
+    # size, 1 at 7 states, where a bisection round offers the next midpoint
+    # of each open bracket: 6 rows at most here, ssprk33's two beside other
+    # scans' one) in one chunk each, and the coarse scan's one round cut into
+    # chunks.
+    for refine, rows, largest in ((True, None, 50), (True, 7, 6), (False, 7, 7)):
         if rows is not None:
             monkeypatch.setattr(limits, "CHUNK_BYTES", rows * state_bytes(short_search("muscl2", "rk44")))
-        batches.clear()
         for order in (BUILTIN_SCHEME_IDS, ("rk44", "forward_euler", "rk31", "midpoint", "ssprk33")):
-            batches.append([])
+            batches[order] = record_chunks(monkeypatch)
             limits_table("muscl2", order, refine=refine, t_final=SHORT_T_FINAL["muscl2"])
-        assert len(batches[0]) > 1
-        assert max(len(b) for b in batches[0]) == largest
-        assert batches[0] == batches[1]
+        first, second = batches.values()
+        assert len(first) > 1
+        assert max(len(b) for b in first) == largest
+        assert first == second
 
 
 def assert_rows_equal(mixed, alone):
@@ -362,57 +358,45 @@ def test_mixed_rows_in_any_order_equal_one_row_runs():
                 assert [h[2] for h in row.history] == rec.monitor_stage_worst.tolist()
 
 
-def record_compositions(monkeypatch) -> list:
-    """Patch the sweep's run_batch to record each chunk's (stage count, scheme, c) rows."""
-    batches = []
-
-    def recording(config, dt_factors, *, tableaux, **kwargs):
-        batches.append([(t.s, t.name, c) for t, c in zip(tableaux, dt_factors)])
-        return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
-
-    monkeypatch.setattr(limits, "run_batch", recording)
-    return batches
-
-
 def test_leblanc_chunks_hold_every_scheme_at_one_c(monkeypatch):
     """Two Leblanc states fill CHUNK_BYTES, but a chunk holds at least one row
-    per scan: five-row chunks, bands of one c, each in (stage count, scheme
-    name) order, so the five c = 0.1 rows, the longest, share one chunk."""
-    batches = record_compositions(monkeypatch)
+    per scan: five-row chunks of a round sorted by (c, scheme name), so each
+    chunk is the five schemes at one c and the five c = 0.1 rows, the
+    longest, share one chunk."""
+    batches = record_chunks(monkeypatch)
     table = limits_table("leblanc_n2", BUILTIN_SCHEME_IDS[::-1], t_final=SHORT_T_FINAL["leblanc_n2"])
     base = preset_config("leblanc_n2", "rk44", 1.0)
     assert limits._chunk_rows(base) == 2
     assert limits._chunk_rows(base, len(BUILTIN_SCHEME_IDS)) == len(BUILTIN_SCHEME_IDS)
-    rows = sorted((o.c, builtin_scheme(r.scheme).s, r.scheme) for r in table.rows for o in r.per_candidate)
-    assert batches == [[(s, name, c) for c, s, name in rows[i : i + 5]] for i in range(0, len(rows), 5)]
-    assert batches[0] == sorted((builtin_scheme(name).s, name, 0.1) for name in BUILTIN_SCHEME_IDS)
+    rows = sorted((o.c, r.scheme) for r in table.rows for o in r.per_candidate)
+    assert batches == [rows[i : i + 5] for i in range(0, len(rows), 5)]
+    assert batches[0] == [(0.1, name) for name in sorted(BUILTIN_SCHEME_IDS)]
 
 
 def test_low_c_rows_of_a_table_share_one_chunk(monkeypatch):
-    batches = record_compositions(monkeypatch)
+    batches = record_chunks(monkeypatch)
     limits_table("dissipative", t_final=SHORT_T_FINAL["dissipative"])
     assert len(batches) == 4
-    (first,) = [b for b in batches if (1, "forward_euler", 0.1) in b]
-    assert {(name, c) for _, name, c in first if c == 0.1} == {(name, 0.1) for name in BUILTIN_SCHEME_IDS}
+    (first,) = [b for b in batches if (0.1, "forward_euler") in b]
+    assert {(c, name) for c, name in first if c == 0.1} == {(0.1, name) for name in BUILTIN_SCHEME_IDS}
 
 
 def test_refine_rounds_fit_one_sorted_chunk(monkeypatch):
     """Under refine each scan offers at most ``band = _chunk_rows // scans``
-    candidates a round, so at one worker a round is one chunk, its rows
-    sorted by (c band, stage count, scheme name, c)."""
-    batches = record_compositions(monkeypatch)
+    candidates a round (``band`` is 10 here, more than the two brackets), so
+    at one worker a round is one chunk, its rows sorted by (c, scheme name)."""
+    batches = record_chunks(monkeypatch)
     table = limits_table("muscl2", refine=True, t_final=SHORT_T_FINAL["muscl2"])
     chunk_rows = limits._chunk_rows(preset_config("muscl2", "rk44", 1.0), len(BUILTIN_SCHEME_IDS))
     band = chunk_rows // len(BUILTIN_SCHEME_IDS)
+    assert band >= 2
     assert sum(map(len, batches)) >= sum(len(r.per_candidate) for r in table.rows)
     assert len(batches) < max(len(r.per_candidate) for r in table.rows)
     assert max(len(b) for b in batches) == band * len(BUILTIN_SCHEME_IDS) <= chunk_rows
     for b in batches:
-        live = {name for _, name, _ in b}  # every live scan offers a candidate a round
-        assert max(sum(name == scheme for _, name, _ in b) for scheme in live) <= band
-        c_band = max(len(live), chunk_rows) // len(live)
-        rank = {c: r for r, c in enumerate(sorted({c for *_, c in b}))}
-        assert b == sorted(b, key=lambda row: (rank[row[2]] // c_band, row))
+        live = {name for _, name in b}  # every live scan offers a candidate a round
+        assert max(sum(name == scheme for _, name in b) for scheme in live) <= band
+        assert b == sorted(b)
 
 
 def test_a_round_is_cut_by_the_processes_started(monkeypatch):
@@ -421,7 +405,7 @@ def test_a_round_is_cut_by_the_processes_started(monkeypatch):
     monkeypatch.setattr(limits.os, "cpu_count", lambda: 1)
     calls = {}
     for workers in (1, 2):
-        calls[workers] = record_compositions(monkeypatch)
+        calls[workers] = record_chunks(monkeypatch)
         limits_table("muscl2", refine=True, t_final=SHORT_T_FINAL["muscl2"], workers=workers)
     assert calls[2] == calls[1]
 

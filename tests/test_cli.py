@@ -282,6 +282,39 @@ def test_limits_rejects_csv_out_path(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("the work started")
+
+
+@pytest.mark.parametrize(
+    "command, out, message",
+    [
+        (["limits", "upwind"], "missing/t.json", "error: --out {tmp}/missing/t.json: {tmp}/missing is not a directory\n"),
+        (["limits", "upwind"], "a_dir", "error: --out {tmp}/a_dir: {tmp}/a_dir is a directory\n"),
+        (["limits", "upwind"], "t.json", "error: --out {tmp}/t.json: {tmp}/t.csv is a directory\n"),
+        (["run", "upwind"], "a_file", "error: [Errno 17] File exists: '{tmp}/a_file'\n"),
+        (["run", "upwind"], "a_file/o", "error: [Errno 20] Not a directory: '{tmp}/a_file/o'\n"),
+    ],
+    ids=["limits-missing-dir", "limits-dir", "limits-csv-dir", "run-file", "run-under-file"],
+)
+def test_an_out_path_that_cannot_be_written_fails_before_the_work(tmp_path, capsys, monkeypatch, command, out, message):
+    """An --out in a missing directory, or one a directory or file stands
+    in the way of, used to fail only after the whole sweep or run: limits
+    checks its two paths first, and run makes its directory first."""
+    import rkstab.cli
+
+    monkeypatch.setattr(rkstab.cli, "limits_table", no_work)
+    monkeypatch.setattr(rkstab.cli, "simulate", no_work)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "t.csv").mkdir()
+    (tmp_path / "a_file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(command + ["--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err == message.format(tmp=tmp_path)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "a_file").read_text() == ""
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

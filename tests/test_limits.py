@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rkstab.limits as limits
@@ -14,7 +14,7 @@ from rkstab.limits import (
 )
 from rkstab.presets import preset_config
 
-from conftest import SWEEP_WORKERS
+from conftest import SWEEP_WORKERS, record_chunks
 from serial_search import drive, serial_limits, serial_scan
 
 
@@ -112,19 +112,6 @@ def test_workers_do_not_change_results():
     assert seq == par
 
 
-def record_rows(monkeypatch) -> list:
-    """Patch the sweep's run_batch to record each call's (scheme, c) rows."""
-    calls = []
-    run_batch = limits.run_batch
-
-    def recording(config, dt_factors, *, tableaux, **kwargs):
-        calls.append([(t.name, c) for t, c in zip(tableaux, dt_factors)])
-        return run_batch(config, dt_factors, tableaux=tableaux, **kwargs)
-
-    monkeypatch.setattr(limits, "run_batch", recording)
-    return calls
-
-
 def record_offers(monkeypatch) -> list:
     """Patch the sweep's scans to record every offer as (scheme, band, cs)."""
     offers = []
@@ -150,7 +137,7 @@ def test_refine_scan_offers_a_band_of_ticks_and_drops_the_outcomes_past_its_stop
     past it are run but not recorded, and the result is the serial search's."""
     cfg = upwind_search(c_min=1.1, refine=True)
     serial = serial_limits(cfg)
-    calls = record_rows(monkeypatch)
+    calls = record_chunks(monkeypatch)
     for rows in (None, 3):
         if rows is not None:
             monkeypatch.setattr(limits, "CHUNK_BYTES", rows * 8 * cfg.base.grid.n_cells)
@@ -159,7 +146,7 @@ def test_refine_scan_offers_a_band_of_ticks_and_drops_the_outcomes_past_its_stop
         calls.clear()
         assert find_limits(cfg) == serial
         assert max(len(call) for call in calls) <= band
-        assert [c for _, c in calls[0]] == pytest.approx([1.1 + 0.1 * k for k in range(band)])
+        assert [c for c, _ in calls[0]] == pytest.approx([1.1 + 0.1 * k for k in range(band)])
     ticks = set(limits._candidate_values(cfg.c_min, cfg.c_max, cfg.granularity))
     assert [o.c for o in serial.per_candidate if o.c in ticks] == [1.1, 1.2, 1.3, 1.4]
 
@@ -195,7 +182,16 @@ def assert_speculative_equals_serial(cfg, band, verdict):
     result, offers = drive(limits._scan(cfg, band), synthetic(verdict))
     assert result == serial
     if cfg.refine:
-        assert max(len(offer) for offer in offers) <= band
+        ticks = set(limits._candidate_values(cfg.c_min, cfg.c_max, cfg.granularity))
+        recorded = {o.c for o in result.per_candidate}
+        for offer in offers:
+            if set(offer) <= ticks:
+                assert len(offer) <= band
+            else:
+                # At most one whole level past ``band``: the next midpoint of
+                # each open bracket (c_p's and c_s's), each on its path.
+                assert len(offer) <= max(band, 2)
+                assert len(offer) <= band or set(offer) <= recorded
         assert len(offers) <= len(serial_offers)
     return offers
 
@@ -220,7 +216,27 @@ def test_isolated_passes_leave_the_speculative_search_serial(case, band):
         assert len(offers) == 4
 
 
+def test_a_band_one_bisection_offers_the_next_midpoint_of_both_brackets():
+    """At ``band = 1`` both brackets are open after the coarse scan, c_p's at
+    (1.3, 1.4) and c_s's at (0.2, 0.3): each bisection round offers both
+    next midpoints, so c_s's bisection runs beside c_p's, not after it, and
+    every midpoint offered is on its bracket's path."""
+    cfg = synthetic_search()
+    offers = assert_speculative_equals_serial(cfg, 1, ISOLATED["muscl2_ssprk33"])
+    assert offers[:14] == [[c] for c in limits._candidate_values(0.1, 1.4, 0.1)]  # both fail at 1.4
+    assert offers[14:] == [[0.25, 1.35], [0.225, 1.325], [0.2125, 1.3375], [0.20625, 1.33125]]
+
+
 @settings(max_examples=300, deadline=None)
+@example(
+    band=1,
+    t_step=1.33,
+    t_shifted=0.21,
+    step_flips=frozenset(),
+    shifted_flips=frozenset(),
+    grid=(0.1, 5.0, 0.1),
+    refine=True,
+)
 @given(
     band=st.integers(1, 60),
     t_step=st.floats(0.0, 5.5),
