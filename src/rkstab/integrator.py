@@ -100,6 +100,7 @@ def rk_step_instrumented(
     *,
     out=None,
     r0=None,
+    dt_cells=None,
 ) -> StageTrace | None:
     """Advance one step, keeping every stage quantity.
 
@@ -123,6 +124,14 @@ def rk_step_instrumented(
     (``NonPhysicalStateError``) is re-raised as :class:`StepFailedError`
     carrying the stage index.  :func:`run_batch` does not catch it: there
     the monitor judges admissibility after the step, and kernels do not raise.
+
+    A per-row ``dt`` is copied once into ``dt_cells`` (an array shaped as
+    ``q_n``; a new one without it), so that the shifted states and every
+    term whose coefficient is a float multiply whole arrays rather than a
+    column against the rows: ``(dt a) R`` is then ``dt_cells * a`` times
+    ``R``, the same operations on the same values.  A term with a column of
+    the rows' coefficients keeps the column ``dt * a``, and a scalar ``dt``
+    (one row) is used as it is.
     """
     tab = tableau if hasattr(tableau, "terms") else _batch_tableau([tableau], None)
     s, width = tab.s, tab.width
@@ -137,8 +146,14 @@ def rk_step_instrumented(
     shifted, scratch = out[s : 2 * s], out[2 * s]
     fresh = [True] * s + [False]
     np.copyto(states[s], q_n)
+    spread = np.ndim(dt) > 0
+    if spread:
+        dt_cells = np.empty_like(q_n, dtype=float) if dt_cells is None else dt_cells
+        np.copyto(dt_cells, dt)
+    else:
+        dt_cells = dt
     for i, terms in enumerate(tab.terms):
-        q_0, dt_i = (q_n, dt) if width[i] is None else (q_n[: width[i]], dt[: width[i]])
+        q_0, dt_i = (q_n, dt_cells) if width[i] is None else (q_n[: width[i]], dt_cells[: width[i]])
         q_i = states[i]
         if i and fresh[i]:  # a stage without terms is q^n
             np.copyto(q_i, q_0)
@@ -152,15 +167,19 @@ def rk_step_instrumented(
         np.add(q_0, shifted[i], out=shifted[i])
         for k, a, n in terms:
             if n is None:
-                dest, base, coef, term, tmp = states[k], q_n, dt * a, r_i, scratch
+                dest, base, dt_k, term, tmp = states[k], q_n, dt_cells, r_i, scratch
             else:
-                dest, base, coef, term, tmp = states[k][:n], q_n[:n], dt[:n] * a, r_i[:n], scratch[:n]
+                dest, base, dt_k, term, tmp = states[k][:n], q_n[:n], dt_cells[:n], r_i[:n], scratch[:n]
+            prod = dest if fresh[k] else tmp
+            if spread and type(a) is float:
+                np.multiply(dt_k, a, out=prod)
+                prod *= term
+            else:  # a column of coefficients, or one row's scalar dt
+                np.multiply((dt if n is None else dt[:n]) * a, term, out=prod)
             if fresh[k]:
-                np.multiply(coef, term, out=dest)
                 np.add(base, dest, out=dest)
                 fresh[k] = False
             else:
-                np.multiply(coef, term, out=tmp)
                 np.add(dest, tmp, out=dest)
         del r_i  # not alive during the next stage's rhs call
     if derivs is None:
@@ -446,9 +465,11 @@ def run_batch(
     failed = np.zeros((len(rows), 2), dtype=bool)
     step = 0
     # The workspace: room for the first step's states (rows only leave, so
-    # later steps need less) and a scratch state per row.
+    # later steps need less), a scratch state per row, and the rows' dt
+    # spread over their cells (see rk_step_instrumented).
     buffer = np.empty((2 * sum(n or len(rows) for n in tab.width),) + q0.shape)
     scratch = np.empty_like(q)
+    dt_cells = np.empty_like(q)
     out, n_states, take = _step_layout(buffer, scratch, tab, len(rows))
 
     def leave(keep, *extra):
@@ -512,7 +533,7 @@ def run_batch(
             s, states, q_rk = tab.s, buffer[:n_states], out[tab.s - 1]
             first, r0 = ([] if r0 is None else [r0]), None
             if trace_callback is None:
-                rk_step_instrumented(tab, rhs, q, dt_rows, out=out, r0=first)
+                rk_step_instrumented(tab, rhs, q, dt_rows, out=out, r0=first, dt_cells=dt_cells[: live.size])
             else:  # one row: trace its state, then monitor the step as any other
                 first = [r[0] for r in first]
                 trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, r0=first)

@@ -12,7 +12,6 @@ depend on the chunking, the scheme order or the worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import itertools
@@ -47,7 +46,7 @@ MAX_TICKS = 10**6
 #: max(scans, CHUNK_BYTES // bytes of one state) candidates: at least one per
 #: scan of the table, so that every scheme's long low-c rows share a chunk.  A chunk's
 #: step then peaks at about 0.3-0.5 MB on the 50-cell dissipative problem (81
-#: rows), 0.5-0.7 MB on the 80-cell MUSCL one (51 rows) and 0.84 MB on the
+#: rows), 0.5-0.8 MB on the 80-cell MUSCL one (51 rows) and 0.91 MB on the
 #: 3x600 Euler shock tube (the five schemes at one c; 2 rows of one scheme
 #: took 0.8 MB when a step kept every stage, derivative and a stacked copy of
 #: its states).
@@ -247,8 +246,9 @@ def _lockstep(search: LimitSearchConfig, tableaux: list) -> list[LimitResult]:
     share a chunk, and cuts it into chunks of ``min(chunk size, ceil(rows /
     processes))`` rows, ``processes`` being ``search.workers`` capped at the
     CPU count; they run serially or, with two or more processes and chunks,
-    in a process pool.  Every chunk steps on ``search.base`` with its rows'
-    tableaux.  The rounds do not depend on ``workers``."""
+    in a process pool, which the first such round imports and starts.  Every
+    chunk steps on ``search.base`` with its rows' tableaux.  The rounds do
+    not depend on ``workers``."""
     base = search.base
     chunk_rows = _chunk_rows(base, len(tableaux))
     band = chunk_rows // len(tableaux)
@@ -256,14 +256,20 @@ def _lockstep(search: LimitSearchConfig, tableaux: list) -> list[LimitResult]:
     offers = {k: next(scan) for k, scan in enumerate(scans)}
     results = {}
     processes = min(search.workers, os.cpu_count() or 1)
-    with concurrent.futures.ProcessPoolExecutor(processes) if processes > 1 else contextlib.nullcontext() as pool:
+    pool = None
+    with contextlib.ExitStack() as stack:
         while offers:
             rows = sorted((c, tableaux[k].name, k) for k, cs in offers.items() for c in cs)
             size = min(chunk_rows, math.ceil(len(rows) / processes))
             chunks = [rows[i : i + size] for i in range(0, len(rows), size)]
             jobs = [(base, [tableaux[k] for _, _, k in chunk], [c for c, _, _ in chunk]) for chunk in chunks]
+            pooled = processes > 1 and len(jobs) > 1
+            if pooled and pool is None:
+                import concurrent.futures
+
+                pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(processes))
             # Outcomes arrive in row order, serial or pooled.
-            outs = (pool.map if pool and len(jobs) > 1 else map)(_run_chunk, jobs)
+            outs = (pool.map if pooled else map)(_run_chunk, jobs)
             got = {k: [] for k in offers}
             for (_, _, k), out in zip(rows, itertools.chain.from_iterable(outs)):
                 got[k].append(out)

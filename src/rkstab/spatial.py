@@ -176,18 +176,24 @@ def _extend_scalar(q: np.ndarray, boundary, width: int) -> np.ndarray:
 
 def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
     qe = _extend_scalar(q, boundary, 2)  # two ghost cells per side
-    dq = qe[..., 1:] - qe[..., :-1]
+    # The stencil runs on the flattened (..., n+4) extended stack, one
+    # contiguous pass per operation, as the LLF interfaces do: lane k pairs
+    # entries k and k+1 (or k+2), so the last lanes of each row pair it with
+    # the next row's first cells.  Those lanes are scratch, computed and
+    # dropped; in row terms every index below is the one of the row kernel.
+    e = qe.reshape(-1)
+    dq = e[1:] - e[:-1]
     # half the minmod slope of extended cell k+1, k = 0 .. n+1:
     # 0.5 * (0.5 * (sign(a) + sign(b)) * min(|a|, |b|)), a = dq[k+1], b = dq[k]
     sign = np.sign(dq)
     np.abs(dq, out=dq)
-    half = np.minimum(dq[..., 1:], dq[..., :-1])
-    sign = sign[..., 1:] + sign[..., :-1]
+    half = np.minimum(dq[1:], dq[:-1])
+    sign = sign[1:] + sign[:-1]
     sign *= 0.5
     half *= sign
     half *= 0.5
-    qm = qe[..., 1:-2] + half[..., :-1]  # q^- at interfaces -1/2 .. n-1/2
-    qp = qe[..., 2:-1] - half[..., 1:]  # q^+ at the same interfaces
+    qm = e[1:-2] + half[:-1]  # q^- at interfaces -1/2 .. n-1/2
+    qp = e[2:-1] - half[1:]  # q^+ at the same interfaces
     # Godunov flux of q^2/2: max(f(max(q^-, 0)), f(min(q^+, 0))), f(x) = (0.5 x) x,
     # which is 0 when q^- <= 0 <= q^+, else min or max of the endpoint fluxes.
     np.maximum(qm, 0.0, out=qm)
@@ -197,9 +203,11 @@ def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
     fp = 0.5 * qp
     fp *= qp
     np.maximum(f, fp, out=f)
-    r = f[..., 1:] - f[..., :-1]
-    r /= -dx
-    return r
+    # f[k + 1] - f[k] in the layout of qe, whose last four lanes stay
+    # unwritten: the division reads only the first n lanes of each row.
+    df = np.empty(qe.shape)
+    np.subtract(f[1:], f[:-1], out=df.reshape(-1)[:-4])
+    return np.divide(df[..., : q.shape[-1]], -dx)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ may show in the results: every candidate's outcome must equal the one of
 its own single-row run, whatever the rows per chunk.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,13 +39,13 @@ SHORT_T_FINAL = {
 SCHEMES = ("forward_euler", "ssprk33", "rk44")
 
 #: States one row keeps alive at the peak of a step on the 3x600 Euler shock
-#: tube, at most: q^n, the step workspace (up to 2s states, s <= 4, and a
-#: scratch state) and the kernel's or the monitor's temporaries.  Measured
-#: with tracemalloc on one step of a chunk at c = 0.1: 12.3 on a mixed step
-#: of the five built-in schemes (the bound
-#: test_a_leblanc_chunk_keeps_at_most_row_states_per_row checks), 9-16 on one
-#: scheme's rows (16 for rk44); 9-16 on the dissipative problem and 16-23 on
-#: MUSCL, whose TV monitor makes more temporaries.
+#: tube, at most: q^n, the step workspace (up to 2s states, s <= 4, a
+#: scratch state and the row's dt spread over its cells) and the kernel's or
+#: the monitor's temporaries.  Measured with tracemalloc on one step of a
+#: chunk at c = 0.1: 13.3 on a mixed step of the five built-in schemes (the
+#: bound test_a_leblanc_chunk_keeps_at_most_row_states_per_row checks),
+#: 9.7-16.8 on one scheme's rows (16.8 for rk44); 9.8-17 on the dissipative
+#: problem and 17-24 on MUSCL, whose TV monitor makes more temporaries.
 ROW_STATES = 18
 
 
@@ -294,6 +298,56 @@ def test_overflowing_row_of_a_mixed_batch_keeps_its_verdict():
         assert_rows_equal(row, one)
 
 
+@dataclass(frozen=True)
+class ClippedDecay:
+    """q' = -clip(q, -1.5, 1.5); dt_FE = 1 on finite states and NaN on others."""
+
+    is_euler = False
+
+    def rhs_array(self, q, grid):
+        return -np.clip(q, -1.5, 1.5)
+
+    def dt_fe_array(self, q, grid):
+        return np.where(np.isfinite(q).all(axis=-1), 1.0, np.nan)
+
+
+class Constant:
+    value = 1.5
+
+    def build(self, grid):
+        return ScalarField(grid, np.full(grid.n_cells, self.value))
+
+
+def test_a_row_with_a_near_overflow_dt_equals_its_one_row_run():
+    """(dt a) R must not become (dt R) a when a batch spreads its per-row dt
+    over whole arrays: at dt = 1.5e308 and |R| = 1.5, dt R overflows while
+    (dt a) R does not for a < 1, and rk44's terms then cancel to a finite
+    q_rk.  Every row of a five-scheme batch, that row among ordinary ones
+    that fail both criteria at their first step, equals its one-row run bit
+    for bit."""
+    huge = 1.5e308
+    cfg = SimulationConfig(
+        scheme=ClippedDecay(),
+        tableau=builtin_scheme("rk44"),
+        grid=Grid1D(8, 0.0, 1.0, Periodic()),
+        ic=Constant(),
+        t_final=huge,
+        dt_factor=1.0,
+        monitor=Monitor("energy"),
+    )
+    tableaux = [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS for _ in range(2)]
+    cs = [2.5, 3.0] * len(BUILTIN_SCHEME_IDS)
+    cs[[t.name for t in tableaux].index("rk44")] = huge
+    rows = run_batch(cfg, cs, tableaux=tableaux, record=True, early_stop=True)
+    for tab, c, row in zip(tableaux, cs, rows):
+        (alone,) = run_batch(replace(cfg, tableau=tab), [c], record=True, early_stop=True)
+        assert row.n_steps == alone.n_steps == 1
+        assert_rows_equal(row, alone)
+        np.testing.assert_array_equal(row.final_state.view(np.int64), alone.final_state.view(np.int64))
+    (near,) = [row for row in rows if row.dt_factor == huge]
+    assert np.isfinite(near.final_state).all()
+
+
 @dataclass(eq=False)
 class RecordingDecay:
     """q' = -q with dt_FE = 1, recording the rows of every RHS call."""
@@ -408,6 +462,34 @@ def test_a_round_is_cut_by_the_processes_started(monkeypatch):
         calls[workers] = record_chunks(monkeypatch)
         limits_table("muscl2", refine=True, t_final=SHORT_T_FINAL["muscl2"], workers=workers)
     assert calls[2] == calls[1]
+
+
+def test_the_pool_is_imported_only_for_a_round_of_two_chunks(tmp_path):
+    """``import rkstab``, a one-worker table and a two-worker table on one
+    CPU, which cuts no round into two chunks, leave concurrent.futures
+    unloaded; a two-worker table on two CPUs loads it."""
+    script = """
+import sys
+import rkstab
+import rkstab.limits as limits
+
+def table(workers):
+    rkstab.limits_table("upwind", ["rk44", "ssprk33"], c_max=1.0, t_final=0.05, workers=workers)
+
+assert "concurrent.futures" not in sys.modules
+table(1)
+assert "concurrent.futures" not in sys.modules
+limits.os.cpu_count = lambda: 1
+table(2)
+assert "concurrent.futures" not in sys.modules
+limits.os.cpu_count = lambda: 2
+table(2)
+assert "concurrent.futures" in sys.modules
+"""
+    src = Path(integrator.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def stacked_step_inputs(preset: str, cs):

@@ -3,9 +3,9 @@
 Every non-NaN value must have the oracle's bits (compared as ``int64``, so
 that -0.0 and +0.0 differ) and NaN must sit in the same cells, for single
 states and stacks, on both boundaries each kernel supports, with NaN,
-infinities, signed zeros and 1e-300 in the data.  The LLF kernel works on
-flattened rows, whose lanes at cells 0 and n-1 pair a row with the next:
-special values sit there too.  ``euler_minima`` is checked against a
+infinities, signed zeros and 1e-300 in the data.  Both kernels work on
+flattened rows, whose lanes at the first and the last cells pair a row with
+the next: special values sit there too.  ``euler_minima`` is checked against a
 per-cell oracle, and the one admissibility rule (the state floor judges,
 ``admissibility_error`` locates) against another.
 """
@@ -81,6 +81,33 @@ def test_muscl_kernel_equals_oracle_bitwise(boundary):
     for value in SPECIAL:
         for q in (np.full(13, value), np.where(np.arange(13) % 3 == 0, value, 0.0)):
             assert_bitwise(scheme.rhs_array(q, grid), muscl_rhs(q, grid.dx, boundary))
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [Periodic(), Dirichlet(1.0, -0.5), Dirichlet(np.nan, -np.inf)],
+    ids=["periodic", "dirichlet", "dirichlet-special"],
+)
+def test_muscl_scratch_lanes_do_not_reach_the_cells(boundary):
+    """The MUSCL kernel works on flattened rows, whose last lanes pair a row's
+    last two cells and ghost cells with the next row's first ones: stacks of
+    2-5 rows with special values in cells 0, 1, n-2 and n-1 of every row
+    equal the oracle bit for bit."""
+    rng = np.random.default_rng(53)
+    grid = Grid1D(9, 0.0, 4.5, boundary)
+    scheme = MusclBurgers()
+    for rows in (2, 3, 4, 5):
+        for _ in range(40):
+            q = rng.uniform(-1.5, 1.5, size=(rows, 9))
+            q[:, [0, 1, -2, -1]] = rng.choice(EDGE, size=(rows, 4))
+            r = scheme.rhs_array(q, grid)
+            assert r.flags.c_contiguous
+            assert_bitwise(r, muscl_rhs(q, grid.dx, boundary))
+    # every pair of special values in the two first and the two last cells
+    pairs = np.array(np.meshgrid(EDGE, EDGE)).reshape(2, -1).T
+    q = rng.uniform(-1.5, 1.5, size=(len(pairs), 9))
+    q[:, :2], q[:, -2:] = pairs, pairs[::-1]
+    assert_bitwise(scheme.rhs_array(q, grid), muscl_rhs(q, grid.dx, boundary))
 
 
 def admissible(rng, lead, n):
