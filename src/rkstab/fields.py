@@ -48,7 +48,7 @@ class Outflow:
 
 @dataclass(frozen=True)
 class Dirichlet:
-    """Frozen boundary states: scalars for Burgers, conserved triples for Euler."""
+    """Frozen scalar boundary states, for MUSCL Burgers; Euler takes outflow or periodic."""
 
     left: object
     right: object

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -235,6 +236,8 @@ class SimulationConfig:
             raise ValueError(f"t_final must be positive and finite, above {END_TIME_TOLERANCE}, got {self.t_final!r}")
         if not 0 < self.dt_factor < math.inf:
             raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor!r}")
+        if isinstance(self.record_every, bool) or not isinstance(self.record_every, numbers.Integral):
+            raise ValueError(f"record_every must be an integer, got {self.record_every!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -439,8 +442,7 @@ def run_batch(
     f0 = config.ic.build(grid)
     q0 = f0.stack() if is_euler else f0.q
     v0 = state_values(monitor, grid, q0)  # G(q^0), or the floor of q^0
-    if not is_euler:
-        monitor = bind_scale(monitor, v0)
+    monitor = bind_scale(monitor, v0)  # positivity ignores the slack
 
     t_final = config.t_final
     t_eps = END_TIME_TOLERANCE * max(1.0, t_final)

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -85,6 +86,8 @@ class LimitSearchConfig:
             )
         if (self.c_max - self.c_min) / self.granularity >= MAX_TICKS:
             raise ValueError(f"granularity {self.granularity!r} makes {MAX_TICKS} or more ticks")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral):
+            raise ValueError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

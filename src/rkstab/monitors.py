@@ -44,9 +44,9 @@ class Monitor:
     """A stability criterion with its comparison slack.
 
     For energy/tv, a candidate passes when G(candidate) - G(reference) does
-    not exceed ``tolerance * scale``; ``scale`` is set to max(1, G(q^0)) at
+    not exceed ``tolerance * scale``; ``scale`` is set to max(1, |G(q^0)|) at
     the start of a run so the roundoff slack tracks problem magnitude.
-    Positivity ignores the tolerance entirely: a sign is a sign.
+    Positivity ignores the tolerance and the scale: a sign is a sign.
     """
 
     kind: str

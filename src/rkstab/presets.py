@@ -1,10 +1,12 @@
-"""Experiment presets: the four benchmark problems and their configurations.
+"""Experiment presets: the four benchmark problems, each as its default run.
 
-Each preset fixes the domain, grid sampling convention, initial condition,
-spatial scheme and stability monitor; the RK scheme and the step-size
-multiplier are chosen per run.  The two Burgers finite-difference problems
-place unknowns at nodes x_min + i*dx (so the sine extrema fall exactly on
-the grid); the MUSCL and Euler problems use cell centers.
+A preset is the :class:`SimulationConfig` of its problem's default run (rk44
+at dt_factor 1): the spatial scheme, grid, initial condition, stability
+monitor and final time.  :func:`preset_config` replaces the RK scheme, the
+step-size multiplier and any override in it.  The two Burgers
+finite-difference problems place unknowns at nodes x_min + i*dx (so the sine
+extrema fall exactly on the grid); the MUSCL and Euler problems use cell
+centers.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ import numpy as np
 from .fields import Dirichlet, EulerField, Grid1D, Outflow, Periodic, ScalarField
 from .integrator import SimulationConfig
 from .monitors import Monitor
-from .spatial import (
-    DissipativeBurgers,
-    LaxFriedrichsEuler,
-    MusclBurgers,
-    UpwindBurgers,
-)
+from .spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers
 from .tableau import builtin_scheme
 
 __all__ = [
@@ -29,9 +26,7 @@ __all__ = [
     "SinePerturbation",
     "StepFunction",
     "RiemannInitialCondition",
-    "ExperimentPreset",
     "PRESET_IDS",
-    "experiment_preset",
     "preset_config",
 ]
 
@@ -96,95 +91,30 @@ class RiemannInitialCondition:
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: each is its problem's default run, rk44 at dt_factor 1
 
 _LEBLANC_GAMMA = 5.0 / 3.0
 
 
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """Defining data of one benchmark problem."""
-
-    id: str
-    x_min: float
-    x_max: float
-    default_n_cells: int
-    boundary: object
-    sampling: str
-    ic: object
-    monitor_kind: str
-    default_t_final: float
-    scheme: object  # the spatial scheme, with local Lax-Friedrichs for Euler
-
-    def config(
-        self,
-        scheme_id: str = "rk44",
-        dt_factor: float = 1.0,
-        *,
-        n_cells: int | None = None,
-        t_final: float | None = None,
-        tolerance: float | None = None,
-        monitor_kind: str | None = None,
-        tv_wrap: bool | None = None,
-        lf: str = "local",
-        record_every: int = 1,
-    ) -> SimulationConfig:
-        kind = monitor_kind if monitor_kind is not None else self.monitor_kind
-        if lf not in ("local", "global"):
-            raise ValueError(f"lf must be 'local' or 'global', got {lf!r}")
-        scheme = self.scheme
-        if lf == "global":
-            if not isinstance(scheme, LaxFriedrichsEuler):  # flags that would do nothing are errors
-                raise ValueError(f"lf='global' needs a Lax-Friedrichs preset; {self.id!r} is {type(scheme).__name__}")
-            scheme = replace(scheme, local=False)
-        if tv_wrap is not None and kind != "tv":
-            raise ValueError(f"tv_wrap applies to the tv monitor only, not to {kind!r}")
-        grid = Grid1D(
-            n_cells=n_cells if n_cells is not None else self.default_n_cells,
-            x_min=self.x_min,
-            x_max=self.x_max,
-            boundary=self.boundary,
-            sampling=self.sampling,
-        )
-        monitor = Monitor(
-            kind=kind,
-            tolerance=tolerance if tolerance is not None else 1e-12,
-            tv_wrap=tv_wrap,
-        )
-        return SimulationConfig(
-            scheme=scheme,
-            tableau=builtin_scheme(scheme_id),
-            grid=grid,
-            ic=self.ic,
-            t_final=t_final if t_final is not None else self.default_t_final,
-            dt_factor=dt_factor,
-            monitor=monitor,
-            record_every=record_every,
-        )
+def _default_run(scheme, grid: Grid1D, ic, monitor_kind: str, t_final: float) -> SimulationConfig:
+    return SimulationConfig(scheme, builtin_scheme("rk44"), grid, ic, t_final, 1.0, Monitor(monitor_kind))
 
 
-def _leblanc_preset(preset_id: str) -> ExperimentPreset:
-    # Two conventional element/node layouts (200x3 and 100x6 Gauss-Lobatto
-    # points) both carry 600 degrees of freedom; here both map to the same
-    # uniform 600-cell grid.
-    return ExperimentPreset(
-        id=preset_id,
-        x_min=0.0,
-        x_max=1.0,
-        default_n_cells=600,
-        boundary=Outflow(),
-        sampling="center",
-        ic=RiemannInitialCondition(
-            left=(1.0, 0.0, (_LEBLANC_GAMMA - 1.0) * 0.1),
-            right=(1e-3, 0.0, (_LEBLANC_GAMMA - 1.0) * 1e-10),
-            x0=0.33,
-            gamma=_LEBLANC_GAMMA,
-        ),
-        monitor_kind="positivity",
-        default_t_final=2.0 / 3.0,
-        scheme=LaxFriedrichsEuler(gamma=_LEBLANC_GAMMA),
-    )
-
+# Two conventional element/node layouts (200x3 and 100x6 Gauss-Lobatto
+# points) both carry 600 degrees of freedom; here both map to the same
+# uniform 600-cell grid, so leblanc_n2 and leblanc_n5 are one run.
+_LEBLANC = _default_run(
+    LaxFriedrichsEuler(gamma=_LEBLANC_GAMMA),  # local; lf="global" replaces it
+    Grid1D(n_cells=600, x_min=0.0, x_max=1.0, boundary=Outflow(), sampling="center"),
+    RiemannInitialCondition(
+        left=(1.0, 0.0, (_LEBLANC_GAMMA - 1.0) * 0.1),
+        right=(1e-3, 0.0, (_LEBLANC_GAMMA - 1.0) * 1e-10),
+        x0=0.33,
+        gamma=_LEBLANC_GAMMA,
+    ),
+    "positivity",
+    2.0 / 3.0,
+)
 
 _PRESETS = {
     # Grid resolution and final time are not pinned by the experiment's
@@ -192,57 +122,72 @@ _PRESETS = {
     # requires dx >= ~0.037 (2*mu*sum(dq^2) >= 0.006*dx*sum(R^2) fails on
     # finer grids already at the initial data), so 50 cells; T = 1 then
     # gives ~4k steps at dt_factor 1 and covers shock formation.
-    "dissipative": ExperimentPreset(
-        id="dissipative",
-        x_min=-1.0,
-        x_max=1.0,
-        default_n_cells=50,
-        boundary=Periodic(),
-        sampling="node",
-        ic=GaussianPulse(decay=30.0),
-        monitor_kind="energy",
-        default_t_final=1.0,
-        scheme=DissipativeBurgers(mu=1e-3),
+    "dissipative": _default_run(
+        DissipativeBurgers(mu=1e-3),
+        Grid1D(n_cells=50, x_min=-1.0, x_max=1.0, boundary=Periodic(), sampling="node"),
+        GaussianPulse(decay=30.0),
+        "energy",
+        1.0,
     ),
-    "upwind": ExperimentPreset(
-        id="upwind",
-        x_min=0.0,
-        x_max=2.0,
-        default_n_cells=100,  # dx = 0.02
-        boundary=Periodic(),
-        sampling="node",
-        ic=SinePerturbation(mean=0.5, amplitude=0.25),
-        monitor_kind="tv",
-        default_t_final=3.0,
-        scheme=UpwindBurgers(),
+    "upwind": _default_run(
+        UpwindBurgers(),
+        Grid1D(n_cells=100, x_min=0.0, x_max=2.0, boundary=Periodic(), sampling="node"),  # dx = 0.02
+        SinePerturbation(mean=0.5, amplitude=0.25),
+        "tv",
+        3.0,
     ),
-    "muscl2": ExperimentPreset(
-        id="muscl2",
-        x_min=-10.0,
-        x_max=70.0,
-        default_n_cells=80,  # dx = 1
-        boundary=Dirichlet(left=1.0, right=-0.5),
-        sampling="center",
-        ic=StepFunction(left=1.0, right=-0.5, x0=0.0),
-        monitor_kind="tv",
-        default_t_final=200.0,
-        scheme=MusclBurgers(),
+    "muscl2": _default_run(
+        MusclBurgers(),
+        Grid1D(n_cells=80, x_min=-10.0, x_max=70.0, boundary=Dirichlet(1.0, -0.5), sampling="center"),  # dx = 1
+        StepFunction(left=1.0, right=-0.5, x0=0.0),
+        "tv",
+        200.0,
     ),
-    "leblanc_n2": _leblanc_preset("leblanc_n2"),
-    "leblanc_n5": _leblanc_preset("leblanc_n5"),
+    "leblanc_n2": _LEBLANC,
+    "leblanc_n5": _LEBLANC,
 }
 
 PRESET_IDS = tuple(_PRESETS)
 
 
-def experiment_preset(preset_id: str) -> ExperimentPreset:
-    try:
-        return _PRESETS[preset_id]
-    except KeyError:
-        valid = ", ".join(PRESET_IDS)
-        raise ValueError(f"unknown experiment {preset_id!r}; valid ids: {valid}") from None
-
-
 def preset_config(preset_id: str, scheme_id: str = "rk44", dt_factor: float = 1.0, **overrides) -> SimulationConfig:
-    """Fully populated simulation config for a preset; see ExperimentPreset.config."""
-    return experiment_preset(preset_id).config(scheme_id, dt_factor, **overrides)
+    """The preset's default run with ``scheme_id`` at ``dt_factor``.
+
+    Each override replaces one value of it, and None keeps it: ``n_cells`` the grid's cell count, ``t_final``,
+    ``lf="global"`` the Lax-Friedrichs scheme's ``local``, ``monitor_kind``, ``tolerance`` and ``tv_wrap`` (tv
+    monitor only) the monitor's fields, and ``record_every`` (default 1).
+    """
+    if preset_id not in _PRESETS:
+        raise ValueError(f"unknown experiment {preset_id!r}; valid ids: {', '.join(PRESET_IDS)}")
+    return _override(preset_id, scheme_id, dt_factor, **overrides)
+
+
+def _override(
+    preset_id: str, scheme_id: str, dt_factor: float, *, n_cells: int | None = None, t_final: float | None = None,
+    tolerance: float | None = None, monitor_kind: str | None = None, tv_wrap: bool | None = None, lf: str = "local",
+    record_every: int = 1,
+) -> SimulationConfig:
+    default = _PRESETS[preset_id]
+    kind = monitor_kind if monitor_kind is not None else default.monitor.kind
+    if lf not in ("local", "global"):
+        raise ValueError(f"lf must be 'local' or 'global', got {lf!r}")
+    scheme = default.scheme
+    if lf == "global":
+        if not isinstance(scheme, LaxFriedrichsEuler):  # flags that would do nothing are errors
+            raise ValueError(f"lf='global' needs a Lax-Friedrichs preset; {preset_id!r} is {type(scheme).__name__}")
+        scheme = replace(scheme, local=False)
+    if tv_wrap is not None and kind != "tv":
+        raise ValueError(f"tv_wrap applies to the tv monitor only, not to {kind!r}")
+    grid = default.grid if n_cells is None else replace(default.grid, n_cells=n_cells)
+    monitor_fields = {"kind": kind, "tolerance": tolerance, "tv_wrap": tv_wrap}
+    monitor = replace(default.monitor, **{k: v for k, v in monitor_fields.items() if v is not None})
+    return replace(
+        default,
+        scheme=scheme,
+        tableau=builtin_scheme(scheme_id),
+        grid=grid,
+        t_final=t_final if t_final is not None else default.t_final,
+        dt_factor=dt_factor,
+        monitor=monitor,
+        record_every=record_every,
+    )

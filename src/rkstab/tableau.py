@@ -85,7 +85,7 @@ class ButcherTableau:
 class ConsistencyViolation:
     """One broken tableau invariant: which, where, and by how much."""
 
-    kind: str  # "not_explicit" | "row_sum" | "weight_sum"
+    kind: str  # "not_finite" | "not_explicit" | "row_sum" | "weight_sum"
     index: tuple | int | None
     residual: float
 
@@ -167,9 +167,17 @@ def validate_consistency(t: ButcherTableau) -> ConsistencyReport:
     """Check explicitness, row-sum consistency and first-order consistency.
 
     Returns a report listing every violated invariant with the offending
-    index and the residual; an empty report means the tableau is valid.
+    index and the residual; an empty report means the tableau is valid.  A
+    NaN or infinite coefficient is reported alone, as ``not_finite`` with its
+    array and index (e.g. ``("A", 1, 0)``) and its value as the residual.
     """
-    violations: list[ConsistencyViolation] = []
+    violations = [
+        ConsistencyViolation("not_finite", (name, *map(int, index)), float(arr[index]))
+        for name, arr in (("A", t.A), ("b", t.b), ("c", t.c))
+        for index in zip(*np.nonzero(~np.isfinite(arr)))
+    ]
+    if violations:  # sums of non-finite coefficients mean nothing
+        return ConsistencyReport(tuple(violations))
     s = t.s
     for i in range(s):
         for j in range(i, s):
@@ -188,15 +196,12 @@ def validate_consistency(t: ButcherTableau) -> ConsistencyReport:
 
 
 def check_assumption1(t: ButcherTableau) -> bool:
-    """True iff every a_ij, b_j and c_i lies in [0, 1].
+    """True iff every a_ij, b_j and c_i lies in [0, 1] (NaN does not).
 
     Comparisons are exact: the coefficients of interest are rational
     constants and the classification must be deterministic.
     """
-    for arr in (t.A, t.b, t.c):
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            return False
-    return True
+    return all(np.all((arr >= 0.0) & (arr <= 1.0)) for arr in (t.A, t.b, t.c))
 
 
 def _absolutely_monotone(A: np.ndarray, b: np.ndarray, r: float) -> bool:

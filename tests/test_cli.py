@@ -426,6 +426,28 @@ def test_coef_rejects_an_inconsistent_tableau_file(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text, violations",
+    [
+        ("nan_a\n2\n0 0\nnan 0\n0.5 0.5\n", "not_finite[('A', 1, 0)] residual=nan; not_finite[('c', 1)] residual=nan"),
+        ("nan_b\n2\n0 0\n0.5 0\n0.5 nan\n", "not_finite[('b', 1)] residual=nan"),
+        ("inf_a\n2\n0 0\ninf 0\n0.5 0.5\n", "not_finite[('A', 1, 0)] residual=inf; not_finite[('c', 1)] residual=inf"),
+    ],
+    ids=["nan_in_A", "nan_in_b", "inf_in_A"],
+)
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning would be a second line on stderr
+def test_coef_rejects_a_non_finite_coefficient(tmp_path, capsys, text, violations):
+    """NaN used to pass as consistent, with c_ssp 0 and assumption 1 true,
+    and inf with a RuntimeWarning; both exit 1 with one error line now."""
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    assert main(["coef", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tableau {text.split()[0]!r} is inconsistent: {violations}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_verdict_json_key_order(tmp_path):
     out = tmp_path / "o"
     assert main(["run", "leblanc_n2", "--dt-factor", "4.5", "--t-final", "0.01", "--out", str(out)]) == 2

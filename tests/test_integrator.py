@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,14 @@ def test_config_rejects_non_finite_or_non_positive_times(field, value):
     report a pass."""
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
         preset_config("upwind", "rk44", **{field: value})
+
+
+@pytest.mark.parametrize("record_every", [2.0, True, None, "2"])
+def test_config_rejects_a_record_every_that_is_not_an_integer(record_every):
+    """2.0 used to run the whole simulation and then fail in write_csv."""
+    with pytest.raises(ValueError, match=re.escape(f"record_every must be an integer, got {record_every!r}")):
+        preset_config("upwind", "rk44", t_final=0.1, record_every=record_every)
+    assert preset_config("upwind", "rk44", record_every=np.int64(2)).record_every == 2
 
 
 @pytest.mark.parametrize("t_final", [1e-13, END_TIME_TOLERANCE])

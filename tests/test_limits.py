@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +53,18 @@ def test_search_config_validation():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 LimitSearchConfig(base=base, **{field: value})
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, True])
+def test_workers_must_be_an_integer(monkeypatch, workers):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(limits, "run_batch", no_sweep)
+    with pytest.raises(ValueError, match=re.escape(f"workers must be an integer, got {workers!r}")):
+        limits_table("upwind", ["rk44"], t_final=0.1, workers=workers)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        upwind_search(workers=0)
 
 
 @pytest.mark.parametrize("c_max", [0.3, 1.0, 5.0, 123.456, 1e6, 1e12])

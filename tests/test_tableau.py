@@ -76,6 +76,18 @@ def test_validate_flags_non_explicit_entry():
     assert "not_explicit" in kinds
 
 
+def test_validate_lists_every_non_finite_coefficient_with_its_index():
+    t = builtin_scheme("rk44")
+    A, b = t.A.copy(), t.b.copy()
+    A[2, 1], A[0, 3], b[3] = np.nan, -np.inf, np.nan
+    report = validate_consistency(ButcherTableau("bad", A, b, t.c))
+    found = [(v.kind, v.index) for v in report.violations]
+    assert found == [("not_finite", ("A", 0, 3)), ("not_finite", ("A", 2, 1)), ("not_finite", ("b", 3))]
+    assert report.violations[0].residual == -np.inf
+    assert not check_assumption1(ButcherTableau("nan", A, t.b, t.c))
+    assert not check_assumption1(ButcherTableau("nan", t.A, b, t.c))
+
+
 def test_shape_mismatch_rejected_at_construction():
     with pytest.raises(ValueError):
         ButcherTableau("bad", np.zeros((2, 2)), np.array([1.0]))
