@@ -23,6 +23,7 @@ __all__ = [
     "EulerField",
     "NonPhysicalStateError",
     "per_row",
+    "require_number",
     "tv_includes_wrap",
     "total_variation_array",
     "quadratic_energy_array",
@@ -80,8 +81,7 @@ class Grid1D:
     sampling: str = "center"
 
     def __post_init__(self):
-        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, numbers.Integral):
-            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
+        require_number("n_cells", self.n_cells, numbers.Integral)
         if self.n_cells < 3:
             raise ValueError("n_cells must be at least 3")
         if not self.x_max > self.x_min:
@@ -155,6 +155,14 @@ def tv_includes_wrap(boundary, override: bool | None = None) -> bool:
     """Whether TV counts the wrap pair |q_0 - q_{n-1}|: by default on periodic
     grids only (that keeps TV of periodic data translation invariant)."""
     return isinstance(boundary, Periodic) if override is None else override
+
+
+def require_number(name: str, value, kind=numbers.Real) -> None:
+    """The one type rule of numeric settings: ``value`` must be a real (or,
+    with ``kind=numbers.Integral``, an integer) number, and a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def per_row(values):

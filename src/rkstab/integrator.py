@@ -27,6 +27,7 @@ from .fields import (
     NonPhysicalStateError,
     ScalarField,
     admissibility_error,
+    require_number,
 )
 from .monitors import (
     Monitor,
@@ -99,99 +100,59 @@ def rk_step_instrumented(
     dt: float,
     grid: Grid1D | None = None,
     *,
-    out=None,
     r0=None,
-    dt_cells=None,
 ) -> StageTrace | None:
     """Advance one step, keeping every stage quantity.
 
     ``rhs`` maps a state to its time derivative; states are numpy arrays,
     and ``dt`` may be an array broadcasting against them (one step size per
-    row of a stack of states).  ``tableau`` is a :class:`ButcherTableau` or
-    the step plan :func:`_batch_tableau` makes of it or of a stack of rows:
-    stage ``i`` exists on the first ``width[i]`` rows (None: on all of them):
-    its stage solution, derivative and shifted state are those rows, and
-    ``q_rk`` is ``q_n`` plus each ``b_j`` term on its prefix.
-
-    Without ``out`` the step returns its :class:`StageTrace`.  With ``out``,
-    2s + 1 arrays (stages 1..s-1, ``q_rk`` and shifted states 0..s-1, each
-    shaped as the rows that have it, then a scratch array shaped as ``q_n``;
-    see :func:`_step_layout`), it writes its states there and returns None;
-    each derivative is dropped as soon as its terms are added.  Both ways
-    make the same operations in the same order, so their states are equal
-    bit for bit.  ``r0`` is a list that holds ``rhs(q_n)`` when the caller
-    has evaluated it already; the step pops it as stage 0's derivative, so
-    that it too is dropped once its terms are added.  An RHS failure
+    row of a stack of states).  With a :class:`ButcherTableau` the step runs
+    the plan :func:`_step_plan` makes of it on fresh arrays and returns its
+    :class:`StageTrace`.  Given a plan bound to ``q_n`` and a workspace, it
+    writes its states there, drops each derivative once its terms are
+    added, and returns None: the same operations, so the same bits.  ``r0``
+    is a list that holds ``rhs(q_n)`` when the caller has evaluated it
+    already; the step pops it as stage 0's derivative.  An RHS failure
     (``NonPhysicalStateError``) is re-raised as :class:`StepFailedError`
     carrying the stage index.  :func:`run_batch` does not catch it: there
     the monitor judges admissibility after the step, and kernels do not raise.
-
-    A per-row ``dt`` is copied once into ``dt_cells`` (an array shaped as
-    ``q_n``; a new one without it), so that the shifted states and every
-    term whose coefficient is a float multiply whole arrays rather than a
-    column against the rows: ``(dt a) R`` is then ``dt_cells * a`` times
-    ``R``, the same operations on the same values.  A term with a column of
-    the rows' coefficients keeps the column ``dt * a``, and a scalar ``dt``
-    (one row) is used as it is.
     """
-    tab = tableau if hasattr(tableau, "terms") else _batch_tableau([tableau], None)
-    s, width = tab.s, tab.width
-    derivs = [] if out is None else None
-    if out is None:
-        out = [np.empty_like(q_n[:n], dtype=float) for n in width[1:] + [None] + width + [None]]
-    # Index k < s is stage k, index s is q_rk.  Each gets its terms as soon as
-    # the derivative they need exists, in the order of j, and the first term
-    # makes a stage q^n + term; q_rk starts as q^n, as its rows may differ in
-    # the terms they have.
-    states = [q_n, *out[: s - 1], out[s - 1]]
-    shifted, scratch = out[s : 2 * s], out[2 * s]
-    fresh = [True] * s + [False]
-    np.copyto(states[s], q_n)
-    spread = np.ndim(dt) > 0
-    if spread:
-        dt_cells = np.empty_like(q_n, dtype=float) if dt_cells is None else dt_cells
-        np.copyto(dt_cells, dt)
+    if hasattr(tableau, "stages"):
+        plan, derivs = tableau, None
     else:
-        dt_cells = dt
-    for i, terms in enumerate(tab.terms):
-        q_0, dt_i = (q_n, dt_cells) if width[i] is None else (q_n[: width[i]], dt_cells[: width[i]])
-        q_i = states[i]
-        if i and fresh[i]:  # a stage without terms is q^n
-            np.copyto(q_i, q_0)
+        room = (None, np.empty_like(q_n, dtype=float), np.empty_like(q_n, dtype=float) if np.ndim(dt) else None)
+        plan, derivs = _step_plan(*_coefficients([tableau]), q_n, room), []
+    spread = plan.dt_cells is not None
+    if spread:
+        plan.dt_cells[...] = dt
+    for dest, q_0 in plan.copies:
+        dest[...] = q_0
+    multiply, add = np.multiply, np.add  # the ufuncs of every term, looked up once
+    for i, (q_i, q_0, dt_i, shifted, cuts, terms) in enumerate(plan.stages):
         try:
             r_i = r0.pop() if r0 else rhs(q_i)
         except NonPhysicalStateError as exc:
             raise StepFailedError(i, exc) from exc
         if derivs is not None:
             derivs.append(r_i)
-        np.multiply(dt_i, r_i, out=shifted[i])
-        np.add(q_0, shifted[i], out=shifted[i])
-        for k, a, n in terms:
-            if n is None:
-                dest, base, dt_k, term, tmp = states[k], q_n, dt_cells, r_i, scratch
-            else:
-                dest, base, dt_k, term, tmp = states[k][:n], q_n[:n], dt_cells[:n], r_i[:n], scratch[:n]
-            prod = dest if fresh[k] else tmp
-            if spread and type(a) is float:
-                np.multiply(dt_k, a, out=prod)
-                prod *= term
-            else:  # a column of coefficients, or one row's scalar dt
-                np.multiply((dt if n is None else dt[:n]) * a, term, out=prod)
-            if fresh[k]:
-                np.add(base, dest, out=dest)
-                fresh[k] = False
-            else:
-                np.add(dest, tmp, out=dest)
-        del r_i  # not alive during the next stage's rhs call
+        multiply(dt_i if spread else dt, r_i, shifted)
+        add(q_0, shifted, shifted)
+        views = [r_i]  # r_i, then its prefixes that later stages need
+        for n in cuts:
+            views.append(r_i[:n])
+        for prod, dt_k, a, dt_a, v, x, y, dest in terms:
+            multiply(multiply(dt_k, a, dt_a) if spread else dt * a, views[v], prod)
+            add(x, y, dest)
+        del r_i, views  # not alive during the next stage's rhs call
     if derivs is None:
         return None
     return StageTrace(
         q_n=q_n,
         dt=dt,
-        stage_solutions=tuple(states[:s]),
+        stage_solutions=tuple(stage[0] for stage in plan.stages),
         stage_derivatives=tuple(derivs),
-        shifted_states=tuple(shifted),
-        q_rk=states[s],
+        shifted_states=tuple(plan.out[plan.s :]),
+        q_rk=plan.q_rk,
         grid=grid,
     )
 
@@ -230,14 +191,15 @@ class SimulationConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        require_number("t_final", self.t_final)
+        require_number("dt_factor", self.dt_factor)
+        require_number("record_every", self.record_every, numbers.Integral)
         # An infinite t_final, or one at or below the end-time tolerance,
         # would end every run before its first step.
         if not END_TIME_TOLERANCE < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, above {END_TIME_TOLERANCE}, got {self.t_final!r}")
         if not 0 < self.dt_factor < math.inf:
             raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor!r}")
-        if isinstance(self.record_every, bool) or not isinstance(self.record_every, numbers.Integral):
-            raise ValueError(f"record_every must be an integer, got {self.record_every!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -338,55 +300,77 @@ class RunRow:
         )
 
 
-def _batch_tableau(tableaux: list, column_shape: tuple | None):
-    """The step plan of a stack of rows, built once per layout.
-
-    The rows come in descending stage count; ``s`` is the largest, and
-    stage ``i`` runs on the first ``width[i]`` rows, those that have it
-    (None: all of them, so a full stage is never sliced).  ``terms[i]``
-    lists the nonzero terms of derivative ``i``: ``(k, a, n)`` adds it to
-    stage ``k`` (``k = s``: q_rk) with coefficient ``a`` (``A[k, i]`` or
-    ``b[i]``), a float when every row has the same, else a column of the
-    rows' values, on the first ``n`` rows (None: all of them)."""
-    s = tableaux[0].s
-    width = [sum(t.s > i for t in tableaux) for i in range(s)]
-    width = [None if n == len(tableaux) else n for n in width]
-    Ab = np.zeros((s + 1, s, len(tableaux)))  # [k, i, row]: A, then b as row s
+def _coefficients(tableaux: list):
+    """Stage counts and coefficients of a stack of rows in descending stage
+    count: row ``r`` has ``counts[r]`` stages, ``A`` in ``Ab[r, :-1]`` and
+    ``b`` in ``Ab[r, -1]``, zero past them."""
+    counts = np.array([t.s for t in tableaux])
+    Ab = np.zeros((len(tableaux), counts[0] + 1, counts[0]))
     for r, t in enumerate(tableaux):
-        Ab[: t.s, : t.s, r] = t.A
-        Ab[s, : t.s, r] = t.b
-    terms = [[] for _ in range(s)]
+        Ab[r, : t.s, : t.s], Ab[r, -1, : t.s] = t.A, t.b
+    return counts, Ab
+
+
+def _step_plan(counts, Ab, q_n, room):
+    """The step of the rows of ``q_n`` (see :func:`_coefficients`; a single
+    state is one row), every operand bound once.  Stage ``i`` runs on the
+    first ``width[i]`` rows, those that have it.  ``room`` is ``(buffer,
+    scratch, dt_cells)``: ``out`` (stages 1..s-1, q_rk, shifted states
+    0..s-1, each on its rows) takes consecutive blocks of ``buffer``, viewed
+    as ``states``, the one stack the monitor reads (fresh arrays when it is
+    None); ``dt_cells`` is None for a scalar ``dt``.  ``stages[i]`` is
+    ``(q_i, q^n, dt, shifted, cuts, terms)`` on its rows; its ``terms``, in
+    the order of the stage ``k`` they go to (``k = s``: q_rk), are ``(prod,
+    dt, a, dt_a, v, x, y, dest)``: ``prod = (dt a) R`` on the first ``n``
+    rows, ``R`` being the derivative (``v = 0``) or its prefix of ``cuts[v -
+    1]`` rows, then ``dest = x + y``.  ``a`` is ``A[k, i]`` or ``b[i]``, a
+    float when every row has the same (``dt a`` is then made in ``prod``),
+    else a column (``dt a`` is a column too).  A stage's first term makes
+    it ``q^n + prod`` in place, later ones add ``prod`` from ``scratch``;
+    q_rk, whose rows may differ in their terms, and a stage without terms
+    start as copies of q^n.  ``take`` places the values of ``q^n`` and of
+    ``states``, concatenated, into a ``(rows, 2s+1)`` layout: q^n, stages
+    1..s-1, q_rk, shifted states 0..s-1.  A stage a row lacks would be q^n
+    and takes stage 0's value, its shifted state shifted state 0's."""
+    s, rows = int(counts[0]), len(counts)
+    buffer, scratch, dt_cells = room
+    width = [int(np.count_nonzero(counts > i)) for i in range(s)]
+    cut = lambda x, n: x if x is None or n == rows else x[:n]  # noqa: E731
+    sizes = [rows] + width[1:] + [rows] + width  # q^n, stages 1.., q_rk, shifted
+    starts = list(itertools.accumulate(sizes, initial=0))
+    if buffer is None:
+        out = [np.empty_like(cut(q_n, n), dtype=float) for n in sizes[1:]]
+    else:
+        out = [buffer[a - rows : z - rows] for a, z in zip(starts[1:-1], starts[2:])]
+    q_s = [q_n, *out[:s]]  # the stages, then q_rk
+    fresh = [False] + [True] * (s - 1) + [False]
+    cuts, terms = [[] for _ in range(s)], [[] for _ in range(s)]
     for i, k in itertools.combinations(range(s + 1), 2):
         n = width[k] if k < s else width[i]  # b_i covers stage i's rows
-        x = Ab[k, i, :n]
-        if x.any():
-            a = float(x[0]) if (x == x[0]).all() else x.reshape(column_shape)
-            terms[i].append((k, a, n))
-    return SimpleNamespace(s=s, width=width, terms=terms)
-
-
-def _step_layout(buffer: np.ndarray, scratch: np.ndarray, tab, rows: int):
-    """Where a step of ``rows`` stacked rows keeps its states.
-
-    Returns the ``out`` arrays of :func:`rk_step_instrumented`: consecutive
-    blocks of ``buffer`` holding stages 1..s-1 (each on the rows that have
-    it), q_rk and shifted states 0..s-1, then ``scratch`` cut to ``rows``; and
-    the number of states in those blocks, which the monitor reads as one
-    stack; and ``take``, which places the values of ``v_n`` and of those
-    states, concatenated, into a ``(rows, 2s+1)`` layout, row by row: q^n,
-    stages 1..s-1, q_rk, shifted states 0..s-1.  A stage a row lacks would
-    be q^n and takes the value of stage 0, its shifted state shifted state
-    0's."""
-    s = tab.s
-    stage_rows = [rows if n is None else n for n in tab.width]
-    sizes = [rows] + stage_rows[1:] + [rows] + stage_rows  # v_n, stages 1.., q_rk, shifted
-    starts = list(itertools.accumulate(sizes, initial=0))
-    out = [buffer[a - rows : b - rows] for a, b in zip(starts[1:-1], starts[2:])] + [scratch[:rows]]
-    n_states = starts[-1] - rows
-    k = np.arange(rows)
-    home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
-    take = np.stack([np.where(k < n, a + k, starts[h] + k) for n, a, h in zip(sizes, starts, home)], axis=1)
-    return out, n_states, take
+        x = Ab[:n, k if k < s else -1, i]
+        if not x.any():
+            continue
+        if n not in (width[i], *cuts[i]):
+            cuts[i].append(n)
+        dest = cut(q_s[k], n)
+        prod = dest if fresh[k] else cut(scratch, n)
+        if (x == x[0]).all():  # one float: dt a is made in prod
+            a, dt_k, dt_a = float(x[0]), cut(dt_cells, n), prod
+        else:  # a column: dt a is one too, from the rows' dt in dt_cells
+            a = x.reshape((-1,) + (1,) * (q_n.ndim - 1))
+            dt_k, dt_a = dt_cells[(slice(n),) + (slice(1),) * (q_n.ndim - 1)], np.empty(a.shape)
+        xy = (cut(q_n, n), dest) if fresh[k] else (dest, prod)
+        terms[i].append((prod, dt_k, a, dt_a, (width[i], *cuts[i]).index(n), *xy, dest))
+        fresh[k] = False
+    copies = [(q_s[s], q_n)] + [(q_s[k], cut(q_n, width[k])) for k in range(1, s) if fresh[k]]
+    stages = [(q_s[i], cut(q_n, n), cut(dt_cells, n), out[s + i], cuts[i], terms[i]) for i, n in enumerate(width)]
+    plan = SimpleNamespace(s=s, q_rk=out[s - 1], dt_cells=dt_cells, copies=copies, stages=stages, out=out)
+    if buffer is not None:
+        plan.states, plan.rk_at = buffer[: starts[-1] - rows], starts[s] - rows
+        k = np.arange(rows)
+        home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
+        plan.take = np.stack([np.where(k < n, a + k, starts[h] + k) for n, a, h in zip(sizes, starts, home)], axis=1)
+    return plan
 
 
 def run_batch(
@@ -403,14 +387,14 @@ def run_batch(
     Every row starts from the same initial condition and takes
     ``dt = c * dt_FE(row)`` (``config.dt_factor`` is not used), truncated
     at the end to land exactly on ``t_final``.  Row ``k`` steps with
-    ``tableaux[k]`` (default: ``config.tableau`` for every row; see
-    :func:`_batch_tableau` for a mix).  Each step writes its states into one
-    workspace allocated for the whole batch (see :func:`_step_layout`), and
-    the monitor is evaluated on every stage solution, the step solution and
-    every shifted state of every row, as one view of it; stage 0 is q^n
-    itself, so its value is the one carried over from the previous step.  A
-    criterion violation is recorded (first-failure step per criterion) and
-    the row continues.
+    ``tableaux[k]`` (default: ``config.tableau`` for every row).  The rows'
+    q^n and every state of a step live in one workspace allocated for the
+    whole batch, and a step runs the plan :func:`_step_plan` binds to it,
+    made again only when rows leave.  The monitor is evaluated on every
+    stage solution, the step solution and every shifted state of every row,
+    as one view of the workspace; stage 0 is q^n itself, so its value is
+    the one carried over from the previous step.  A criterion violation is
+    recorded (first-failure step per criterion) and the row continues.
     A row leaves the stack when it reaches ``t_final`` (within
     :data:`END_TIME_TOLERANCE`); when it aborts on a degenerate step size,
     on an inadmissible Euler stage or on the step budget
@@ -454,38 +438,42 @@ def run_batch(
     as_column = (-1,) + (1,) * q0.ndim  # per-row dt against a stack of states
 
     # Per stacked row, in descending stage count (a stable sort, kept when rows
-    # leave): its RunRow index, multiplier, state, time, value of q^n, step
-    # budget and whether each criterion (step, shifted) has failed.  All live
-    # rows have taken the same number of steps.
+    # leave): its RunRow index, multiplier, time, value of q^n, step budget
+    # and whether each criterion (step, shifted) has failed.  All live rows
+    # have taken the same number of steps.
     live = np.array(sorted(range(len(rows)), key=lambda k: -tableaux[k].s))
-    tab = _batch_tableau([tableaux[k] for k in live], as_column)
+    counts, Ab = _coefficients([tableaux[k] for k in live])
     c = np.array([rows[k].dt_factor for k in live])
-    q = np.repeat(q0[None], len(rows), axis=0)
     t = np.zeros(len(rows))
     v_n = np.full(len(rows), v0)
     budget = np.zeros(len(rows))
     failed = np.zeros((len(rows), 2), dtype=bool)
     step = 0
-    # The workspace: room for the first step's states (rows only leave, so
-    # later steps need less), a scratch state per row, and the rows' dt
-    # spread over their cells (see rk_step_instrumented).
-    buffer = np.empty((2 * sum(n or len(rows) for n in tab.width),) + q0.shape)
-    scratch = np.empty_like(q)
-    dt_cells = np.empty_like(q)
-    out, n_states, take = _step_layout(buffer, scratch, tab, len(rows))
+    # The workspace: q^n of the live rows (a prefix of q_rows), room for the
+    # first step's states (rows only leave, so later steps need less), and a
+    # scratch state and the dt spread over the cells of each row.
+    q_rows = np.repeat(q0[None], len(rows), axis=0)
+    buffer = np.empty((2 * int(counts.sum()),) + q0.shape)
+    scratch, dt_cells = np.empty_like(q_rows), np.empty_like(q_rows)
+
+    def bind(m):
+        return _step_plan(counts, Ab, q_rows[:m], (buffer, scratch[:m], dt_cells[:m] if m > 1 else None))
+
+    q, plan = q_rows, bind(len(rows))
 
     def leave(keep, *extra):
         """Drop the rows outside ``keep``; return ``extra`` row arrays filtered alike."""
-        nonlocal live, c, q, t, v_n, budget, failed, tab, out, n_states, take
+        nonlocal live, c, q, t, v_n, budget, failed, counts, Ab, plan
         for k in np.flatnonzero(~keep):
             row = rows[live[k]]
             row.n_steps = step
             if record:
-                row.final_state = q[k]
-        live, c, q, t, v_n, budget, failed = (a[keep] for a in (live, c, q, t, v_n, budget, failed))
+                row.final_state = q[k].copy()
+        live, c, t, v_n, budget, failed, counts, Ab = (a[keep] for a in (live, c, t, v_n, budget, failed, counts, Ab))
+        q_rows[: live.size] = q[keep]  # the rows that stay move up
+        q = q_rows[: live.size]
         if live.size:  # step with the rows that stay
-            tab = _batch_tableau([tableaux[r] for r in live], as_column)
-            out, n_states, take = _step_layout(buffer, scratch, tab, live.size)
+            plan = bind(live.size)
         return [None if a is None else a[keep] for a in extra]
 
     def abort(k, reason: str) -> None:
@@ -531,16 +519,16 @@ def run_batch(
             # One row's dt is passed as a scalar: it broadcasts to the same
             # values, with less overhead per operation than a 1x1 array.
             dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
-            # This step's layout: an Euler leave() below re-lays the workspace.
-            s, states, q_rk = tab.s, buffer[:n_states], out[tab.s - 1]
+            # This step's plan: an Euler leave() below binds a new one.
+            s, states, q_rk = plan.s, plan.states, plan.q_rk
             first, r0 = ([] if r0 is None else [r0]), None
             if trace_callback is None:
-                rk_step_instrumented(tab, rhs, q, dt_rows, out=out, r0=first, dt_cells=dt_cells[: live.size])
-            else:  # one row: trace its state, then monitor the step as any other
+                rk_step_instrumented(plan, rhs, q, dt_rows, r0=first)
+            else:  # one row: trace a copy of its state, then monitor the step as any other
                 first = [r[0] for r in first]
-                trace = rk_step_instrumented(tab, rhs, q[0], dt_rows, grid, r0=first)
-                for dest, state in zip(out, trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states):
-                    np.copyto(dest, state)
+                trace = rk_step_instrumented(tableaux[live[0]], rhs, q[0].copy(), dt_rows, grid, r0=first)
+                for dest, state in zip(plan.out, trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states):
+                    dest[...] = state
 
             # The value of every state of the step in the (rows, 2s+1) layout:
             # q^n, whose value carries over, then stages 1..s-1, the step
@@ -549,11 +537,10 @@ def run_batch(
             minima = ()
             if is_euler and record:
                 values, minima = euler_state_floor(states, with_minima=True)
-                at = sum(map(len, out[: s - 1]))  # q_rk follows stages 1..s-1
-                minima = [m[at : at + live.size] for m in minima]
+                minima = [m[plan.rk_at : plan.rk_at + live.size] for m in minima]
             else:
                 values = state_values(monitor, grid, states)
-            values = np.concatenate((v_n, values))[take]
+            values = np.concatenate((v_n, values))[plan.take]
             if is_euler:
                 # A stage whose floor is not positive is one the kernel may not see.
                 admissible = values[:, :s] > 0.0
@@ -562,7 +549,7 @@ def run_batch(
                     for k in np.flatnonzero(inadmissible):
                         i = int(np.argmin(admissible[k]))
                         # Stage i of row k in the workspace; stage 0 is q^n.
-                        at = take[k, i] - live.size
+                        at = plan.take[k, i] - live.size
                         cause = admissibility_error(q[k] if at < 0 else states[at])
                         abort(k, str(StepFailedError(i, cause)))
                     dt, values, q_rk, *minima = leave(~inadmissible, dt, values, q_rk, *minima)
@@ -586,11 +573,10 @@ def run_batch(
                 failed |= fail
             if trace_callback is not None:
                 trace_callback(step, float(t[0]), trace)
-            # q^{n+1} leaves the workspace, which the next step overwrites.
-            q = q_rk.copy()
+            q[...] = q_rk  # q^{n+1} takes the place of q^n in the workspace
             step += 1
             if early_stop:
-                both = failed.all(axis=1)
+                both = failed[:, 0] & failed[:, 1]
                 if np.count_nonzero(both):
                     leave(~both)
     return rows

@@ -20,6 +20,7 @@ import numbers
 import os
 from dataclasses import dataclass
 
+from .fields import require_number
 from .integrator import SimulationConfig, run_batch
 from .tableau import BUILTIN_SCHEME_IDS, builtin_scheme, ssp_coefficient
 
@@ -68,6 +69,7 @@ class LimitSearchConfig:
     def __post_init__(self):
         # A non-finite bound or step would make the candidate list endless.
         for name in ("c_min", "c_max", "granularity"):
+            require_number(name, getattr(self, name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.c_min > 0:
@@ -86,8 +88,7 @@ class LimitSearchConfig:
             )
         if (self.c_max - self.c_min) / self.granularity >= MAX_TICKS:
             raise ValueError(f"granularity {self.granularity!r} makes {MAX_TICKS} or more ticks")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral):
-            raise ValueError(f"workers must be an integer, got {self.workers!r}")
+        require_number("workers", self.workers, numbers.Integral)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

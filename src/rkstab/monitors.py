@@ -18,6 +18,7 @@ from .fields import (
     euler_minima,
     per_row,
     quadratic_energy_array,
+    require_number,
     total_variation_array,
     tv_includes_wrap,
 )
@@ -57,6 +58,7 @@ class Monitor:
     def __post_init__(self):
         if self.kind not in MONITOR_KINDS:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
+        require_number("tolerance", self.tolerance)
         # NaN slack would fail every comparison, and +inf pass every one.
         if not 0 <= self.tolerance < math.inf:
             raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")

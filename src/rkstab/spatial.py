@@ -135,29 +135,33 @@ def _bound_over(dx: float, speed):
         return per_row(dx / np.asarray(speed))
 
 
-def _next(a: np.ndarray) -> np.ndarray:
-    """a[..., i + 1] with periodic wrap, i.e. ``np.roll(a, -1, axis=-1)``."""
-    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
-
-
-def _prev(a: np.ndarray) -> np.ndarray:
-    """a[..., i - 1] with periodic wrap, i.e. ``np.roll(a, 1, axis=-1)``."""
-    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Burgers kernels
 
 def _dissipative_rhs(q: np.ndarray, dx: float, mu: float) -> np.ndarray:
-    qr = _next(q)
-    # F[i] is the flux through interface i+1/2
-    F = (q * q + q * qr + qr * qr) / 6.0 - mu * (qr - q)
-    return -(F - _prev(F)) / dx
+    # One contiguous pass per operation over the flattened stack of extended
+    # rows, as the LLF interfaces do: lane k pairs entries k and k+1, q_i and
+    # q_{i+1} of cell i = k - 1 of its row.  The lanes that pair a row's last
+    # cells with the next row's first ones are scratch, computed and dropped.
+    qe = np.concatenate((q[..., -1:], q, q[..., :1]), axis=-1)
+    e = qe.reshape(-1)
+    sq = e * e
+    ql, qr = e[:-1], e[1:]
+    # F = (q^2 + q q_r + q_r^2) / 6 - mu (q_r - q), the flux through i+1/2
+    F = ql * qr
+    np.add(sq[:-1], F, F)
+    F += sq[1:]
+    F /= 6.0
+    jump = np.subtract(qr, ql, sq[:-1])
+    np.multiply(mu, jump, jump)
+    F -= jump
+    np.subtract(F[1:], F[:-1], e[:-2])  # into qe, whose first n lanes a row reads out
+    return np.divide(qe[..., : q.shape[-1]], -dx)
 
 
 def _upwind_rhs(q: np.ndarray, dx: float) -> np.ndarray:
-    f = 0.5 * q * q
-    return -(f - _prev(f)) / dx
+    f = 0.5 * q * q  # the upwind flux f(q_i) through i+1/2
+    return np.divide(f - np.concatenate((f[..., -1:], f[..., :-1]), axis=-1), -dx)
 
 
 def _extend_scalar(q: np.ndarray, boundary, width: int) -> np.ndarray:
@@ -176,11 +180,9 @@ def _extend_scalar(q: np.ndarray, boundary, width: int) -> np.ndarray:
 
 def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
     qe = _extend_scalar(q, boundary, 2)  # two ghost cells per side
-    # The stencil runs on the flattened (..., n+4) extended stack, one
-    # contiguous pass per operation, as the LLF interfaces do: lane k pairs
-    # entries k and k+1 (or k+2), so the last lanes of each row pair it with
-    # the next row's first cells.  Those lanes are scratch, computed and
-    # dropped; in row terms every index below is the one of the row kernel.
+    # The stencil runs on the flattened (..., n+4) extended stack as the
+    # dissipative kernel's does; in row terms every index below is the one
+    # of the row kernel.
     e = qe.reshape(-1)
     dq = e[1:] - e[:-1]
     # half the minmod slope of extended cell k+1, k = 0 .. n+1:
@@ -203,11 +205,9 @@ def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
     fp = 0.5 * qp
     fp *= qp
     np.maximum(f, fp, out=f)
-    # f[k + 1] - f[k] in the layout of qe, whose last four lanes stay
-    # unwritten: the division reads only the first n lanes of each row.
-    df = np.empty(qe.shape)
-    np.subtract(f[1:], f[:-1], out=df.reshape(-1)[:-4])
-    return np.divide(df[..., : q.shape[-1]], -dx)
+    # f[k + 1] - f[k] into qe, whose first n lanes of each row are read out
+    np.subtract(f[1:], f[:-1], e[:-4])
+    return np.divide(qe[..., : q.shape[-1]], -dx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Reference oracles for the MUSCL and LLF kernels of ``rkstab.spatial``.
+"""Reference oracles for the kernels of ``rkstab.spatial``.
 
-``muscl_rhs`` and ``llf_rhs`` are the straightforward forms of the two
-kernels: minmod slopes from two ``np.sign`` and two ``np.abs`` calls, the
-Godunov flux as nested ``np.where``, the LLF flux from ``np.stack`` and
+``dissipative_rhs`` and ``upwind_rhs`` are the Burgers kernels interface by
+interface: the flux through i+1/2 from q_i and its periodic neighbour
+``np.roll(q, -1)``, then ``-(F_{i+1/2} - F_{i-1/2}) / dx``.  ``muscl_rhs``
+and ``llf_rhs`` are the straightforward forms of the other two kernels:
+minmod slopes from two ``np.sign`` and two ``np.abs`` calls, the Godunov
+flux as nested ``np.where``, the LLF flux from ``np.stack`` and
 ``-(h_r - h_l) / dx``; ``muscl_dt_fe`` and ``llf_dt_fe`` are the step bounds
 dx / speed with +inf where the speed is zero.  The library's kernels make
 fewer numpy calls and must return the same values bit for bit, NaN in the
@@ -95,6 +98,17 @@ def _godunov_arr(qm, qp):
         np.where((qm <= 0.0) & (qp >= 0.0), 0.0, np.minimum(fm, fp)),
         np.maximum(fm, fp),
     )
+
+
+def dissipative_rhs(q, dx, mu):
+    q_r = np.roll(q, -1, axis=-1)
+    flux = (q * q + q * q_r + q_r * q_r) / 6.0 - mu * (q_r - q)  # through i+1/2
+    return -(flux - np.roll(flux, 1, axis=-1)) / dx
+
+
+def upwind_rhs(q, dx):
+    flux = 0.5 * q * q  # the upwind flux f(q_i) through i+1/2
+    return -(flux - np.roll(flux, 1, axis=-1)) / dx
 
 
 def _extend_scalar(q, boundary, width):

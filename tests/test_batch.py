@@ -39,13 +39,16 @@ SHORT_T_FINAL = {
 SCHEMES = ("forward_euler", "ssprk33", "rk44")
 
 #: States one row keeps alive at the peak of a step on the 3x600 Euler shock
-#: tube, at most: q^n, the step workspace (up to 2s states, s <= 4, a
-#: scratch state and the row's dt spread over its cells) and the kernel's or
-#: the monitor's temporaries.  Measured with tracemalloc on one step of a
-#: chunk at c = 0.1: 13.3 on a mixed step of the five built-in schemes (the
-#: bound test_a_leblanc_chunk_keeps_at_most_row_states_per_row checks),
-#: 9.7-16.8 on one scheme's rows (16.8 for rk44); 9.8-17 on the dissipative
-#: problem and 17-24 on MUSCL, whose TV monitor makes more temporaries.
+#: tube, at most: q^n and the step's states, both in the workspace (up to
+#: 2s states, s <= 4, a scratch state and the row's dt spread over its
+#: cells), and the kernel's or the monitor's temporaries.  Measured with
+#: tracemalloc on one step of a chunk at c = 0.1: 13.1 on a mixed step of the
+#: five built-in schemes (the bound
+#: test_a_leblanc_chunk_keeps_at_most_row_states_per_row checks), 9.7-15.8
+#: on one scheme's rows (15.8 for rk44); 11.1-17.6 on 81 rows of the
+#: dissipative problem, whose flat-lane kernel keeps its squared lanes and its
+#: fluxes alive together, and 16-24 on 51 rows of MUSCL, whose TV monitor
+#: makes more temporaries.
 ROW_STATES = 18
 
 
@@ -412,6 +415,48 @@ def test_mixed_rows_in_any_order_equal_one_row_runs():
                 assert [h[2] for h in row.history] == rec.monitor_stage_worst.tolist()
 
 
+def test_rows_leaving_at_different_steps_keep_their_own_history_and_state():
+    """q^n lives in the workspace, and the rows that stay move up when others
+    leave: a recorded Leblanc batch of the five schemes in mixed order, whose
+    rows leave at steps 0, 1, 11, 25, 48 and 49 (on an inadmissible stage, a
+    degenerate dt after lost positivity, or at t_final), equals the one-row
+    runs bit for bit, histories and final states included."""
+    base = preset_config("leblanc_n2", "rk44", 1.0, t_final=0.05)
+    pairs = [(builtin_scheme(name), c) for name in BUILTIN_SCHEME_IDS for c in (0.5, 1.1, 2.0)]
+    tableaux, cs = zip(*[pairs[k] for k in np.random.default_rng(7).permutation(len(pairs))])
+    for early_stop in (False, True):
+        rows = run_batch(base, cs, tableaux=tableaux, record=True, early_stop=early_stop)
+        if not early_stop:
+            assert sorted({row.n_steps for row in rows}) == [0, 1, 11, 25, 48, 49]
+            assert any(row.n_steps == 11 and row.abort_reason.startswith("degenerate_dt: ") for row in rows)
+        for tab, c, row in zip(tableaux, cs, rows):
+            (alone,) = run_batch(replace(base, tableau=tab), [c], record=True, early_stop=early_stop)
+            assert_rows_equal(row, alone)
+            np.testing.assert_array_equal(row.final_state.view(np.int64), alone.final_state.view(np.int64))
+
+
+@pytest.mark.parametrize("preset", ["muscl2", "leblanc_n2"])
+def test_traces_keep_their_values_after_later_steps(preset):
+    """The step runs in a workspace that the next step overwrites, so the
+    StageTrace handed to trace_callback holds arrays of its own: every array
+    of every trace keeps the bits it had when handed over, and step n+1's
+    q^n is step n's q_rk."""
+    traces, saved = [], []
+
+    def keep(step, t, trace):
+        arrays = (trace.q_n, *trace.stage_solutions, *trace.stage_derivatives, *trace.shifted_states, trace.q_rk)
+        traces.append(arrays)
+        saved.append([x.copy() for x in arrays])
+
+    rec = simulate(preset_config(preset, "rk44", 0.5, t_final=SHORT_T_FINAL[preset]), trace_callback=keep)
+    assert rec.n_steps == len(traces) > 2
+    for arrays, copies in zip(traces, saved):
+        for x, y in zip(arrays, copies):
+            np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
+    for before, after in zip(traces, traces[1:]):
+        np.testing.assert_array_equal(after[0], before[-1])
+
+
 def test_leblanc_chunks_hold_every_scheme_at_one_c(monkeypatch):
     """Two Leblanc states fill CHUNK_BYTES, but a chunk holds at least one row
     per scan: five-row chunks of a round sorted by (c, scheme name), so each
@@ -502,13 +547,16 @@ def stacked_step_inputs(preset: str, cs):
     return base, q, dt.reshape((-1,) + (1,) * q0.ndim), lambda x: base.scheme.rhs_array(x, base.grid)
 
 
-def workspace_step(tab, rhs, q, dt):
-    """One step written into a fresh workspace: its states in the order of
-    a trace (stages 1..s-1, q_rk, shifted states) and the layout's ``take``."""
-    buffer = np.full((len(q) * 2 * tab.s,) + q.shape[1:], np.nan)
-    out, _, take = integrator._step_layout(buffer, np.empty_like(q), tab, len(q))
-    assert integrator.rk_step_instrumented(tab, rhs, q, dt, out=out) is None
-    return out[:-1], take
+def workspace_step(tableaux, rhs, q, dt, fresh=False):
+    """One step of the rows of ``q`` with ``tableaux`` (in descending stage
+    count), written into a workspace of NaN, or into fresh arrays: its states
+    in the order of a trace (stages 1..s-1, q_rk, shifted states) and the
+    plan's ``take``."""
+    counts, Ab = integrator._coefficients(tableaux)
+    buffer = None if fresh else np.full((2 * counts.sum(),) + q.shape[1:], np.nan)
+    plan = integrator._step_plan(counts, Ab, q, (buffer, np.empty_like(q), np.empty_like(q)))
+    assert integrator.rk_step_instrumented(plan, rhs, q, dt) is None
+    return plan.out, getattr(plan, "take", None)
 
 
 def trace_states(trace):
@@ -520,13 +568,14 @@ def trace_states(trace):
 def test_workspace_step_equals_traced_step(preset):
     """A step written into a workspace and the StageTrace of a step without
     one agree bit for bit on every stage, shifted state and q_rk: for each
-    built-in tableau on a stack of rows, and for the five mixed, where each
-    row also equals its own one-row step."""
+    built-in tableau on a stack of rows; and for the five mixed, where the
+    plan gives the same states on fresh arrays and each row equals its own
+    one-row step."""
     cs = [0.3, 0.9, 1.4]
     base, q, dt, rhs = stacked_step_inputs(preset, cs)
     for name in BUILTIN_SCHEME_IDS:
         tab = builtin_scheme(name)
-        states, take = workspace_step(integrator._batch_tableau([tab] * len(q), (-1,) + dt.shape[1:]), rhs, q, dt)
+        states, take = workspace_step([tab] * len(q), rhs, q, dt)
         # Every row has every state: take reads block after block, row by row.
         assert len(states) == 2 * tab.s
         np.testing.assert_array_equal(take, np.arange(len(q) * (2 * tab.s + 1)).reshape(-1, len(q)).T)
@@ -535,11 +584,10 @@ def test_workspace_step_equals_traced_step(preset):
 
     tableaux = sorted((builtin_scheme(name) for name in BUILTIN_SCHEME_IDS), key=lambda t: -t.s)
     base, q, dt, rhs = stacked_step_inputs(preset, [0.3, 0.9, 1.4, 0.6, 1.1])
-    tab = integrator._batch_tableau(tableaux, (-1,) + dt.shape[1:])
-    states, take = workspace_step(tab, rhs, q, dt)
-    for got, want in zip(states, trace_states(integrator.rk_step_instrumented(tab, rhs, q, dt))):
+    states, take = workspace_step(tableaux, rhs, q, dt)
+    for got, want in zip(states, workspace_step(tableaux, rhs, q, dt, fresh=True)[0]):
         np.testing.assert_array_equal(got, want)
-    s = tab.s
+    s = tableaux[0].s
     for k, row_tab in enumerate(tableaux):
         alone = integrator.rk_step_instrumented(row_tab, rhs, q[k : k + 1], float(dt[k].item()))
         for i in range(1, row_tab.s):
@@ -558,9 +606,8 @@ def test_workspace_step_equals_row_by_row_oracle(preset):
     _, q, dt, rhs = stacked_step_inputs(preset, [0.3, 0.9, 1.4, 0.6, 1.1])
     mixed = sorted((builtin_scheme(name) for name in BUILTIN_SCHEME_IDS), key=lambda t: -t.s)
     for tableaux in [[builtin_scheme(name)] * len(q) for name in BUILTIN_SCHEME_IDS] + [mixed]:
-        tab = integrator._batch_tableau(tableaux, (-1,) + dt.shape[1:])
-        states, _ = workspace_step(tab, rhs, q, dt)
-        s = tab.s
+        states, _ = workspace_step(tableaux, rhs, q, dt)
+        s = tableaux[0].s
         steps = rk_step_rows(tableaux, rhs, q, [float(x.item()) for x in dt])
         for k, (row_tab, (stages, q_rk, shifted)) in enumerate(zip(tableaux, steps)):
             for i in range(1, row_tab.s):

@@ -281,6 +281,16 @@ def test_config_rejects_non_finite_or_non_positive_times(field, value):
         preset_config("upwind", "rk44", **{field: value})
 
 
+@pytest.mark.parametrize("field", ["t_final", "dt_factor"])
+@pytest.mark.parametrize("value", [True, False, np.True_, "1.0"])
+def test_config_rejects_a_time_that_is_not_a_real_number(field, value):
+    """A bool is an int to Python, so preset_config("upwind", "rk44", True)
+    used to run at dt_factor 1."""
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a real number, got {value!r}")):
+        preset_config("upwind", "rk44", **{field: value})
+    assert getattr(preset_config("upwind", "rk44", **{field: np.float32(0.5)}), field) == 0.5
+
+
 @pytest.mark.parametrize("record_every", [2.0, True, None, "2"])
 def test_config_rejects_a_record_every_that_is_not_an_integer(record_every):
     """2.0 used to run the whole simulation and then fail in write_csv."""

@@ -1,9 +1,9 @@
-"""The MUSCL and LLF kernels against their reference oracles, bit for bit.
+"""The four kernels against their reference oracles, bit for bit.
 
 Every non-NaN value must have the oracle's bits (compared as ``int64``, so
 that -0.0 and +0.0 differ) and NaN must sit in the same cells, for single
-states and stacks, on both boundaries each kernel supports, with NaN,
-infinities, signed zeros and 1e-300 in the data.  Both kernels work on
+states and stacks, on every boundary each kernel supports, with NaN,
+infinities, signed zeros and 1e-300 in the data.  The kernels work on
 flattened rows, whose lanes at the first and the last cells pair a row with
 the next: special values sit there too.  ``euler_minima`` is checked against a
 per-cell oracle, and the one admissibility rule (the state floor judges,
@@ -16,16 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracles import (
+    dissipative_rhs,
     euler_minima_per_cell,
     first_inadmissible_cell,
     llf_dt_fe,
     llf_rhs,
     muscl_dt_fe,
     muscl_rhs,
+    upwind_rhs,
 )
 from rkstab.fields import Dirichlet, Grid1D, Outflow, Periodic, admissibility_error, euler_minima
 from rkstab.monitors import euler_state_floor
-from rkstab.spatial import LaxFriedrichsEuler, MusclBurgers
+from rkstab.spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers
 
 # 1.234e-161 squares into the subnormals, where (0.5 * x) * x and 0.5 * (x * x) differ.
 SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 1.234e-161, -1.234e-161, 1.0, -0.5, 0.5])
@@ -108,6 +110,41 @@ def test_muscl_scratch_lanes_do_not_reach_the_cells(boundary):
     q = rng.uniform(-1.5, 1.5, size=(len(pairs), 9))
     q[:, :2], q[:, -2:] = pairs, pairs[::-1]
     assert_bitwise(scheme.rhs_array(q, grid), muscl_rhs(q, grid.dx, boundary))
+
+
+BURGERS_FLUX = {
+    "dissipative": (DissipativeBurgers(0.3), lambda q, dx: dissipative_rhs(q, dx, 0.3)),
+    "upwind": (UpwindBurgers(), upwind_rhs),
+}
+# ... and values whose squares overflow.
+BURGERS_EDGE = np.concatenate([EDGE, [1e308, -1e308]])
+
+
+@pytest.mark.parametrize("kernel", sorted(BURGERS_FLUX))
+def test_burgers_flux_kernel_equals_oracle_bitwise(kernel):
+    """The dissipative and upwind kernels work on flattened, periodically
+    extended rows, whose last lanes pair a row's last cell with the next
+    row's first: special values anywhere, then in cells 0 and n-1 of every
+    row of stacks of 2-5 rows, equal the per-interface oracle bit for bit."""
+    rng = np.random.default_rng(61)
+    scheme, oracle = BURGERS_FLUX[kernel]
+    grid = Grid1D(9, 0.0, 4.5, Periodic())
+    for q in stacks(rng, (9,)):
+        assert_bitwise(scheme.rhs_array(q, grid), oracle(q, grid.dx))
+    for rows in (2, 3, 4, 5):
+        for _ in range(40):
+            q = rng.uniform(-1.5, 1.5, size=(rows, 9))
+            q[:, [0, -1]] = rng.choice(BURGERS_EDGE, size=(rows, 2))
+            r = scheme.rhs_array(q, grid)
+            assert r.flags.c_contiguous
+            assert_bitwise(r, oracle(q, grid.dx))
+    # every pair of special values in the first and the last cell
+    pairs = np.array(np.meshgrid(BURGERS_EDGE, BURGERS_EDGE)).reshape(2, -1).T
+    q = rng.uniform(-1.5, 1.5, size=(len(pairs), 9))
+    q[:, [0, -1]] = pairs
+    assert_bitwise(scheme.rhs_array(q, grid), oracle(q, grid.dx))
+    for value in BURGERS_EDGE:
+        assert_bitwise(scheme.rhs_array(np.full(9, value), grid), oracle(np.full(9, value), grid.dx))
 
 
 def admissible(rng, lead, n):

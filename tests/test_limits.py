@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,15 @@ def test_search_config_validation():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 LimitSearchConfig(base=base, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["c_min", "c_max", "granularity"])
+@pytest.mark.parametrize("value", [True, np.True_, "0.5"])
+def test_search_bounds_must_be_real_numbers(field, value):
+    base = preset_config("upwind", "rk44", 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a real number, got {value!r}")):
+        LimitSearchConfig(base=base, **{field: value})
+    assert getattr(LimitSearchConfig(base=base, **{field: np.float64(0.5)}), field) == 0.5
 
 
 @pytest.mark.parametrize("workers", [1.5, 2.0, True])

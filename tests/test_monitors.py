@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def test_monitor_validation():
         Monitor(kind="entropy")
     with pytest.raises(ValueError):
         Monitor(kind="tv", tolerance=-1.0)
+
+
+@pytest.mark.parametrize("tolerance", [True, False, np.True_, "1e-12", None])
+def test_monitor_rejects_a_tolerance_that_is_not_a_real_number(tolerance):
+    with pytest.raises(ValueError, match=re.escape(f"tolerance must be a real number, got {tolerance!r}")):
+        Monitor(kind="tv", tolerance=tolerance)
+    assert Monitor(kind="tv", tolerance=np.float32(0.0)).slack == 0.0
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
