@@ -9,6 +9,7 @@ quantities whose decay or sign a run is judged against.
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -89,8 +90,10 @@ class Grid1D:
         if self.sampling not in ("node", "center"):
             raise ValueError(f"unknown sampling {self.sampling!r}")
 
-    @property
+    @functools.cached_property
     def dx(self) -> float:
+        # Kept in the instance __dict__, which the frozen dataclass has (no
+        # slots): no field, so ==, hash, repr and replace() do not see it.
         return (self.x_max - self.x_min) / self.n_cells
 
     def points(self) -> np.ndarray:

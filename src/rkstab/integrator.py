@@ -318,14 +318,17 @@ def _step_plan(counts, Ab, q_n, room):
     scratch, dt_cells)``: ``out`` (stages 1..s-1, q_rk, shifted states
     0..s-1, each on its rows) takes consecutive blocks of ``buffer``, viewed
     as ``states``, the one stack the monitor reads (fresh arrays when it is
-    None); ``dt_cells`` is None for a scalar ``dt``.  ``stages[i]`` is
+    None); ``dt_cells`` holds the rows' ``dt``, spread over the cells of
+    each row or as a ``(rows, 1, ...)`` column, and is None for a scalar
+    ``dt``.  ``stages[i]`` is
     ``(q_i, q^n, dt, shifted, cuts, terms)`` on its rows; its ``terms``, in
     the order of the stage ``k`` they go to (``k = s``: q_rk), are ``(prod,
     dt, a, dt_a, v, x, y, dest)``: ``prod = (dt a) R`` on the first ``n``
     rows, ``R`` being the derivative (``v = 0``) or its prefix of ``cuts[v -
     1]`` rows, then ``dest = x + y``.  ``a`` is ``A[k, i]`` or ``b[i]``, a
-    float when every row has the same (``dt a`` is then made in ``prod``),
-    else a column (``dt a`` is a column too).  A stage's first term makes
+    float when every row has the same, else a column; ``dt a`` is made in
+    ``prod`` when ``dt_cells`` is spread, else in a column of its own.  A
+    stage's first term makes
     it ``q^n + prod`` in place, later ones add ``prod`` from ``scratch``;
     q_rk, whose rows may differ in their terms, and a stage without terms
     start as copies of q^n.  ``take`` places the values of ``q^n`` and of
@@ -334,7 +337,15 @@ def _step_plan(counts, Ab, q_n, room):
     and takes stage 0's value, its shifted state shifted state 0's."""
     s, rows = int(counts[0]), len(counts)
     buffer, scratch, dt_cells = room
-    width = [int(np.count_nonzero(counts > i)) for i in range(s)]
+    width = np.count_nonzero(counts[:, None] > np.arange(s), axis=0).tolist()
+    # Per coefficient (A[k, i], or b[i] at row -1 of Ab: rows may have left
+    # since Ab was made, so s may be below its size), for every one at once:
+    # whether a row has it nonzero (the rows that lack stage k or i have a
+    # zero there), its value in row 0, and how many rows from row 0 on share
+    # that value.
+    nonzero, first = Ab.any(axis=0).tolist(), Ab[0].tolist()
+    same = Ab == Ab[:1]
+    shared = np.where(same.all(axis=0), rows, same.argmin(axis=0)).tolist()
     cut = lambda x, n: x if x is None or n == rows else x[:n]  # noqa: E731
     sizes = [rows] + width[1:] + [rows] + width  # q^n, stages 1.., q_rk, shifted
     starts = list(itertools.accumulate(sizes, initial=0))
@@ -346,19 +357,19 @@ def _step_plan(counts, Ab, q_n, room):
     fresh = [False] + [True] * (s - 1) + [False]
     cuts, terms = [[] for _ in range(s)], [[] for _ in range(s)]
     for i, k in itertools.combinations(range(s + 1), 2):
-        n = width[k] if k < s else width[i]  # b_i covers stage i's rows
-        x = Ab[:n, k if k < s else -1, i]
-        if not x.any():
+        n, at = (width[k], k) if k < s else (width[i], -1)  # b_i covers stage i's rows
+        if not nonzero[at][i]:
             continue
         if n not in (width[i], *cuts[i]):
             cuts[i].append(n)
         dest = cut(q_s[k], n)
         prod = dest if fresh[k] else cut(scratch, n)
-        if (x == x[0]).all():  # one float: dt a is made in prod
-            a, dt_k, dt_a = float(x[0]), cut(dt_cells, n), prod
-        else:  # a column: dt a is one too, from the rows' dt in dt_cells
-            a = x.reshape((-1,) + (1,) * (q_n.ndim - 1))
-            dt_k, dt_a = dt_cells[(slice(n),) + (slice(1),) * (q_n.ndim - 1)], np.empty(a.shape)
+        if shared[at][i] >= n:  # one float
+            a, dt_k = first[at][i], cut(dt_cells, n)
+        else:  # a column, and so is dt a, from the rows' dt in dt_cells
+            a = Ab[:n, at, i].reshape((-1,) + (1,) * (q_n.ndim - 1))
+            dt_k = dt_cells[(slice(n),) + (slice(1),) * (q_n.ndim - 1)]
+        dt_a = prod if dt_k is None or dt_k.shape == prod.shape else np.empty(dt_k.shape)
         xy = (cut(q_n, n), dest) if fresh[k] else (dest, prod)
         terms[i].append((prod, dt_k, a, dt_a, (width[i], *cuts[i]).index(n), *xy, dest))
         fresh[k] = False
@@ -367,9 +378,9 @@ def _step_plan(counts, Ab, q_n, room):
     plan = SimpleNamespace(s=s, q_rk=out[s - 1], dt_cells=dt_cells, copies=copies, stages=stages, out=out)
     if buffer is not None:
         plan.states, plan.rk_at = buffer[: starts[-1] - rows], starts[s] - rows
-        k = np.arange(rows)
+        k = np.arange(rows)[:, None]
         home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
-        plan.take = np.stack([np.where(k < n, a + k, starts[h] + k) for n, a, h in zip(sizes, starts, home)], axis=1)
+        plan.take = k + np.where(k < sizes, starts[:-1], [starts[h] for h in home])
     return plan
 
 
@@ -450,11 +461,15 @@ def run_batch(
     failed = np.zeros((len(rows), 2), dtype=bool)
     step = 0
     # The workspace: q^n of the live rows (a prefix of q_rows), room for the
-    # first step's states (rows only leave, so later steps need less), and a
-    # scratch state and the dt spread over the cells of each row.
+    # first step's states (rows only leave, so later steps need less), a
+    # scratch state per row, and the rows' dt.  A product with a (rows, 1)
+    # column runs one inner loop per row: short on a scalar stack, where dt
+    # is spread over the cells of each row, and one of 3n cells on an Euler
+    # stack, where it stays a column.
     q_rows = np.repeat(q0[None], len(rows), axis=0)
     buffer = np.empty((2 * int(counts.sum()),) + q0.shape)
-    scratch, dt_cells = np.empty_like(q_rows), np.empty_like(q_rows)
+    scratch = np.empty_like(q_rows)
+    dt_cells = np.empty((len(rows),) + as_column[1:] if is_euler else q_rows.shape)
 
     def bind(m):
         return _step_plan(counts, Ab, q_rows[:m], (buffer, scratch[:m], dt_cells[:m] if m > 1 else None))

@@ -156,7 +156,11 @@ def _dissipative_rhs(q: np.ndarray, dx: float, mu: float) -> np.ndarray:
     np.multiply(mu, jump, jump)
     F -= jump
     np.subtract(F[1:], F[:-1], e[:-2])  # into qe, whose first n lanes a row reads out
-    return np.divide(qe[..., : q.shape[-1]], -dx)
+    # The rows are copied out, then divided in place: a divide of the strided
+    # rows into a new array makes a temporary as large inside the call.
+    r = qe[..., : q.shape[-1]].copy()
+    r /= -dx
+    return r
 
 
 def _upwind_rhs(q: np.ndarray, dx: float) -> np.ndarray:
@@ -207,15 +211,16 @@ def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
     np.maximum(f, fp, out=f)
     # f[k + 1] - f[k] into qe, whose first n lanes of each row are read out
     np.subtract(f[1:], f[:-1], e[:-4])
-    return np.divide(qe[..., : q.shape[-1]], -dx)
+    r = qe[..., : q.shape[-1]].copy()
+    r /= -dx
+    return r
 
 
 # ---------------------------------------------------------------------------
 # Euler kernels
 
-def _primitive_parts(U: np.ndarray, gamma: float):
+def _primitive_parts(rho, m, E, gamma: float):
     """Velocity, pressure and maximal signal speed |u| + sqrt(gamma p / rho) per cell."""
-    rho, m, E = U[..., 0, :], U[..., 1, :], U[..., 2, :]
     u = m / rho
     p = 0.5 * m  # p = (gamma - 1) * (E - 0.5 * m * u)
     p *= u
@@ -229,37 +234,46 @@ def _primitive_parts(U: np.ndarray, gamma: float):
 
 
 def _max_wavespeed(U: np.ndarray, gamma: float):
-    return per_row(np.maximum.reduce(_primitive_parts(U, gamma)[2], axis=-1))
+    return per_row(np.maximum.reduce(_primitive_parts(U[..., 0, :], U[..., 1, :], U[..., 2, :], gamma)[2], axis=-1))
 
 
-def _extend_euler(U: np.ndarray, boundary) -> np.ndarray:
+def _extend_euler(V: np.ndarray, boundary) -> np.ndarray:
+    """The component-major state ``V`` (3, ..., n) with one ghost cell per
+    side, as a new C-contiguous (3, ..., n+2) array."""
     if isinstance(boundary, Outflow):
-        return np.concatenate((U[..., :1], U, U[..., -1:]), axis=-1)
-    if isinstance(boundary, Periodic):
-        return np.concatenate((U[..., -1:], U, U[..., :1]), axis=-1)
-    raise UnsupportedBoundaryError(
-        "Lax-Friedrichs Euler supports outflow or periodic boundaries only"
-    )
+        pieces = (V[..., :1], V, V[..., -1:])
+    elif isinstance(boundary, Periodic):
+        pieces = (V[..., -1:], V, V[..., :1])
+    else:
+        raise UnsupportedBoundaryError(
+            "Lax-Friedrichs Euler supports outflow or periodic boundaries only"
+        )
+    # concatenate alone would lay the result out as its input is laid out
+    return np.concatenate(pieces, axis=-1, out=np.empty(V.shape[:-1] + (V.shape[-1] + 2,)))
 
 
 def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool, with_dt_fe: bool = False):
-    Ue = _extend_euler(U, boundary)
-    m, E = Ue[..., 1, :], Ue[..., 2, :]
-    u, p, speed = _primitive_parts(Ue, gamma)
+    # Every pass runs on one contiguous block: the extended state is stored
+    # component-major, (3, ..., n+2), whatever the layout of U (a (..., 3, n)
+    # stack's component rows are strided), and the result is copied back
+    # into U's axis order.  For a single (3, n) state the order is the same.
+    Ue = _extend_euler(U.swapaxes(0, -2), boundary)
+    rho, m, E = Ue
+    u, p, speed = _primitive_parts(rho, m, E, gamma)
     flux = np.empty_like(Ue)  # m, m * u + p, u * (E + p)
-    flux[..., 0, :] = m
-    mom, ene = flux[..., 1, :], flux[..., 2, :]
+    flux[0] = m
+    mom, ene = flux[1], flux[2]
     np.multiply(m, u, out=mom)
     mom += p
     np.add(E, p, out=ene)
     ene *= u
     del u, p, mom, ene
-    # The interface arithmetic runs on the flattened (..., 3, n+2) arrays:
+    # The interface arithmetic runs on the flattened (3, ..., n+2) arrays:
     # lane k pairs entries k and k+1, so the last lane of each row of cells
-    # pairs it with the next row's first cell.  Those lanes are scratch,
-    # computed and dropped; the others are the interfaces -1/2 .. n+1/2.  The
-    # very last lane has no partner and is zeroed, so that no uninitialized
-    # memory enters the broadcast product.
+    # pairs it with the next row's (or component's) first cell.  Those lanes
+    # are scratch, computed and dropped; the others are the interfaces -1/2
+    # .. n+1/2.  The very last lane has no partner and is zeroed, so that no
+    # uninitialized memory enters the broadcast product.
     if local:
         # The ghost cells copy real cells: this is the max over U's cells.
         top = np.maximum.reduce(speed, axis=-1) if with_dt_fe else None
@@ -283,13 +297,17 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool, with
     cells, jumps = Ue.reshape(-1), jump.reshape(-1)
     np.subtract(cells[1:], cells[:-1], out=jumps[:-1])
     jumps[-1:] = 0.0
-    jump *= a_ifc[..., None, :]
+    jump *= a_ifc  # over every component
     lanes -= jumps[:-1]
     lanes *= 0.5
     np.subtract(lanes[1:], lanes[:-1], out=jumps[:-2])  # h_r - h_l
     del h, lanes
-    r = np.divide(jump[..., :-2], -dx)
+    r = np.empty(U.shape)  # C-ordered, whatever the layout of U
+    r.swapaxes(0, -2)[...] = jump[..., :-2]
+    r /= -dx
     if with_dt_fe:
+        if U.ndim > 3:  # the swap put U's first batch axis last
+            top = np.moveaxis(top, -1, 0)
         return r, _bound_over(dx, top)
     return r
 

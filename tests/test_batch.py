@@ -40,15 +40,16 @@ SCHEMES = ("forward_euler", "ssprk33", "rk44")
 
 #: States one row keeps alive at the peak of a step on the 3x600 Euler shock
 #: tube, at most: q^n and the step's states, both in the workspace (up to
-#: 2s states, s <= 4, a scratch state and the row's dt spread over its
-#: cells), and the kernel's or the monitor's temporaries.  Measured with
-#: tracemalloc on one step of a chunk at c = 0.1: 13.1 on a mixed step of the
-#: five built-in schemes (the bound
-#: test_a_leblanc_chunk_keeps_at_most_row_states_per_row checks), 9.7-15.8
-#: on one scheme's rows (15.8 for rk44); 11.1-17.6 on 81 rows of the
-#: dissipative problem, whose flat-lane kernel keeps its squared lanes and its
-#: fluxes alive together, and 16-24 on 51 rows of MUSCL, whose TV monitor
-#: makes more temporaries.
+#: 2s states, s <= 4, and a scratch state; the rows' dt is a column there),
+#: and the kernel's or the monitor's temporaries.  Measured with tracemalloc
+#: on one step of a chunk at c = 0.1: 11.9 on a mixed step of the five
+#: built-in schemes (the bound
+#: test_a_leblanc_chunk_keeps_at_most_row_states_per_row checks), 8.6-14.6
+#: on one scheme's rows (14.6 for rk44); on the scalar stacks, whose dt is
+#: spread over a state per row, 10.0-16.5 on 81 rows of the dissipative
+#: problem, whose flat-lane kernel keeps its squared lanes and its fluxes
+#: alive together, and 15.1-23.9 on 51 rows of MUSCL, whose TV monitor makes
+#: more temporaries.
 ROW_STATES = 18
 
 
@@ -549,12 +550,15 @@ def stacked_step_inputs(preset: str, cs):
 
 def workspace_step(tableaux, rhs, q, dt, fresh=False):
     """One step of the rows of ``q`` with ``tableaux`` (in descending stage
-    count), written into a workspace of NaN, or into fresh arrays: its states
-    in the order of a trace (stages 1..s-1, q_rk, shifted states) and the
+    count), written into a workspace of NaN, or into fresh arrays, with the
+    column ``dt`` held as run_batch holds it: a column for a (rows, 3, n)
+    stack, spread over the cells of a (rows, n) one.  Returns its states in
+    the order of a trace (stages 1..s-1, q_rk, shifted states) and the
     plan's ``take``."""
     counts, Ab = integrator._coefficients(tableaux)
     buffer = None if fresh else np.full((2 * counts.sum(),) + q.shape[1:], np.nan)
-    plan = integrator._step_plan(counts, Ab, q, (buffer, np.empty_like(q), np.empty_like(q)))
+    dt_cells = np.empty(dt.shape if q.ndim == 3 else q.shape)
+    plan = integrator._step_plan(counts, Ab, q, (buffer, np.empty_like(q), dt_cells))
     assert integrator.rk_step_instrumented(plan, rhs, q, dt) is None
     return plan.out, getattr(plan, "take", None)
 
@@ -597,6 +601,26 @@ def test_workspace_step_equals_traced_step(preset):
             np.testing.assert_array_equal(states[s + j][k], alone.shifted_states[j][0])
 
 
+def assert_workspace_step_equals_row_by_row_oracle(rhs, q, dt):
+    """For each built-in tableau on every row of ``q``, and for the five
+    mixed, every stage, q_rk and shifted state of the workspace step equal
+    the textbook step of each row on its own, bit for bit.  Returns the
+    oracle's steps per tableau name, ``"mixed"`` for the mix."""
+    mixed = sorted((builtin_scheme(name) for name in BUILTIN_SCHEME_IDS), key=lambda t: -t.s)
+    oracle = {}
+    for name, tableaux in [(name, [builtin_scheme(name)] * len(q)) for name in BUILTIN_SCHEME_IDS] + [("mixed", mixed)]:
+        states, _ = workspace_step(tableaux, rhs, q, dt)
+        s = tableaux[0].s
+        oracle[name] = steps = rk_step_rows(tableaux, rhs, q, [float(x.item()) for x in dt])
+        for k, (row_tab, (stages, q_rk, shifted)) in enumerate(zip(tableaux, steps)):
+            for i in range(1, row_tab.s):
+                np.testing.assert_array_equal(states[i - 1][k], stages[i])
+            np.testing.assert_array_equal(states[s - 1][k], q_rk)
+            for j in range(row_tab.s):
+                np.testing.assert_array_equal(states[s + j][k], shifted[j])
+    return oracle
+
+
 @pytest.mark.parametrize("preset", ["muscl2", "leblanc_n2", "dissipative"])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # c = 1.4 takes Leblanc's stages out of the admissible set
 def test_workspace_step_equals_row_by_row_oracle(preset):
@@ -604,17 +628,22 @@ def test_workspace_step_equals_row_by_row_oracle(preset):
     bit for bit, on every stage, q_rk and shifted state: for each built-in
     tableau on a stack of rows, and for the five mixed."""
     _, q, dt, rhs = stacked_step_inputs(preset, [0.3, 0.9, 1.4, 0.6, 1.1])
-    mixed = sorted((builtin_scheme(name) for name in BUILTIN_SCHEME_IDS), key=lambda t: -t.s)
-    for tableaux in [[builtin_scheme(name)] * len(q) for name in BUILTIN_SCHEME_IDS] + [mixed]:
-        states, _ = workspace_step(tableaux, rhs, q, dt)
-        s = tableaux[0].s
-        steps = rk_step_rows(tableaux, rhs, q, [float(x.item()) for x in dt])
-        for k, (row_tab, (stages, q_rk, shifted)) in enumerate(zip(tableaux, steps)):
-            for i in range(1, row_tab.s):
-                np.testing.assert_array_equal(states[i - 1][k], stages[i])
-            np.testing.assert_array_equal(states[s - 1][k], q_rk)
-            for j in range(row_tab.s):
-                np.testing.assert_array_equal(states[s + j][k], shifted[j])
+    assert_workspace_step_equals_row_by_row_oracle(rhs, q, dt)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_an_euler_stack_with_a_near_overflow_dt_equals_the_row_by_row_oracle():
+    """(dt a) R must not become (dt R) a when an Euler stack steps with its
+    dt as a (rows, 1, 1) column either: on a (5, 3, 8) stack of
+    ClippedDecay (|R| = 1.5) with one row at dt = 1.5e308 among ordinary
+    ones, every state of the workspace step equals the row-by-row oracle
+    bit for bit, and rk44's terms cancel to a finite q_rk in that row."""
+    huge = 1.5e308
+    q = np.repeat(np.linspace(1.5, 3.0, 24).reshape(1, 3, 8), 5, axis=0)
+    dt = np.array([0.3, huge, 2.5, 0.9, 3.0]).reshape(-1, 1, 1)
+    oracle = assert_workspace_step_equals_row_by_row_oracle(lambda x: ClippedDecay().rhs_array(x, None), q, dt)
+    _, q_rk, _ = oracle["rk44"][1]
+    assert np.isfinite(q_rk).all()
 
 
 def test_a_leblanc_chunk_keeps_at_most_row_states_per_row():

@@ -1,4 +1,6 @@
 import csv
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +47,21 @@ def test_grid_points_conventions():
     np.testing.assert_allclose(g_node.points(), [0.0, 0.5, 1.0, 1.5])
     g_cent = Grid1D(4, 0.0, 2.0, Periodic(), "center")
     np.testing.assert_allclose(g_cent.points(), [0.25, 0.75, 1.25, 1.75])
+
+
+def test_grid_dx_is_computed_once_and_is_no_field():
+    """dx is kept on the grid once read; a grid that has read it equals,
+    hashes, prints, replaces and pickles as one that has not."""
+    fresh, used = Grid1D(600, -0.5, 0.8), Grid1D(600, -0.5, 0.8)
+    assert used.dx == (0.8 - -0.5) / 600
+    assert used.__dict__["dx"] is used.dx  # no second division
+    assert "dx" not in fresh.__dict__
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    wider = replace(used, x_max=1.3)
+    assert wider.dx == 1.8 / 600
+    for grid in (fresh, used):
+        copy = pickle.loads(pickle.dumps(grid))
+        assert copy == grid and copy.dx == used.dx
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,45 @@ def test_llf_kernel_equals_oracle_bitwise(boundary, local):
         assert_bitwise(scheme.rhs_array(U, grid), llf_rhs(U, grid.dx, GAMMA, boundary, local))
 
 
+def layouts(U):
+    """The stack ``U`` (B, 3, n) laid out as the kernel may meet it."""
+    component_major = np.empty((3,) + U.shape[:1] + U.shape[2:]).swapaxes(0, 1)
+    component_major[...] = U
+    workspace = np.full((2 * len(U),) + U.shape[1:], np.nan)
+    workspace[: len(U)] = U
+    yield np.ascontiguousarray(U)
+    yield component_major
+    yield np.asfortranarray(U)
+    yield workspace[: len(U)]  # a row prefix, as run_batch steps its live rows
+    yield U[0].copy()  # a single (3, n) state
+    if len(U) % 2 == 0:
+        yield U.reshape((2, -1) + U.shape[1:])  # two batch axes
+
+
+@pytest.mark.parametrize("boundary", [Outflow(), Periodic()], ids=["outflow", "periodic"])
+@pytest.mark.parametrize("local", [True, False], ids=["local", "global"])
+def test_llf_kernel_does_not_depend_on_the_layout(boundary, local):
+    """The kernel stores its extended state component-major: a C stack, a
+    component-major view, a Fortran-ordered stack, a workspace row prefix, a
+    single state and a stack with two batch axes give the oracle's bits, in
+    a new C-contiguous array, with and without the step bound."""
+    rng = np.random.default_rng(67)
+    grid = Grid1D(17, 0.0, 1.0, boundary)
+    scheme = LaxFriedrichsEuler(GAMMA, local)
+    for stack in [*euler_stacks(rng, 17), *edge_stacks(rng, 17)]:
+        if stack.ndim != 3:
+            continue
+        for U in layouts(stack):
+            want = llf_rhs(U, grid.dx, GAMMA, boundary, local)
+            R = scheme.rhs_array(U, grid)
+            R0, bound = scheme.rhs_array(U, grid, with_dt_fe=True)
+            for got in (R, R0):
+                assert got.flags.c_contiguous
+                assert_bitwise(got, want)
+            assert_bitwise(np.asarray(bound), llf_dt_fe(U, grid.dx, GAMMA))
+            assert type(bound) is type(scheme.dt_fe_array(U, grid))
+
+
 def test_llf_step_bound_equals_oracle_bitwise():
     rng = np.random.default_rng(47)
     grid = Grid1D(17, 0.0, 1.0, Outflow())
