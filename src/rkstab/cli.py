@@ -180,8 +180,9 @@ def cmd_run(args) -> int:
         "dt_factor": float(settings["dt_factor"]),
         "monitor": config.monitor.kind,
         "passed": v.passed,
-        **dataclasses.asdict(v),
-        "n_steps": record.n_steps,
+        # c is dt_factor; the failures come before n_steps
+        **{key: x for key, x in dataclasses.asdict(v).items() if key not in ("c", "n_steps")},
+        "n_steps": v.n_steps,
         "t_final": config.t_final,
     }
     (out / "verdict.json").write_text(json.dumps(verdict, indent=2) + "\n")

@@ -206,18 +206,24 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class RunVerdict:
-    """Overall pass/fail of one run, for both per-step criteria.
+    """The verdict of one run at multiplier ``c``, with the steps that explain
+    it: the one record of a ``run`` and of a sweep candidate.
 
-    A run that aborts (non-physical state, degenerate step size, or step
-    budget exhausted) fails both criteria: neither can be certified through
-    t_final.
+    Steps are 0-based; ``aborted_step`` is the step at which the run aborted
+    and ``abort_reason`` why (None when it did not).  A run that aborts
+    (non-physical state, degenerate step size, or step budget exhausted)
+    fails both criteria: neither can be certified through t_final.  A sweep
+    stops a run once both criteria have failed, so ``n_steps`` counts the
+    steps it took.  The field order is that of a table's JSON.
     """
 
+    c: float
     step_pass: bool
     shifted_pass: bool
+    n_steps: int
     first_step_failure: int | None
     first_shifted_failure: int | None
-    aborted_step: int | None = None
+    aborted_step: int | None
     abort_reason: str | None = None
 
     @property
@@ -245,8 +251,11 @@ class SimulationRecord:
     min_rhoe: np.ndarray | None
     final_field: object
     verdict: RunVerdict
-    n_steps: int
     config: SimulationConfig = field(repr=False, default=None)
+
+    @property
+    def n_steps(self) -> int:
+        return self.verdict.n_steps
 
     def write_csv(self, path) -> None:
         """History CSV: t, G_step, worst_stage_delta, worst_shifted_delta[, min_rho, min_rhoe].
@@ -290,13 +299,16 @@ class RunRow:
 
     @property
     def verdict(self) -> RunVerdict:
+        aborted = self.aborted_step is not None
         return RunVerdict(
-            step_pass=self.first_step_failure is None and self.aborted_step is None,
-            shifted_pass=self.first_shifted_failure is None and self.aborted_step is None,
-            first_step_failure=self.first_step_failure,
-            first_shifted_failure=self.first_shifted_failure,
-            aborted_step=self.aborted_step,
-            abort_reason=self.abort_reason,
+            self.dt_factor,
+            self.first_step_failure is None and not aborted,
+            self.first_shifted_failure is None and not aborted,
+            self.n_steps,
+            self.first_step_failure,
+            self.first_shifted_failure,
+            self.aborted_step,
+            self.abort_reason,
         )
 
 
@@ -628,6 +640,5 @@ def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callba
         min_rhoe=history[5] if euler else None,
         final_field=final_field,
         verdict=row.verdict,
-        n_steps=row.n_steps,
         config=config,
     )

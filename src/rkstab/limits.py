@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 
 from .fields import require_number
-from .integrator import SimulationConfig, run_batch
+from .integrator import RunVerdict as CandidateOutcome, SimulationConfig, run_batch
 from .tableau import BUILTIN_SCHEME_IDS, builtin_scheme, ssp_coefficient
 
 __all__ = [
@@ -94,24 +94,6 @@ class LimitSearchConfig:
 
 
 @dataclass(frozen=True)
-class CandidateOutcome:
-    """The verdict of one candidate run, with the steps that explain it.
-
-    The first-failure steps are 0-based; ``aborted_step`` is the step at
-    which the run aborted (None when it did not).  The run stops early once
-    both criteria have failed, so ``n_steps`` counts the steps it took.
-    """
-
-    c: float
-    step_pass: bool
-    shifted_pass: bool
-    n_steps: int
-    first_step_failure: int | None
-    first_shifted_failure: int | None
-    aborted_step: int | None
-
-
-@dataclass(frozen=True)
 class LimitResult:
     """Measured limits for one scheme; None means every candidate failed (< c_min)."""
 
@@ -124,18 +106,7 @@ class LimitResult:
 
 def _run_chunk(args) -> list[CandidateOutcome]:
     base, tableaux, cs = args
-    return [
-        CandidateOutcome(
-            c,
-            row.verdict.step_pass,
-            row.verdict.shifted_pass,
-            row.n_steps,
-            row.first_step_failure,
-            row.first_shifted_failure,
-            row.aborted_step,
-        )
-        for c, row in zip(cs, run_batch(base, cs, tableaux=tableaux, early_stop=True))
-    ]
+    return [row.verdict for row in run_batch(base, cs, tableaux=tableaux, early_stop=True)]
 
 
 def _chunk_rows(base: SimulationConfig, scans: int = 1) -> int:

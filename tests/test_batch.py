@@ -87,13 +87,26 @@ def test_candidate_fields_equal_single_runs(preset):
         cfg = short_search(preset, scheme)
         result = find_limits(cfg)
         for o in result.per_candidate:
-            record = simulate(replace(cfg.base, dt_factor=o.c), early_stop=True)
-            v = record.verdict
-            assert (o.step_pass, o.shifted_pass) == (v.step_pass, v.shifted_pass)
-            assert o.n_steps == record.n_steps
-            assert o.first_step_failure == v.first_step_failure
-            assert o.first_shifted_failure == v.first_shifted_failure
-            assert o.aborted_step == v.aborted_step
+            assert o == simulate(replace(cfg.base, dt_factor=o.c), early_stop=True).verdict
+
+
+@pytest.mark.parametrize("preset", PRESET_IDS)
+def test_a_replayed_candidate_equals_its_table_entry(preset):
+    """A table entry is its run's verdict: the lowest c, the c_p tick and the
+    first aborting candidate of every scheme, run again alone, give records
+    equal to the table's, abort reason included."""
+    base = preset_config(preset, t_final=SHORT_T_FINAL[preset])
+    table = limits_table(preset, c_max=3.0, t_final=SHORT_T_FINAL[preset])
+    aborting = 0
+    for row in table.rows:
+        entries = row.per_candidate
+        picked = [entries[0], *(e for e in entries if e.c == row.c_p)]
+        picked += [e for e in entries if e.aborted_step is not None][:1]
+        aborting += picked[-1].aborted_step is not None
+        for entry in picked:
+            (replay,) = run_batch(base, [entry.c], tableaux=[builtin_scheme(row.scheme)], early_stop=True)
+            assert replay.verdict == entry
+    assert (aborting > 0) == base.scheme.is_euler  # three of five schemes abort on Leblanc
 
 
 def test_candidate_fields_in_table_json():
@@ -107,6 +120,7 @@ def test_candidate_fields_in_table_json():
         "first_step_failure",
         "first_shifted_failure",
         "aborted_step",
+        "abort_reason",
     }
     assert any(e["aborted_step"] is not None for e in entries)
     for e, o in zip(entries, table.rows[0].per_candidate):
