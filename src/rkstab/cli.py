@@ -95,8 +95,10 @@ def _build_parser() -> _Parser:
     lim.add_argument(
         "--refine",
         action="store_true",
-        help="stop the scan once both criteria fail and bisect each limit to 0.01; each round runs a chunk's share "
-        "of ticks and midpoints per scheme ahead of need, of which at least one is used",
+        help="stop the scan once both criteria fail and bisect each limit inside its coarse bracket; a refined limit "
+        "is the low end of a final bracket at most 0.01 wide, a multiple of granularity / 2^k (e.g. 1.33125), and "
+        "assumes that passes are monotone inside the coarse bracket; each round runs a chunk's share of ticks and "
+        "midpoints per scheme ahead of need, of which at least one is used",
     )
     lim.add_argument("--workers", type=int, default=1, help="processes per round; results do not depend on it")
     lim.add_argument("--out", default=None, help="JSON output path (CSV written alongside)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -85,6 +86,8 @@ class Grid1D:
         require_number("n_cells", self.n_cells, numbers.Integral)
         if self.n_cells < 3:
             raise ValueError("n_cells must be at least 3")
+        require_number("x_min", self.x_min, finite=True)
+        require_number("x_max", self.x_max, finite=True)
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.sampling not in ("node", "center"):
@@ -137,6 +140,7 @@ class EulerField:
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have length {n}, got {arr.shape}")
             object.__setattr__(self, name, arr)
+        require_number("gamma", self.gamma, finite=True)
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
 
@@ -160,12 +164,15 @@ def tv_includes_wrap(boundary, override: bool | None = None) -> bool:
     return isinstance(boundary, Periodic) if override is None else override
 
 
-def require_number(name: str, value, kind=numbers.Real) -> None:
+def require_number(name: str, value, kind=numbers.Real, *, finite: bool = False) -> None:
     """The one type rule of numeric settings: ``value`` must be a real (or,
-    with ``kind=numbers.Integral``, an integer) number, and a bool is not."""
+    with ``kind=numbers.Integral``, an integer) number, and a bool is not;
+    with ``finite``, neither is NaN or an infinity."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is numbers.Integral else "a real number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def per_row(values):

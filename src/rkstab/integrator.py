@@ -518,7 +518,10 @@ def run_batch(
                     break
 
             if fused:
-                r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)
+                try:  # stage 0's call, which rk_step_instrumented would have made
+                    r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)
+                except NonPhysicalStateError as exc:
+                    raise StepFailedError(0, exc) from exc
                 dt = c * dt
             else:
                 dt = c * scheme.dt_fe_array(q, grid)

@@ -69,9 +69,7 @@ class LimitSearchConfig:
     def __post_init__(self):
         # A non-finite bound or step would make the candidate list endless.
         for name in ("c_min", "c_max", "granularity"):
-            require_number(name, getattr(self, name))
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            require_number(name, getattr(self, name), finite=True)
         if not self.c_min > 0:
             raise ValueError("c_min must be positive")
         if not self.granularity > 0:
@@ -266,8 +264,13 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     occur (degenerate data can hit exact-arithmetic resonances at special
     multipliers) and remain visible in ``per_candidate``, which records the
     full scan.  With ``refine`` the coarse scan stops once both criteria
-    have failed and a bisection sharpens each limit to 0.01 inside its
-    bracketing granularity tick.  Each round then runs up to a chunk's worth
+    have failed and each limit is bisected inside its coarse bracket, up to
+    the next granularity tick: the refined limit is the low end of a final
+    bracket at most :data:`REFINE_RESOLUTION` wide, a multiple of
+    ``granularity / 2**k`` (such as 1.33125), not a 0.01 tick.  The
+    bisection assumes that passes are monotone inside the coarse bracket,
+    which they need not be (on ``upwind``, ssprk33 passes at 1.35 and
+    1.3625 and fails at 1.36).  Each round then runs up to a chunk's worth
     of coarse ticks or midpoints (and at least the next midpoint of each open
     bracket), some of them speculatively (see :func:`_scan`); the result is
     the serial search's.
@@ -351,6 +354,10 @@ def limits_table(
     """
     from .presets import preset_config
 
+    if isinstance(schemes, str):  # a string would be read as its characters
+        raise ValueError(f"schemes must be a list of scheme ids, not the string {schemes!r}")
+    if "record_every" in preset_overrides:  # flags that would do nothing are errors
+        raise ValueError("a table writes no history, so it takes no record_every")
     schemes = list(BUILTIN_SCHEME_IDS if schemes is None else schemes)
     if not schemes:
         raise ValueError("limits_table needs at least one scheme")

@@ -62,6 +62,8 @@ class Monitor:
         # NaN slack would fail every comparison, and +inf pass every one.
         if not 0 <= self.tolerance < math.inf:
             raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
+        if self.tv_wrap is not None and not isinstance(self.tv_wrap, bool):  # "no" would turn it on
+            raise ValueError(f"tv_wrap must be None or a bool, got {self.tv_wrap!r}")
 
     @property
     def slack(self) -> float:

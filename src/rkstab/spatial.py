@@ -11,8 +11,9 @@ wrap operate on bare numpy arrays and are what the time integrator drives.
 Kernels take a state, ``(n,)`` for Burgers and ``(3, n)`` for Euler, or a
 stack of states with leading batch axes, ``(..., n)`` or ``(..., 3, n)``:
 every row is advanced independently, and ``dt_fe_array`` returns one step
-bound per row (a float for a single state).  Kernels do not check
-admissibility; the stepping loop does, once per row and stage.
+bound per row (a float for a single state), or one float when the bound
+does not depend on the state.  Kernels do not check admissibility; the
+stepping loop does, once per row and stage.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .fields import (
     ScalarField,
     per_row,
     require_admissible,
+    require_number,
 )
 
 __all__ = [
@@ -60,6 +62,7 @@ class DissipativeBurgers:
     is_euler = False
 
     def __post_init__(self):
+        require_number("mu", self.mu, finite=True)
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
 
@@ -68,7 +71,7 @@ class DissipativeBurgers:
         return _dissipative_rhs(q, grid.dx, self.mu)
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
-        return per_row(np.full(q.shape[:-1], 0.006 * grid.dx))
+        return 0.006 * grid.dx
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ class UpwindBurgers:
         return _upwind_rhs(q, grid.dx)
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
-        return per_row(np.full(q.shape[:-1], grid.dx))
+        return grid.dx
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,7 @@ class LaxFriedrichsEuler:
     rhs_gives_dt_fe = True
 
     def __post_init__(self):
+        require_number("gamma", self.gamma, finite=True)
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
 

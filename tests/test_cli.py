@@ -80,6 +80,24 @@ def test_run_rejects_unknown_config_keys(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"experiment": "upwind",', "malformed JSON config "),
+        ('["upwind"]', "config file must hold a JSON object"),
+        ('{"scheme": "rk44"}', "config file must name an 'experiment'"),
+    ],
+)
+def test_run_rejects_a_config_file_that_names_no_experiment(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_run_output_is_bit_identical_across_repeats(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -1,5 +1,6 @@
 import csv
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,32 @@ def test_grid_validation():
         with pytest.raises(ValueError, match="n_cells must be an integer"):
             Grid1D(n, 0.0, 1.0)
     assert Grid1D(np.int64(40), 0.0, 1.0).n_cells == 40
+    with pytest.raises(ValueError, match="unknown sampling 'edge'"):
+        Grid1D(10, 0.0, 1.0, sampling="edge")
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((0.0, np.inf), "x_max must be finite, got inf"),
+        ((-np.inf, 1.0), "x_min must be finite, got -inf"),
+        ((np.nan, 1.0), "x_min must be finite, got nan"),
+        ((0.0, True), "x_max must be a real number, got True"),
+        (("0", 1.0), "x_min must be a real number, got '0'"),
+    ],
+)
+def test_grid_bounds_must_be_finite_real_numbers(bounds, message):
+    """An infinite x_max used to give a grid of infinite dx."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Grid1D(10, *bounds)
+
+
+def test_fields_reject_a_wrong_length():
+    grid = Grid1D(4, 0.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("q must have length 4, got (3,)")):
+        ScalarField(grid, np.zeros(3))
+    with pytest.raises(ValueError, match=re.escape("m must have length 4, got (5,)")):
+        EulerField(grid, np.ones(4), np.zeros(5), np.ones(4), 1.4)
 
 
 def test_grid_points_conventions():

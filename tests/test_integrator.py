@@ -322,12 +322,28 @@ class RaisingEuler:
         return np.full(U.shape[0], 1e-3)
 
 
-@pytest.mark.parametrize("n_rows", [1, 2])
-def test_a_raising_kernel_raises_out_of_run_batch_at_any_batch_size(n_rows):
+class RaisingFusedEuler(LaxFriedrichsEuler):
+    """The LLF scheme, whose stage-0 call also gives the step bound, with a
+    kernel that raises on every call."""
+
+    def rhs_array(self, U, grid, *, with_dt_fe=False):
+        raise NonPhysicalStateError("kernel refused", cell=0)
+
+
+@pytest.mark.parametrize(
+    "n_rows, scheme",
+    [
+        pytest.param(n, scheme, id=f"{n}{kind}")
+        for kind, scheme in (("", RaisingEuler()), ("-fused", RaisingFusedEuler()))
+        for n in (1, 2)
+    ],
+)
+def test_a_raising_kernel_raises_out_of_run_batch_at_any_batch_size(n_rows, scheme):
     """The loop, not the kernel, judges admissibility: a kernel that raises is
     a fault, and its error leaves run_batch at one row as at two (one row
-    used to turn it into an abort verdict)."""
-    cfg = dataclasses.replace(preset_config("leblanc_n2", n_cells=8, t_final=0.01), scheme=RaisingEuler())
+    used to turn it into an abort verdict), also from the stage-0 call that
+    gives the step bound (it used to leave unconverted)."""
+    cfg = dataclasses.replace(preset_config("leblanc_n2", n_cells=8, t_final=0.01), scheme=scheme)
     with pytest.raises(StepFailedError, match="stage 0: kernel refused"):
         run_batch(cfg, [1.0, 0.5][:n_rows])
 
@@ -463,3 +479,14 @@ def test_step_bound_from_the_stage_0_pass_equals_the_bound_asked_apart(lf, schem
         assert row.verdict == other.verdict and row.n_steps == other.n_steps
         np.testing.assert_array_equal(bits(row.history), bits(other.history))
         np.testing.assert_array_equal(bits(row.final_state), bits(other.final_state))
+
+
+def test_run_batch_rejects_a_traced_batch_and_a_tableau_count_off_the_rows():
+    cfg = preset_config("upwind", "rk44", t_final=0.1)
+    with pytest.raises(ValueError, match="trace_callback needs a one-row batch"):
+        run_batch(cfg, [0.5, 1.0], trace_callback=lambda step, t, trace: None)
+    with pytest.raises(ValueError, match="run_batch needs one tableau per row"):
+        run_batch(cfg, [0.5, 1.0], tableaux=[cfg.tableau])
+    with pytest.raises(ValueError, match="run_batch needs one tableau per row"):
+        run_batch(cfg, [0.5], tableaux=[cfg.tableau] * 2)
+    assert run_batch(cfg, []) == [] and run_batch(cfg, [], tableaux=[]) == []

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rkstab.limits as limits
+from rkstab.integrator import RunVerdict
 from rkstab.limits import (
     CandidateOutcome,
     LimitSearchConfig,
@@ -119,6 +120,7 @@ def test_forward_euler_step_and_shifted_flags_coincide():
 def test_per_candidate_covers_the_scan():
     result = find_limits(upwind_search(c_min=0.5, c_max=1.0, granularity=0.1))
     assert [o.c for o in result.per_candidate] == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+    assert CandidateOutcome is RunVerdict  # a candidate's outcome is its run's verdict
     assert all(isinstance(o, CandidateOutcome) for o in result.per_candidate)
     assert all(o.step_pass and o.shifted_pass for o in result.per_candidate)
 
@@ -367,3 +369,15 @@ def test_limits_table_rejects_empty_or_repeated_scheme_list():
         limits_table("upwind", [])
     with pytest.raises(ValueError, match="more than once: forward_euler"):
         limits_table("upwind", ["forward_euler", "rk44", "forward_euler"])
+
+
+def test_a_table_rejects_a_string_of_schemes():
+    """A string used to be read as its characters: "schemes listed more than once: 4"."""
+    with pytest.raises(ValueError, match="schemes must be a list of scheme ids, not the string 'rk44'"):
+        limits_table("upwind", "rk44")
+
+
+def test_a_table_rejects_record_every():
+    """A table writes no history: record_every used to be accepted and ignored."""
+    with pytest.raises(ValueError, match="a table writes no history, so it takes no record_every"):
+        limits_table("upwind", ["rk44"], c_max=0.3, t_final=0.1, record_every=3)

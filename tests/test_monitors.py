@@ -294,3 +294,17 @@ def test_history_worst_deltas_come_from_the_verdicts(preset, c, kw):
         assert record.monitor_stage_worst[i] == step
         assert record.monitor_shifted_worst[i] == shifted
     assert not record.verdict.passed and record.verdict.aborted_step is None
+
+
+@pytest.mark.parametrize("wrap", ["no", 0, 1.0])
+def test_monitor_tv_wrap_must_be_none_or_a_bool(wrap):
+    """A truthy non-bool such as "no" used to turn the wrap term on."""
+    with pytest.raises(ValueError, match=re.escape(f"tv_wrap must be None or a bool, got {wrap!r}")):
+        Monitor(kind="tv", tv_wrap=wrap)
+    assert [Monitor(kind="tv", tv_wrap=w).tv_wrap for w in (None, False, True)] == [None, False, True]
+
+
+def test_positivity_has_no_scalar_functional():
+    grid = Grid1D(4, 0.0, 1.0)
+    with pytest.raises(ValueError, match="positivity monitor does not define a scalar functional"):
+        evaluate_functional(Monitor(kind="positivity"), np.ones((3, 4)), grid)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,22 @@ def test_dissipative_requires_periodic():
     f = scalar([1.0, 2.0, 3.0], boundary=Dirichlet(1.0, 3.0))
     with pytest.raises(UnsupportedBoundaryError):
         rhs_dissipative_burgers(f, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        (math.nan, "mu must be finite, got nan"),
+        (math.inf, "mu must be finite, got inf"),
+        (True, "mu must be a real number, got True"),
+        (-1.0, "mu must be non-negative"),
+    ],
+)
+def test_dissipative_mu_must_be_a_finite_non_negative_number(mu, message):
+    """NaN, inf and True used to be accepted as viscosities."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DissipativeBurgers(mu=mu)
+    assert DissipativeBurgers(mu=0).mu == 0
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +427,28 @@ def test_forward_euler_contract_on_presets():
             monitor = bind_scale(monitor, evaluate_functional(monitor, state, cfg.grid))
         verdicts = check_step_criterion(monitor, trace)
         assert all(v.passed for v in verdicts), preset
+
+
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        (math.inf, "gamma must be finite, got inf"),
+        (math.nan, "gamma must be finite, got nan"),
+        (True, "gamma must be a real number, got True"),
+        (1.0, "gamma must exceed 1"),
+    ],
+)
+def test_llf_gamma_must_be_a_finite_number_above_one(gamma, message):
+    """gamma = inf used to be accepted; the field's gamma follows the same rule."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LaxFriedrichsEuler(gamma=gamma)
+    grid = Grid1D(3, 0.0, 1.0, Outflow())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EulerField(grid, np.ones(3), np.zeros(3), np.ones(3), gamma)
+
+
+def test_llf_rejects_a_dirichlet_grid():
+    grid = Grid1D(4, 0.0, 1.0, Dirichlet(1.0, 1.0))
+    U = np.stack([np.ones(4), np.zeros(4), np.ones(4)])
+    with pytest.raises(UnsupportedBoundaryError, match="outflow or periodic boundaries only"):
+        LaxFriedrichsEuler().rhs_array(U, grid)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,8 +62,7 @@ def test_validate_flags_bad_weight_sum():
     t = builtin_scheme("rk44")
     bad = ButcherTableau("bad", t.A, np.array([1 / 6, 1 / 3, 1 / 3, 1 / 3]), t.c)
     report = validate_consistency(bad)
-    kinds = [v.kind for v in report.violations]
-    assert kinds == ["weight_sum"]
+    assert [(v.kind, v.index) for v in report.violations] == [("weight_sum", None)]
     assert report.violations[0].residual == pytest.approx(1 / 6, rel=1e-12)
 
 
@@ -186,3 +186,30 @@ def test_parse_error_on_wrong_entry_count():
 def test_parse_error_on_bad_stage_count():
     with pytest.raises(TableauFormatError, match="line 2"):
         tableau_from_text("demo\ntwo\n0\n1\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("demo\n1\n", 1, "expected name, stage count, A rows and b"),
+        ("demo\n0\n0\n", 2, "stage count must be positive"),
+        ("demo\n2\n0 0\n0.5 0\n", 4, "expected 5 non-empty lines for a 2-stage tableau, got 4"),
+        ("demo\n1\n0\n1\n1\n", 5, "expected 4 non-empty lines for a 1-stage tableau, got 5"),
+    ],
+)
+def test_parse_error_on_missing_or_extra_lines(text, line, message):
+    with pytest.raises(TableauFormatError, match=re.escape(f"line {line}: {message}")):
+        tableau_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "A, b, c, message",
+    [
+        (np.zeros((1, 1)), np.ones((1, 1)), None, "b must be a vector"),
+        (np.zeros((0, 0)), np.ones(0), None, "a tableau needs at least one stage"),
+        (np.zeros((2, 2)), np.array([0.5, 0.5]), [0.0], "c must have length 2, got (1,)"),
+    ],
+)
+def test_malformed_tableau_rejected_at_construction(A, b, c, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ButcherTableau("bad", A, b, c)
