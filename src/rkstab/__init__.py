@@ -15,20 +15,10 @@ from .fields import (
     Outflow,
     Periodic,
     ScalarField,
-    quadratic_energy,
-    total_variation,
 )
-from .integrator import (
-    SimulationConfig,
-    SimulationRecord,
-    StageTrace,
-    StepFailedError,
-    modified_representation_stage,
-    rk_step_instrumented,
-    simulate,
-)
+from .integrator import SimulationConfig, SimulationRecord, StepFailedError, simulate
 from .limits import ExperimentTable, LimitResult, LimitSearchConfig, find_limits, limits_table
-from .monitors import Monitor, MonitorVerdict, check_shifted_criterion, check_step_criterion
+from .monitors import Monitor
 from .presets import PRESET_IDS, preset_config
 from .spatial import (
     DissipativeBurgers,
@@ -36,10 +26,6 @@ from .spatial import (
     MusclBurgers,
     UnsupportedBoundaryError,
     UpwindBurgers,
-    rhs_dissipative_burgers,
-    rhs_llf_euler,
-    rhs_muscl_burgers,
-    rhs_upwind_burgers,
 )
 from .tableau import (
     BUILTIN_SCHEME_IDS,

@@ -29,11 +29,8 @@ __all__ = [
     "tv_includes_wrap",
     "total_variation_array",
     "quadratic_energy_array",
-    "total_variation",
-    "quadratic_energy",
     "euler_minima",
     "admissibility_error",
-    "require_admissible",
     "internal_energy_density",
     "field_to_csv",
 ]
@@ -200,16 +197,6 @@ def quadratic_energy_array(q: np.ndarray):
     return per_row(0.5 * np.vecdot(q, q))
 
 
-def total_variation(f: ScalarField, include_wrap: bool | None = None) -> float:
-    """Total variation of a field; see :func:`tv_includes_wrap` for the wrap pair."""
-    return total_variation_array(f.q, tv_includes_wrap(f.grid.boundary, include_wrap))
-
-
-def quadratic_energy(f: ScalarField) -> float:
-    """0.5 * sum(q_i^2)."""
-    return quadratic_energy_array(f.q)
-
-
 def euler_minima(U):
     """Minima of rho and of rho*e of a conserved state (rows rho, m, E).
 
@@ -250,13 +237,6 @@ def admissibility_error(U) -> NonPhysicalStateError | None:
         if not bad.any():
             return None
     return NonPhysicalStateError(f"non-positive {quantity} in Euler state", int(np.argmax(bad)))
-
-
-def require_admissible(U) -> None:
-    """Raise the :func:`admissibility_error` of ``U``, if it has one."""
-    error = admissibility_error(U)
-    if error is not None:
-        raise error
 
 
 def field_to_csv(f, path) -> None:

@@ -1,7 +1,7 @@
 """Instrumented explicit Runge-Kutta stepping and whole-run simulation.
 
-A step records everything the stability analysis needs: the stage solutions
-q^i, the stage derivatives R^j, and the shifted Euler states q^n + dt*R^j.
+A step writes every state the stability analysis judges: the stage
+solutions q^i, the step solution and the shifted Euler states q^n + dt*R^j.
 ``run_batch`` is the one stepping loop: it advances one run per step-size
 multiplier together, as a stack of states ``(B, n)`` or ``(B, 3, n)``, each
 row with its own adaptive step size, time, first failures and abort, and
@@ -42,7 +42,6 @@ from .tableau import ButcherTableau
 
 __all__ = [
     "StepFailedError",
-    "StageTrace",
     "SimulationConfig",
     "RunVerdict",
     "SimulationRecord",
@@ -50,7 +49,6 @@ __all__ = [
     "STEP_BUDGET_FACTOR",
     "END_TIME_TOLERANCE",
     "rk_step_instrumented",
-    "modified_representation_stage",
     "run_batch",
     "simulate",
 ]
@@ -74,54 +72,21 @@ class StepFailedError(RuntimeError):
         self.cause = cause
 
 
-@dataclass(frozen=True, eq=False)
-class StageTrace:
-    """Complete record of one RK step.
+def rk_step_instrumented(plan, rhs, dt, *, r0=None) -> None:
+    """Advance one step of the rows of a step plan, keeping every stage quantity.
 
-    ``stage_solutions[0]`` is ``q_n`` itself (explicit method, c_1 = 0) and
-    ``shifted_states[j]`` equals ``q_n + dt * stage_derivatives[j]`` by
-    construction.  ``grid`` is metadata for the monitors; it stays None for
-    bare ODE usage.
+    ``plan`` is the plan :func:`_step_plan` binds to q^n and a workspace;
+    the step writes its stage solutions, step solution and shifted Euler
+    states q^n + dt*R^j there, and drops each derivative once its terms are
+    added.  ``rhs`` maps a state to its time derivative, and ``dt`` may be
+    an array broadcasting against the states (one step size per row of a
+    stack of states).  ``r0`` is a list that holds ``rhs(q_n)`` when the
+    caller has evaluated it already; the step pops it as stage 0's
+    derivative.  An RHS failure (``NonPhysicalStateError``) is re-raised as
+    :class:`StepFailedError` carrying the stage index.  :func:`run_batch`
+    does not catch it: there the monitor judges admissibility after the
+    step, and kernels do not raise.
     """
-
-    q_n: np.ndarray
-    dt: float
-    stage_solutions: tuple
-    stage_derivatives: tuple
-    shifted_states: tuple
-    q_rk: np.ndarray
-    grid: Grid1D | None = None
-
-
-def rk_step_instrumented(
-    tableau: ButcherTableau,
-    rhs,
-    q_n,
-    dt: float,
-    grid: Grid1D | None = None,
-    *,
-    r0=None,
-) -> StageTrace | None:
-    """Advance one step, keeping every stage quantity.
-
-    ``rhs`` maps a state to its time derivative; states are numpy arrays,
-    and ``dt`` may be an array broadcasting against them (one step size per
-    row of a stack of states).  With a :class:`ButcherTableau` the step runs
-    the plan :func:`_step_plan` makes of it on fresh arrays and returns its
-    :class:`StageTrace`.  Given a plan bound to ``q_n`` and a workspace, it
-    writes its states there, drops each derivative once its terms are
-    added, and returns None: the same operations, so the same bits.  ``r0``
-    is a list that holds ``rhs(q_n)`` when the caller has evaluated it
-    already; the step pops it as stage 0's derivative.  An RHS failure
-    (``NonPhysicalStateError``) is re-raised as :class:`StepFailedError`
-    carrying the stage index.  :func:`run_batch` does not catch it: there
-    the monitor judges admissibility after the step, and kernels do not raise.
-    """
-    if hasattr(tableau, "stages"):
-        plan, derivs = tableau, None
-    else:
-        room = (None, np.empty_like(q_n, dtype=float), np.empty_like(q_n, dtype=float) if np.ndim(dt) else None)
-        plan, derivs = _step_plan(*_coefficients([tableau]), q_n, room), []
     spread = plan.dt_cells is not None
     if spread:
         plan.dt_cells[...] = dt
@@ -133,8 +98,6 @@ def rk_step_instrumented(
             r_i = r0.pop() if r0 else rhs(q_i)
         except NonPhysicalStateError as exc:
             raise StepFailedError(i, exc) from exc
-        if derivs is not None:
-            derivs.append(r_i)
         multiply(dt_i if spread else dt, r_i, shifted)
         add(q_0, shifted, shifted)
         views = [r_i]  # r_i, then its prefixes that later stages need
@@ -144,32 +107,6 @@ def rk_step_instrumented(
             multiply(multiply(dt_k, a, dt_a) if spread else dt * a, views[v], prod)
             add(x, y, dest)
         del r_i, views  # not alive during the next stage's rhs call
-    if derivs is None:
-        return None
-    return StageTrace(
-        q_n=q_n,
-        dt=dt,
-        stage_solutions=tuple(stage[0] for stage in plan.stages),
-        stage_derivatives=tuple(derivs),
-        shifted_states=tuple(plan.out[plan.s :]),
-        q_rk=plan.q_rk,
-        grid=grid,
-    )
-
-
-def modified_representation_stage(tableau: ButcherTableau, trace: StageTrace, stage: int):
-    """Stage solution rebuilt as (1 - c_i) q^n + sum_j a_ij (q^n + dt R^j).
-
-    ``stage`` is 0-based.  For a row-sum consistent tableau this is
-    algebraically identical to the standard stage recursion, so the result
-    must match ``trace.stage_solutions[stage]`` to roundoff.
-    """
-    acc = (1.0 - tableau.c[stage]) * trace.q_n
-    for j in range(stage):
-        a = tableau.A[stage, j]
-        if a != 0.0:
-            acc = acc + a * trace.shifted_states[j]
-    return acc
 
 
 @dataclass(frozen=True)
@@ -202,6 +139,10 @@ class SimulationConfig:
             raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+        # So is_euler also means the positivity monitor.
+        is_euler = bool(getattr(self.scheme, "is_euler", False))
+        if (self.monitor.kind == "positivity") != is_euler:
+            raise ValueError(f"{self.monitor.kind} monitor requires {'a scalar' if is_euler else 'an Euler'} scheme")
 
 
 @dataclass(frozen=True)
@@ -403,7 +344,6 @@ def run_batch(
     tableaux=None,
     early_stop: bool = False,
     record: bool = False,
-    trace_callback=None,
 ) -> list[RunRow]:
     """Advance one run of ``config`` per multiplier in ``dt_factors`` together.
 
@@ -428,19 +368,13 @@ def run_batch(
     not positive with the :func:`~rkstab.fields.admissibility_error` of its
     state.  A kernel that raises anyway raises :class:`StepFailedError` out
     of the call, at any batch size.  With ``record`` each row keeps its
-    history and final state.  ``trace_callback(step, t, trace)`` is invoked
-    after each completed step of a one-row batch; only then is a
-    :class:`StageTrace` built.
+    history and final state.
     """
     scheme = config.scheme
     grid = config.grid
     is_euler = bool(getattr(scheme, "is_euler", False))
     monitor = config.monitor
-    if (monitor.kind == "positivity") != is_euler:  # so is_euler also means the positivity monitor
-        raise ValueError(f"{monitor.kind} monitor requires {'a scalar' if is_euler else 'an Euler'} scheme")
     rows = [RunRow(float(c), history=[] if record else None) for c in dt_factors]
-    if trace_callback is not None and len(rows) != 1:
-        raise ValueError("trace_callback needs a one-row batch")
     tableaux = [config.tableau] * len(rows) if tableaux is None else list(tableaux)
     if len(tableaux) != len(rows):
         raise ValueError("run_batch needs one tableau per row")
@@ -551,14 +485,8 @@ def run_batch(
             dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
             # This step's plan: an Euler leave() below binds a new one.
             s, states, q_rk = plan.s, plan.states, plan.q_rk
-            first, r0 = ([] if r0 is None else [r0]), None
-            if trace_callback is None:
-                rk_step_instrumented(plan, rhs, q, dt_rows, r0=first)
-            else:  # one row: trace a copy of its state, then monitor the step as any other
-                first = [r[0] for r in first]
-                trace = rk_step_instrumented(tableaux[live[0]], rhs, q[0].copy(), dt_rows, grid, r0=first)
-                for dest, state in zip(plan.out, trace.stage_solutions[1:] + (trace.q_rk,) + trace.shifted_states):
-                    dest[...] = state
+            first, r0 = ([] if r0 is None else [r0]), None  # the step drops it once used
+            rk_step_instrumented(plan, rhs, dt_rows, r0=first)
 
             # The value of every state of the step in the (rows, 2s+1) layout:
             # q^n, whose value carries over, then stages 1..s-1, the step
@@ -601,8 +529,6 @@ def run_batch(
                 for k, family in zip(*np.nonzero(new)):
                     setattr(rows[live[k]], ("first_step_failure", "first_shifted_failure")[family], step)
                 failed |= fail
-            if trace_callback is not None:
-                trace_callback(step, float(t[0]), trace)
             q[...] = q_rk  # q^{n+1} takes the place of q^n in the workspace
             step += 1
             if early_stop:
@@ -612,7 +538,7 @@ def run_batch(
     return rows
 
 
-def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callback=None) -> SimulationRecord:
+def simulate(config: SimulationConfig, *, early_stop: bool = False) -> SimulationRecord:
     """Advance the configured problem from t = 0 to t_final.
 
     The one-row case of :func:`run_batch` at ``config.dt_factor``, with the
@@ -624,9 +550,8 @@ def simulate(config: SimulationConfig, *, early_stop: bool = False, trace_callba
     the degenerate-step reason names the quantity and the first bad cell).  With
     ``early_stop`` the run stops once both criteria have already failed,
     which cannot change the verdict (used by limit sweeps).
-    ``trace_callback(step, t, trace)`` is invoked after each completed step.
     """
-    (row,) = run_batch(config, [config.dt_factor], early_stop=early_stop, record=True, trace_callback=trace_callback)
+    (row,) = run_batch(config, [config.dt_factor], early_stop=early_stop, record=True)
     euler = bool(getattr(config.scheme, "is_euler", False))
     columns = list(zip(*row.history)) or [()] * (6 if euler else 4)
     history = [np.array(col) for col in columns]

@@ -1,10 +1,13 @@
-"""Stability criteria and their pass/fail logic on instrumented RK steps.
+"""Stability criteria and their pass/fail logic on the states of RK steps.
 
 Three monitors: quadratic energy decay, total-variation non-increase, and
-strict positivity of density and internal energy.  Each is applied to three
+strict positivity of density and internal energy.  Each is applied to two
 families of states from a single step: the stage solutions plus the step
 result (the "step" criterion), and the shifted Euler states
-q^n + dt * R^j (the "shifted" criterion).
+q^n + dt * R^j (the "shifted" criterion).  The functions here judge a
+stack of states at once: ``state_values`` gives each state's value,
+``step_deltas`` its delta from q^n, ``passes`` the per-state rule and
+``family_worst`` the worst delta of each family.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .fields import (
 
 __all__ = [
     "Monitor",
-    "MonitorVerdict",
     "evaluate_functional",
     "euler_state_floor",
     "state_values",
@@ -33,8 +35,6 @@ __all__ = [
     "step_deltas",
     "passes",
     "family_worst",
-    "check_step_criterion",
-    "check_shifted_criterion",
 ]
 
 MONITOR_KINDS = ("energy", "tv", "positivity")
@@ -68,21 +68,6 @@ class Monitor:
     @property
     def slack(self) -> float:
         return self.tolerance * self.scale
-
-
-@dataclass(frozen=True)
-class MonitorVerdict:
-    """Outcome for one monitored state.
-
-    ``delta`` is G(candidate) - G(reference) for energy/tv and the state
-    floor min(rho, rho*e) for positivity.  ``where`` is "stage", "shifted"
-    or "step"; ``index`` is the 0-based stage index when applicable.
-    """
-
-    passed: bool
-    delta: float
-    where: str
-    index: int | None = None
 
 
 def evaluate_functional(monitor: Monitor, state: np.ndarray, grid):
@@ -149,38 +134,3 @@ def family_worst(monitor: Monitor, deltas: np.ndarray, s: int) -> np.ndarray:
     """
     reduce = np.minimum if monitor.kind == "positivity" else np.maximum
     return reduce.reduceat(deltas, (0, s + 1), axis=1)
-
-
-def _verdicts(monitor: Monitor, trace, labelled) -> list[MonitorVerdict]:
-    values = state_values(monitor, trace.grid, np.stack([trace.q_n] + [x for _, _, x in labelled]))
-    return [
-        MonitorVerdict(bool(passes(monitor, d)), float(d), where, index)
-        for (where, index, _), d in zip(labelled, step_deltas(monitor, values)[1:])
-    ]
-
-
-def _step_states(trace):
-    states = [("stage", i, q) for i, q in enumerate(trace.stage_solutions)]
-    states.append(("step", None, trace.q_rk))
-    return states
-
-
-def _shifted_states(trace):
-    return [("shifted", j, q) for j, q in enumerate(trace.shifted_states)]
-
-
-def check_step_criterion(monitor: Monitor, trace) -> list[MonitorVerdict]:
-    """Verdicts for every stage solution plus the step solution.
-
-    All of them passing (within slack) is the per-step requirement behind
-    the practical coefficient c^p.
-    """
-    return _verdicts(monitor, trace, _step_states(trace))
-
-
-def check_shifted_criterion(monitor: Monitor, trace) -> list[MonitorVerdict]:
-    """Verdicts for the shifted Euler states q^n + dt*R^j, j = 1..s.
-
-    All of them passing is the per-step requirement behind c^s.
-    """
-    return _verdicts(monitor, trace, _shifted_states(trace))

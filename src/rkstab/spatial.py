@@ -6,14 +6,14 @@ Lax-Friedrichs for the 1D Euler equations.  Each scheme carries the step
 size dt_FE below which a single forward Euler step is guaranteed (or, for
 the dissipative flux, reported) to preserve its stability property.
 
-The public operations work on field objects; the ``*_array`` kernels they
-wrap operate on bare numpy arrays and are what the time integrator drives.
-Kernels take a state, ``(n,)`` for Burgers and ``(3, n)`` for Euler, or a
-stack of states with leading batch axes, ``(..., n)`` or ``(..., 3, n)``:
-every row is advanced independently, and ``dt_fe_array`` returns one step
-bound per row (a float for a single state), or one float when the bound
-does not depend on the state.  Kernels do not check admissibility; the
-stepping loop does, once per row and stage.
+A scheme's ``rhs_array`` and ``dt_fe_array`` kernels operate on bare numpy
+arrays and are what the time integrator drives.  Kernels take a state,
+``(n,)`` for Burgers and ``(3, n)`` for Euler, or a stack of states with
+leading batch axes, ``(..., n)`` or ``(..., 3, n)``: every row is advanced
+independently, and ``dt_fe_array`` returns one step bound per row (a float
+for a single state), or one float when the bound does not depend on the
+state.  Kernels do not check admissibility; the stepping loop does, once
+per row and stage.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ import numpy as np
 
 from .fields import (
     Dirichlet,
-    EulerField,
     Grid1D,
     Outflow,
     Periodic,
-    ScalarField,
     per_row,
-    require_admissible,
     require_number,
 )
 
@@ -40,10 +37,6 @@ __all__ = [
     "UpwindBurgers",
     "MusclBurgers",
     "LaxFriedrichsEuler",
-    "rhs_dissipative_burgers",
-    "rhs_upwind_burgers",
-    "rhs_muscl_burgers",
-    "rhs_llf_euler",
 ]
 
 
@@ -314,38 +307,3 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool, with
             top = np.moveaxis(top, -1, 0)
         return r, _bound_over(dx, top)
     return r
-
-
-# ---------------------------------------------------------------------------
-# field-level operations
-
-def rhs_dissipative_burgers(f: ScalarField, mu: float) -> ScalarField:
-    """RHS of the energy-dissipative Burgers discretization (periodic only)."""
-    return ScalarField(f.grid, DissipativeBurgers(mu).rhs_array(f.q, f.grid))
-
-
-def rhs_upwind_burgers(f: ScalarField) -> ScalarField:
-    """RHS of the first-order upwind Burgers discretization (periodic only)."""
-    return ScalarField(f.grid, UpwindBurgers().rhs_array(f.q, f.grid))
-
-
-def rhs_muscl_burgers(f: ScalarField) -> ScalarField:
-    """RHS of the minmod MUSCL Burgers discretization.
-
-    Dirichlet grids use two ghost cells per side frozen at the boundary
-    states; outflow is not supported.
-    """
-    return ScalarField(f.grid, MusclBurgers().rhs_array(f.q, f.grid))
-
-
-def rhs_llf_euler(f: EulerField, local: bool = True):
-    """RHS of the Lax-Friedrichs Euler discretization plus max wavespeed.
-
-    The input field must be admissible; a non-positive density or internal
-    energy raises :class:`NonPhysicalStateError` naming the first bad cell
-    (limit searches treat that as a stability failure of the probed step).
-    """
-    U = f.stack()
-    require_admissible(U)
-    R = LaxFriedrichsEuler(f.gamma, local).rhs_array(U, f.grid)
-    return EulerField.from_stack(f.grid, R, f.gamma), _max_wavespeed(U, f.gamma)

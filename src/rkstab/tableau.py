@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import require_number
+
 __all__ = [
     "ButcherTableau",
     "ConsistencyViolation",
@@ -235,6 +237,7 @@ def ssp_coefficient(t: ButcherTableau, tol: float = 1e-9) -> SspAnalysis:
     their spacing; any method with a negative a_ij or b_j has coefficient
     exactly 0.
     """
+    require_number("tol", tol)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     report = validate_consistency(t)

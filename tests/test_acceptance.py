@@ -10,20 +10,23 @@ import math
 import numpy as np
 import pytest
 
-from rkstab.fields import quadratic_energy, total_variation
-from rkstab.integrator import rk_step_instrumented, simulate
+from rkstab.integrator import simulate
 from rkstab.limits import limits_table
-from rkstab.monitors import (
-    bind_scale,
-    check_shifted_criterion,
-    check_step_criterion,
-    evaluate_functional,
-)
+from rkstab.monitors import bind_scale, evaluate_functional
 from rkstab.presets import preset_config
-from rkstab.spatial import rhs_muscl_burgers, rhs_upwind_burgers
 from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme, check_assumption1, ssp_coefficient
 
 from conftest import SWEEP_WORKERS
+from step_oracles import (
+    check_shifted_criterion,
+    check_step_criterion,
+    quadratic_energy,
+    rhs_muscl_burgers,
+    rhs_upwind_burgers,
+    total_variation,
+    traced_run,
+    traced_step,
+)
 from test_leblanc_evidence import LEBLANC_LIMITS
 from test_spatial import muscl_rhs_reference, _extremum_signs_ok
 
@@ -290,9 +293,7 @@ def _short_run_traces():
         monitor = cfg.monitor
         if monitor.kind != "positivity":
             monitor = bind_scale(monitor, evaluate_functional(monitor, state, cfg.grid))
-        traces = []
-        simulate(cfg, trace_callback=lambda step, t, tr: traces.append(tr))
-        yield cfg, monitor, traces
+        yield cfg, monitor, list(traced_run(cfg))
 
 
 def test_criterion_7_property_suites():
@@ -300,7 +301,7 @@ def test_criterion_7_property_suites():
     rng = np.random.default_rng(2024)
 
     # modified-representation identity on every trace of every experiment
-    from rkstab.integrator import modified_representation_stage
+    from step_oracles import modified_representation_stage
 
     worst_rel = 0.0
     implication_checked = 0
@@ -325,7 +326,7 @@ def test_criterion_7_property_suites():
 
     # conservation on periodic grids for every scheme
     from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField
-    from rkstab.spatial import rhs_dissipative_burgers, rhs_llf_euler
+    from step_oracles import rhs_dissipative_burgers, rhs_llf_euler
 
     grid = Grid1D(64, 0.0, 2.0, Periodic())
     for _ in range(25):
@@ -358,7 +359,7 @@ def test_criterion_7_property_suites():
         for dt in dts:
             q = np.array([1.0])
             for _ in range(int(round(1.0 / dt))):
-                q = rk_step_instrumented(tableau, lambda s: s, q, dt).q_rk
+                q = traced_step(tableau, lambda s: s, q, dt).q_rk
             errors.append(abs(float(q[0]) - math.e))
         slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
         crit.check(

@@ -26,6 +26,7 @@ from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme
 
 from conftest import SWEEP_WORKERS, record_chunks
 from kernel_oracles import rk_step_rows
+from step_oracles import traced_run, traced_step
 
 # Final times short enough for a quick sweep that still passes and fails
 # candidates of every preset.
@@ -452,19 +453,16 @@ def test_rows_leaving_at_different_steps_keep_their_own_history_and_state():
 
 @pytest.mark.parametrize("preset", ["muscl2", "leblanc_n2"])
 def test_traces_keep_their_values_after_later_steps(preset):
-    """The step runs in a workspace that the next step overwrites, so the
-    StageTrace handed to trace_callback holds arrays of its own: every array
-    of every trace keeps the bits it had when handed over, and step n+1's
-    q^n is step n's q_rk."""
+    """Each traced step runs its plan on fresh arrays, so a trace holds arrays
+    of its own: every array of every trace of a traced run keeps the bits it
+    had when yielded, and step n+1's q^n is step n's q_rk."""
     traces, saved = [], []
-
-    def keep(step, t, trace):
+    cfg = preset_config(preset, "rk44", 0.5, t_final=SHORT_T_FINAL[preset])
+    for trace in traced_run(cfg):
         arrays = (trace.q_n, *trace.stage_solutions, *trace.stage_derivatives, *trace.shifted_states, trace.q_rk)
         traces.append(arrays)
         saved.append([x.copy() for x in arrays])
-
-    rec = simulate(preset_config(preset, "rk44", 0.5, t_final=SHORT_T_FINAL[preset]), trace_callback=keep)
-    assert rec.n_steps == len(traces) > 2
+    assert simulate(cfg).n_steps == len(traces) > 2
     for arrays, copies in zip(traces, saved):
         for x, y in zip(arrays, copies):
             np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
@@ -573,7 +571,7 @@ def workspace_step(tableaux, rhs, q, dt, fresh=False):
     buffer = None if fresh else np.full((2 * counts.sum(),) + q.shape[1:], np.nan)
     dt_cells = np.empty(dt.shape if q.ndim == 3 else q.shape)
     plan = integrator._step_plan(counts, Ab, q, (buffer, np.empty_like(q), dt_cells))
-    assert integrator.rk_step_instrumented(plan, rhs, q, dt) is None
+    assert integrator.rk_step_instrumented(plan, rhs, dt) is None
     return plan.out, getattr(plan, "take", None)
 
 
@@ -597,7 +595,7 @@ def test_workspace_step_equals_traced_step(preset):
         # Every row has every state: take reads block after block, row by row.
         assert len(states) == 2 * tab.s
         np.testing.assert_array_equal(take, np.arange(len(q) * (2 * tab.s + 1)).reshape(-1, len(q)).T)
-        for got, want in zip(states, trace_states(integrator.rk_step_instrumented(tab, rhs, q, dt))):
+        for got, want in zip(states, trace_states(traced_step(tab, rhs, q, dt))):
             np.testing.assert_array_equal(got, want)
 
     tableaux = sorted((builtin_scheme(name) for name in BUILTIN_SCHEME_IDS), key=lambda t: -t.s)
@@ -607,7 +605,7 @@ def test_workspace_step_equals_traced_step(preset):
         np.testing.assert_array_equal(got, want)
     s = tableaux[0].s
     for k, row_tab in enumerate(tableaux):
-        alone = integrator.rk_step_instrumented(row_tab, rhs, q[k : k + 1], float(dt[k].item()))
+        alone = traced_step(row_tab, rhs, q[k : k + 1], float(dt[k].item()))
         for i in range(1, row_tab.s):
             np.testing.assert_array_equal(states[i - 1][k], alone.stage_solutions[i][0])
         np.testing.assert_array_equal(states[s - 1][k], alone.q_rk[0])

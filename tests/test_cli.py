@@ -435,6 +435,24 @@ def test_run_config_file_with_an_unknown_scheme(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"experiment": "leblanc_n2", "monitor": "energy"}, "energy monitor requires a scalar scheme"),
+        ({"experiment": "upwind", "monitor": "positivity"}, "positivity monitor requires an Euler scheme"),
+    ],
+)
+def test_run_config_file_with_a_monitor_the_scheme_does_not_fit(tmp_path, capsys, settings, message):
+    """The config rejects the pair when it is built, so the run exits 1
+    before it creates the --out directory."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_coef_rejects_an_inconsistent_tableau_file(tmp_path, capsys):
     path = tmp_path / "short.txt"
     path.write_text("short\n2\n0 0\n0.5 0\n0.5 0.4\n")  # weights sum to 0.9

@@ -16,11 +16,10 @@ from rkstab.fields import (
     admissibility_error,
     euler_minima,
     field_to_csv,
-    quadratic_energy,
-    total_variation,
 )
 
 from kernel_oracles import lax_friedrichs_flux_euler
+from step_oracles import quadratic_energy, total_variation
 
 GAMMA_LEBLANC = 5.0 / 3.0
 

@@ -1,8 +1,10 @@
 """Every table, CSV and run verdict of tests/golden stays byte-identical."""
 
+import json
 from pathlib import Path
 
 from golden.make_golden import golden_names, write_golden
+from rkstab.tableau import builtin_scheme, check_assumption1
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -12,3 +14,22 @@ def test_tables_and_verdicts_equal_the_golden_files_byte_for_byte(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden_names())
     for name in golden_names():
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_no_golden_candidate_fails_the_step_criterion_before_the_shifted_one():
+    """The paper's theorem on the measured tables.  With every coefficient
+    in [0, 1] (``check_assumption1``), each stage and the step solution are
+    convex combinations of q^n and the shifted states q^n + dt R^j, so under
+    a convex monitor (energy, TV, positivity) a step-criterion failure never
+    comes before a shifted one: every such candidate has no step failure, or
+    a shifted failure at the same step or earlier."""
+    checked = 0
+    for path in sorted(GOLDEN.glob("table_*.json")):
+        for row in json.loads(path.read_text())["rows"]:
+            if not check_assumption1(builtin_scheme(row["scheme"])):
+                continue
+            for o in row["per_candidate"]:
+                step, shifted = o["first_step_failure"], o["first_shifted_failure"]
+                assert step is None or (shifted is not None and shifted <= step), (path.name, row["scheme"], o["c"])
+                checked += 1
+    assert checked == 1308  # every candidate of the ten tables: all five built-ins satisfy Assumption 1

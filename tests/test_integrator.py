@@ -7,19 +7,13 @@ import pytest
 
 from rkstab.fields import EulerField, Grid1D, NonPhysicalStateError, Periodic, ScalarField
 from rkstab.fields import admissibility_error, euler_minima
-from rkstab.integrator import (
-    END_TIME_TOLERANCE,
-    SimulationConfig,
-    StepFailedError,
-    modified_representation_stage,
-    rk_step_instrumented,
-    run_batch,
-    simulate,
-)
+from rkstab.integrator import END_TIME_TOLERANCE, SimulationConfig, StepFailedError, run_batch, simulate
 from rkstab.monitors import Monitor
 from rkstab.presets import preset_config
 from rkstab.spatial import LaxFriedrichsEuler
 from rkstab.tableau import BUILTIN_SCHEME_IDS, ButcherTableau, builtin_scheme
+
+from step_oracles import modified_representation_stage, traced_run, traced_step
 
 
 def modified_representation_solution(tableau, trace):
@@ -35,7 +29,7 @@ def modified_representation_solution(tableau, trace):
 def scalar_ode(tableau, rhs, q0, dt, n_steps):
     q = np.array([q0])
     for _ in range(n_steps):
-        q = rk_step_instrumented(tableau, rhs, q, dt).q_rk
+        q = traced_step(tableau, rhs, q, dt).q_rk
     return float(q[0])
 
 
@@ -43,19 +37,19 @@ def scalar_ode(tableau, rhs, q0, dt, n_steps):
 # single steps on scalar ODEs
 
 def test_forward_euler_step_decay():
-    trace = rk_step_instrumented(builtin_scheme("forward_euler"), lambda q: -q, np.array([1.0]), 0.1)
+    trace = traced_step(builtin_scheme("forward_euler"), lambda q: -q, np.array([1.0]), 0.1)
     assert trace.q_rk[0] == pytest.approx(0.9, rel=1e-15)
 
 
 def test_rk44_step_matches_degree4_taylor():
     # oracle for q' = q over one unit step: 1 + 1 + 1/2 + 1/6 + 1/24
     taylor4 = sum(1.0 / math.factorial(k) for k in range(5))
-    trace = rk_step_instrumented(builtin_scheme("rk44"), lambda q: q, np.array([1.0]), 1.0)
+    trace = traced_step(builtin_scheme("rk44"), lambda q: q, np.array([1.0]), 1.0)
     assert trace.q_rk[0] == pytest.approx(taylor4, rel=1e-15)
 
 
 def test_midpoint_step_on_growth():
-    trace = rk_step_instrumented(builtin_scheme("midpoint"), lambda q: q, np.array([1.0]), 1.0)
+    trace = traced_step(builtin_scheme("midpoint"), lambda q: q, np.array([1.0]), 1.0)
     assert trace.q_rk[0] == pytest.approx(2.5, rel=1e-15)
 
 
@@ -68,7 +62,7 @@ def test_trace_invariants(any_builtin):
     rhs = lambda q: M @ q  # noqa: E731
     q_n = rng.normal(size=6)
     dt = 0.37
-    trace = rk_step_instrumented(any_builtin, rhs, q_n, dt)
+    trace = traced_step(any_builtin, rhs, q_n, dt)
     s = any_builtin.s
     assert len(trace.stage_solutions) == s
     assert len(trace.stage_derivatives) == s
@@ -97,7 +91,7 @@ def test_step_failure_carries_stage_index():
         return -q
 
     with pytest.raises(StepFailedError) as err:
-        rk_step_instrumented(builtin_scheme("rk44"), rhs, np.array([1.0]), 0.5)
+        traced_step(builtin_scheme("rk44"), rhs, np.array([1.0]), 0.5)
     assert err.value.stage == 2
     assert err.value.cause.cell == 7
 
@@ -106,7 +100,7 @@ def test_step_failure_carries_stage_index():
 # modified representation
 
 def test_modified_representation_first_stage_is_start():
-    trace = rk_step_instrumented(builtin_scheme("rk44"), lambda q: q, np.array([2.0]), 0.3)
+    trace = traced_step(builtin_scheme("rk44"), lambda q: q, np.array([2.0]), 0.3)
     np.testing.assert_array_equal(
         modified_representation_stage(builtin_scheme("rk44"), trace, 0), trace.q_n
     )
@@ -115,7 +109,7 @@ def test_modified_representation_first_stage_is_start():
 def test_modified_representation_rk44_stage2():
     """(1 - 1/2) q^n + 1/2 (q^n + dt R^1) is exactly the standard stage."""
     t = builtin_scheme("rk44")
-    trace = rk_step_instrumented(t, lambda q: np.sin(q), np.array([0.7, -0.2]), 0.25)
+    trace = traced_step(t, lambda q: np.sin(q), np.array([0.7, -0.2]), 0.25)
     np.testing.assert_allclose(
         modified_representation_stage(t, trace, 1), trace.stage_solutions[1], rtol=1e-15
     )
@@ -138,7 +132,7 @@ def test_modified_representation_random_tableaux():
         M = rng.normal(size=(4, 4))
         d = rng.normal(size=4)
         rhs = lambda q: M @ q + d  # noqa: E731
-        trace = rk_step_instrumented(t, rhs, rng.normal(size=4), 0.2)
+        trace = traced_step(t, rhs, rng.normal(size=4), 0.2)
         for i in range(s):
             np.testing.assert_allclose(
                 modified_representation_stage(t, trace, i),
@@ -222,9 +216,8 @@ def test_simulate_records_every_step():
 
 def test_simulate_gradient_descent_direction_on_dissipative():
     """q^T R(q^n) < 0 along the energy-dissipative trajectory (descent proxy)."""
-    dots = []
     cfg = preset_config("dissipative", "rk44", 1.0, t_final=0.005)
-    simulate(cfg, trace_callback=lambda step, t, tr: dots.append(float(tr.q_n @ tr.stage_derivatives[0])))
+    dots = [float(tr.q_n @ tr.stage_derivatives[0]) for tr in traced_run(cfg)]
     assert dots and all(d < 0.0 for d in dots)
 
 
@@ -357,17 +350,16 @@ def test_preset_lf_accepts_local_or_global_only():
 
 def test_simulate_rejects_positivity_monitor_on_scalar_problem():
     cfg = preset_config("upwind", "rk44", 1.0)
-    bad = SimulationConfig(
-        scheme=cfg.scheme,
-        tableau=cfg.tableau,
-        grid=cfg.grid,
-        ic=cfg.ic,
-        t_final=cfg.t_final,
-        dt_factor=1.0,
-        monitor=Monitor(kind="positivity"),
-    )
     with pytest.raises(ValueError, match="positivity"):
-        simulate(bad)
+        SimulationConfig(
+            scheme=cfg.scheme,
+            tableau=cfg.tableau,
+            grid=cfg.grid,
+            ic=cfg.ic,
+            t_final=cfg.t_final,
+            dt_factor=1.0,
+            monitor=Monitor(kind="positivity"),
+        )
 
 
 def bits(x):
@@ -390,8 +382,8 @@ def test_history_minima_are_those_of_each_step_solution(scheme, c, lf, abort):
     in a run that aborts on an inadmissible stage (whose step is not kept),
     and a batched row must keep the same history."""
     cfg = preset_config("leblanc_n2", scheme, c, t_final=0.02, lf=lf)
-    q_rk = []
-    record = simulate(cfg, trace_callback=lambda step, t, trace: q_rk.append(trace.q_rk.copy()))
+    q_rk = [trace.q_rk for trace in traced_run(cfg)]
+    record = simulate(cfg)
     if abort is None:
         assert record.verdict.aborted_step is None and record.n_steps > 3
     else:
@@ -447,10 +439,13 @@ def test_step_bound_from_the_stage_0_pass_equals_the_bound_asked_apart(lf, schem
     for fuse in (True, False):
         scheme = Counting(base.scheme, fuse)
         cfg = SimulationConfig(scheme, base.tableau, base.grid, base.ic, base.t_final, c, base.monitor)
-        states = []
-        record = simulate(cfg, trace_callback=lambda step, t, trace: states.append(np.concatenate(
-            [np.ravel(x) for x in (*trace.stage_solutions, *trace.stage_derivatives, *trace.shifted_states)])))
+        record = simulate(cfg)
         assert (scheme.dt_fe_calls == 0) == fuse
+        # The traced run steps a scheme of its own: the counts stay the loop's.
+        states = [
+            np.concatenate([np.ravel(x) for x in (*trace.stage_solutions, *trace.stage_derivatives, *trace.shifted_states)])
+            for trace in traced_run(dataclasses.replace(cfg, scheme=Counting(base.scheme, fuse)))
+        ]
         # One tableau and the five built-ins; at c >= 1.6 a forward Euler row
         # leaves on a degenerate dt_FE while the low-c rows step on.
         rows = [
@@ -481,10 +476,8 @@ def test_step_bound_from_the_stage_0_pass_equals_the_bound_asked_apart(lf, schem
         np.testing.assert_array_equal(bits(row.final_state), bits(other.final_state))
 
 
-def test_run_batch_rejects_a_traced_batch_and_a_tableau_count_off_the_rows():
+def test_run_batch_rejects_a_tableau_count_off_the_rows():
     cfg = preset_config("upwind", "rk44", t_final=0.1)
-    with pytest.raises(ValueError, match="trace_callback needs a one-row batch"):
-        run_batch(cfg, [0.5, 1.0], trace_callback=lambda step, t, trace: None)
     with pytest.raises(ValueError, match="run_batch needs one tableau per row"):
         run_batch(cfg, [0.5, 1.0], tableaux=[cfg.tableau])
     with pytest.raises(ValueError, match="run_batch needs one tableau per row"):

@@ -22,10 +22,11 @@ from numpy.polynomial import legendre
 
 from kernel_oracles import lax_friedrichs_flux_euler
 from rkstab.fields import admissibility_error
-from rkstab.integrator import rk_step_instrumented, simulate
-from rkstab.monitors import Monitor, check_shifted_criterion, check_step_criterion
+from rkstab.integrator import simulate
+from rkstab.monitors import Monitor
 from rkstab.presets import preset_config
 from rkstab.spatial import LaxFriedrichsEuler
+from step_oracles import check_shifted_criterion, check_step_criterion, traced_step
 
 #: scheme -> (c_s, c_p) of both Leblanc presets, at sweep granularity 0.1.
 LEBLANC_LIMITS = {
@@ -71,7 +72,7 @@ def _first_step(cfg, rhs=None):
     if rhs is None:
         rhs = lambda U: cfg.scheme.rhs_array(U, grid)  # noqa: E731
     dt = cfg.dt_factor * cfg.scheme.dt_fe_array(U0, grid)
-    return rk_step_instrumented(cfg.tableau, rhs, U0, dt, grid)
+    return traced_step(cfg.tableau, rhs, U0, dt, grid)
 
 
 def _onset(first_failure, verdict):

@@ -6,17 +6,12 @@ import pytest
 
 from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField
 from rkstab.fields import admissibility_error
-from rkstab.integrator import StageTrace, rk_step_instrumented, simulate
-from rkstab.monitors import (
-    Monitor,
-    bind_scale,
-    check_shifted_criterion,
-    check_step_criterion,
-    euler_state_floor,
-    evaluate_functional,
-)
+from rkstab.integrator import simulate
+from rkstab.monitors import Monitor, bind_scale, euler_state_floor, evaluate_functional
 from rkstab.presets import preset_config
 from rkstab.tableau import builtin_scheme, check_assumption1
+
+from step_oracles import StageTrace, check_shifted_criterion, check_step_criterion, traced_run, traced_step
 
 
 def positivity_of_trace(trace):
@@ -29,7 +24,7 @@ def upwind_trace(scheme_id="forward_euler", dt_factor=1.0):
     cfg = preset_config("upwind", scheme_id, dt_factor)
     field = cfg.ic.build(cfg.grid)
     dt = dt_factor * cfg.scheme.dt_fe_array(field.q, cfg.grid)
-    return cfg, rk_step_instrumented(
+    return cfg, traced_step(
         cfg.tableau,
         lambda q: cfg.scheme.rhs_array(q, cfg.grid),
         field.q,
@@ -105,7 +100,7 @@ def test_tv_verdicts_translation_invariant():
 def test_zero_tolerance_is_exact_on_constant_fields():
     grid = Grid1D(8, 0.0, 1.0, Periodic())
     q = np.full(8, 1.25)
-    trace = rk_step_instrumented(
+    trace = traced_step(
         builtin_scheme("midpoint"), lambda s: np.zeros_like(s), q, 0.5, grid
     )
     for kind in ("energy", "tv"):
@@ -174,7 +169,7 @@ def euler_trace(n=32, dt_factor=1.0):
     field = cfg.ic.build(cfg.grid)
     U = field.stack()
     dt = dt_factor * cfg.scheme.dt_fe_array(U, cfg.grid)
-    return rk_step_instrumented(
+    return traced_step(
         cfg.tableau, lambda s: cfg.scheme.rhs_array(s, cfg.grid), U, dt, cfg.grid
     )
 
@@ -182,7 +177,7 @@ def euler_trace(n=32, dt_factor=1.0):
 def test_positivity_of_trace_quiescent_gas():
     grid = Grid1D(6, 0.0, 1.0, Periodic())
     U = EulerField(grid, np.full(6, 2.0), np.zeros(6), np.full(6, 3.0), 1.4).stack()
-    trace = rk_step_instrumented(
+    trace = traced_step(
         builtin_scheme("rk44"), lambda s: np.zeros_like(s), U, 0.3, grid
     )
     verdicts = positivity_of_trace(trace)
@@ -258,9 +253,7 @@ def test_convexity_implication_on_recorded_traces():
         monitor = cfg.monitor
         if monitor.kind != "positivity":
             monitor = bind_scale(monitor, evaluate_functional(monitor, state, cfg.grid))
-        traces = []
-        simulate(cfg, trace_callback=lambda step, t, tr: traces.append(tr))
-        for tr in traces:
+        for tr in traced_run(cfg):
             if all(v.passed for v in check_shifted_criterion(monitor, tr)):
                 assert all(v.passed for v in check_step_criterion(monitor, tr))
                 checked += 1
@@ -281,8 +274,8 @@ def test_history_worst_deltas_come_from_the_verdicts(preset, c, kw):
     """The recorded worst deltas are exactly the worst verdict deltas of each
     step, on runs where some steps fail."""
     cfg = preset_config(preset, "rk44", c, **kw)
-    traces = []
-    record = simulate(cfg, trace_callback=lambda step, t, tr: traces.append(tr))
+    traces = list(traced_run(cfg))
+    record = simulate(cfg)
     monitor = cfg.monitor
     worst = min if monitor.kind == "positivity" else max
     if monitor.kind != "positivity":

@@ -20,10 +20,15 @@ from rkstab.spatial import (
     MusclBurgers,
     UnsupportedBoundaryError,
     UpwindBurgers,
+)
+
+from step_oracles import (
+    check_step_criterion,
     rhs_dissipative_burgers,
     rhs_llf_euler,
     rhs_muscl_burgers,
     rhs_upwind_burgers,
+    traced_step,
 )
 
 GAMMA = 5.0 / 3.0
@@ -406,8 +411,6 @@ def test_dt_fe_llf_quiescent_zero_pressure_is_infinite():
 
 def test_forward_euler_contract_on_presets():
     """One FE step at dt_FE from each preset's IC satisfies its monitor."""
-    from rkstab.monitors import check_step_criterion
-    from rkstab.integrator import rk_step_instrumented
     from rkstab.presets import preset_config
     from rkstab.tableau import builtin_scheme
 
@@ -417,7 +420,7 @@ def test_forward_euler_contract_on_presets():
         field = cfg.ic.build(cfg.grid)
         state = field.stack() if cfg.scheme.is_euler else field.q
         dt = cfg.scheme.dt_fe_array(state, cfg.grid)
-        trace = rk_step_instrumented(
+        trace = traced_step(
             fe, lambda s: cfg.scheme.rhs_array(s, cfg.grid), state, dt, cfg.grid
         )
         from rkstab.monitors import bind_scale, evaluate_functional

@@ -142,6 +142,14 @@ def test_ssp_rejects_a_tol_that_is_not_finite_and_positive(tol):
         ssp_coefficient(builtin_scheme("ssprk33"), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [True, "1e-9"])
+def test_ssp_rejects_a_tol_that_is_not_a_real_number(tol):
+    """tol=True used to bisect to 1.0 and report c_ssp = 0.75 for SSPRK33,
+    and tol="1e-9" failed on a comparison with a TypeError."""
+    with pytest.raises(ValueError, match=re.escape(f"tol must be a real number, got {tol!r}")):
+        ssp_coefficient(builtin_scheme("ssprk33"), tol=tol)
+
+
 @pytest.mark.parametrize("scheme_id", BUILTIN_SCHEME_IDS)
 @pytest.mark.parametrize("tol", [1e-300, 5e-324])
 def test_ssp_bisection_below_float_spacing_ends_on_adjacent_floats(scheme_id, tol):
