@@ -265,16 +265,15 @@ def _coefficients(tableaux: list):
 
 
 def _step_plan(counts, Ab, q_n, room):
-    """The step of the rows of ``q_n`` (see :func:`_coefficients`; a single
-    state is one row), every operand bound once.  Stage ``i`` runs on the
-    first ``width[i]`` rows, those that have it.  ``room`` is ``(buffer,
-    scratch, dt_cells)``: ``out`` (stages 1..s-1, q_rk, shifted states
-    0..s-1, each on its rows) takes consecutive blocks of ``buffer``, viewed
-    as ``states``, the one stack the monitor reads (fresh arrays when it is
-    None); ``dt_cells`` holds the rows' ``dt``, spread over the cells of
-    each row or as a ``(rows, 1, ...)`` column, and is None for a scalar
-    ``dt``.  ``stages[i]`` is
-    ``(q_i, q^n, dt, shifted, cuts, terms)`` on its rows; its ``terms``, in
+    """The step of the rows of the stack ``q_n`` (see :func:`_coefficients`),
+    every operand bound once.  Stage ``i`` runs on the first ``width[i]``
+    rows, those that have it.  ``room`` is ``(buffer, scratch, dt_cells)``:
+    the step's states (stages 1..s-1, q_rk, shifted states 0..s-1, each on
+    its rows) take consecutive blocks of ``buffer``, viewed as ``states``,
+    the one stack the monitor reads; ``dt_cells`` holds the rows' ``dt``,
+    spread over the cells of each row or as a ``(rows, 1, ...)`` column, and
+    is None for a scalar ``dt``.  ``stages[i]`` is ``(q_i, q^n, dt, shifted,
+    cuts, terms)`` on its rows; its ``terms``, in
     the order of the stage ``k`` they go to (``k = s``: q_rk), are ``(prod,
     dt, a, dt_a, v, x, y, dest)``: ``prod = (dt a) R`` on the first ``n``
     rows, ``R`` being the derivative (``v = 0``) or its prefix of ``cuts[v -
@@ -302,10 +301,7 @@ def _step_plan(counts, Ab, q_n, room):
     cut = lambda x, n: x if x is None or n == rows else x[:n]  # noqa: E731
     sizes = [rows] + width[1:] + [rows] + width  # q^n, stages 1.., q_rk, shifted
     starts = list(itertools.accumulate(sizes, initial=0))
-    if buffer is None:
-        out = [np.empty_like(cut(q_n, n), dtype=float) for n in sizes[1:]]
-    else:
-        out = [buffer[a - rows : z - rows] for a, z in zip(starts[1:-1], starts[2:])]
+    out = [buffer[a - rows : z - rows] for a, z in zip(starts[1:-1], starts[2:])]
     q_s = [q_n, *out[:s]]  # the stages, then q_rk
     fresh = [False] + [True] * (s - 1) + [False]
     cuts, terms = [[] for _ in range(s)], [[] for _ in range(s)]
@@ -328,12 +324,11 @@ def _step_plan(counts, Ab, q_n, room):
         fresh[k] = False
     copies = [(q_s[s], q_n)] + [(q_s[k], cut(q_n, width[k])) for k in range(1, s) if fresh[k]]
     stages = [(q_s[i], cut(q_n, n), cut(dt_cells, n), out[s + i], cuts[i], terms[i]) for i, n in enumerate(width)]
-    plan = SimpleNamespace(s=s, q_rk=out[s - 1], dt_cells=dt_cells, copies=copies, stages=stages, out=out)
-    if buffer is not None:
-        plan.states, plan.rk_at = buffer[: starts[-1] - rows], starts[s] - rows
-        k = np.arange(rows)[:, None]
-        home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
-        plan.take = k + np.where(k < sizes, starts[:-1], [starts[h] for h in home])
+    k = np.arange(rows)[:, None]
+    home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
+    take = k + np.where(k < sizes, starts[:-1], [starts[h] for h in home])
+    plan = SimpleNamespace(s=s, q_rk=out[s - 1], dt_cells=dt_cells, copies=copies, stages=stages, take=take)
+    plan.states, plan.rk_at = buffer[: starts[-1] - rows], starts[s] - rows
     return plan
 
 

@@ -45,13 +45,15 @@ TICK_DECIMALS = 12
 MAX_TICKS = 10**6
 
 #: Bytes of candidate states one chunk may stack; a chunk holds
-#: max(scans, CHUNK_BYTES // bytes of one state) candidates: at least one per
-#: scan of the table, so that every scheme's long low-c rows share a chunk.  A chunk's
-#: step then peaks at about 0.3-0.5 MB on the 50-cell dissipative problem (81
-#: rows), 0.5-0.8 MB on the 80-cell MUSCL one (51 rows) and 0.91 MB on the
-#: 3x600 Euler shock tube (the five schemes at one c; 2 rows of one scheme
-#: took 0.8 MB when a step kept every stage, derivative and a stacked copy of
-#: its states).
+#: max(2 * scans, CHUNK_BYTES // bytes of one state) candidates: at least two
+#: per scan of the table, so that every scheme's long low-c rows share a chunk
+#: and a step's fixed cost (its kernel calls, step plan and monitor) is shared
+#: by two ticks of each scan where few states fit.  A chunk's step then peaks at
+#: about 0.3-0.5 MB on the 50-cell dissipative problem (81 rows), 0.5-0.8 MB on
+#: the 80-cell MUSCL one (51 rows) and 1.6 MB on the 3x600 Euler shock tube (two
+#: ticks of the five schemes, 10.9 states a row; four ticks took 2 MB more of a
+#: process's peak RSS for no less CPU, and the LLF kernel's per-row cost rises
+#: past 10 rows).
 CHUNK_BYTES = 32 * 1024
 
 
@@ -109,9 +111,9 @@ def _run_chunk(args) -> list[CandidateOutcome]:
 
 def _chunk_rows(base: SimulationConfig, scans: int = 1) -> int:
     """Candidates per chunk: as many states as fit in :data:`CHUNK_BYTES`,
-    and at least one per scan."""
+    and at least two per scan (two consecutive ticks of every scheme)."""
     components = 3 if getattr(base.scheme, "is_euler", False) else 1
-    return max(scans, CHUNK_BYTES // (8 * components * base.grid.n_cells))
+    return max(2 * scans, CHUNK_BYTES // (8 * components * base.grid.n_cells))
 
 
 def _candidate_values(c_min: float, c_max: float, granularity: float) -> list[float]:
@@ -213,8 +215,10 @@ def _lockstep(search: LimitSearchConfig, tableaux: list) -> list[LimitResult]:
     """Run one :func:`_scan` per tableau, each on ``search`` with its
     tableau in ``search.base``, all advancing together in rounds.  A table
     has one chunk size, ``_chunk_rows(base, scans)`` (a chunk holds at least
-    a row per scan), and each scan offers at most ``band = chunk size //
-    scans`` coarse ticks a round (at least 1).  A round sorts every live
+    two rows per scan), and each scan offers at most ``band = chunk size //
+    scans`` coarse ticks a round (at least 2, and so at least the two
+    brackets' midpoints), so a refine round fits in one chunk (on Leblanc,
+    two ticks of every scheme).  A round sorts every live
     scan's offer by (c, scheme name), so the long low-c rows of all scans
     share a chunk, and cuts it into chunks of ``min(chunk size, ceil(rows /
     processes))`` rows, ``processes`` being ``search.workers`` capped at the

@@ -46,3 +46,22 @@ def record_chunks(monkeypatch) -> list:
 
     monkeypatch.setattr(limits, "run_batch", recording)
     return chunks
+
+
+def record_offers(monkeypatch) -> list:
+    """Patch the sweep's scans to record every offer as (scheme, band, cs)."""
+    offers = []
+    scan = limits._scan
+
+    def recording(cfg, band):
+        inner = scan(cfg, band)
+        offer = next(inner)
+        try:
+            while True:
+                offers.append((cfg.base.tableau.name, band, tuple(offer)))
+                offer = inner.send((yield offer))
+        except StopIteration as stop:
+            return stop.value
+
+    monkeypatch.setattr(limits, "_scan", recording)
+    return offers

@@ -1,13 +1,16 @@
 """Step-level oracles: traced steps and runs, per-state verdicts, field-level kernels.
 
 ``traced_step`` runs the library's own step plan (``integrator._step_plan``
-and ``integrator.rk_step_instrumented``) on fresh arrays and keeps every
-stage quantity of the step in a :class:`StageTrace`.  ``traced_run`` steps a
-whole run with it from the initial condition, as ``simulate`` does, so its
-traces hold the states the product's stepping loop monitors (a test pins
-the two together).  ``check_step_criterion`` and ``check_shifted_criterion``
-judge a trace state by state through the monitor rules of
-``rkstab.monitors``; ``modified_representation_stage`` rebuilds a stage as
+and ``integrator.rk_step_instrumented``) in a workspace of its own and
+keeps every stage quantity of the step in a :class:`StageTrace`.
+``traced_run`` steps a whole run with it from the initial condition, as
+``simulate`` does, so its traces hold the states the product's stepping
+loop monitors (a test pins the two together).  ``check_step_criterion`` and
+``check_shifted_criterion`` judge a trace state by state with rules of
+their own, apart from ``rkstab.monitors``: G from the functionals of
+``rkstab.fields``, the positivity floor from
+``kernel_oracles.euler_minima_per_cell``, and the monitor's slack compared
+in Python floats.  ``modified_representation_stage`` rebuilds a stage as
 the convex combination of q^n and the shifted states.  The field-level
 ``rhs_*``, ``total_variation`` and ``quadratic_energy`` apply the library's
 array kernels and functionals to field objects.
@@ -30,8 +33,10 @@ from rkstab.fields import (
     total_variation_array,
     tv_includes_wrap,
 )
-from rkstab.monitors import euler_state_floor, passes, state_values, step_deltas
+from rkstab.monitors import euler_state_floor
 from rkstab.spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers, _max_wavespeed
+
+from kernel_oracles import euler_minima_per_cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +60,8 @@ class StageTrace:
 
 def traced_step(tableau, rhs, q_n, dt, grid=None, *, r0=None) -> StageTrace:
     """One step of ``tableau`` from ``q_n``: the plan of ``integrator._step_plan``
-    run on fresh arrays, with the derivatives kept by wrapping ``rhs``.
+    run in a workspace of its own, as the one row of a stack, with the
+    derivatives kept by wrapping ``rhs``.
 
     ``dt`` may be an array broadcasting against ``q_n`` (one step size per
     row of a stack); it is then spread over the cells, as a sweep spreads it
@@ -63,20 +69,25 @@ def traced_step(tableau, rhs, q_n, dt, grid=None, *, r0=None) -> StageTrace:
     """
     derivs = [] if r0 is None else [r0]
 
-    def keep(q):
-        derivs.append(rhs(q))
+    def keep(q):  # the kernel sees a state of q_n's shape, not the one-row stack
+        derivs.append(rhs(q[0]))
         return derivs[-1]
 
-    room = (None, np.empty_like(q_n, dtype=float), np.empty_like(q_n, dtype=float) if np.ndim(dt) else None)
-    plan = integrator._step_plan(*integrator._coefficients([tableau]), q_n, room)
+    q = q_n[None]
+    dt_cells = np.empty_like(q, dtype=float) if np.ndim(dt) else None
+    room = (np.empty((2 * tableau.s,) + q_n.shape), np.empty_like(q, dtype=float), dt_cells)
+    plan = integrator._step_plan(*integrator._coefficients([tableau]), q, room)
     integrator.rk_step_instrumented(plan, keep, dt, r0=None if r0 is None else [r0])
+    # The row's states in the order of plan.take: stages 1..s-1, q_rk, shifted states.
+    states = plan.states[plan.take[0, 1:] - 1]
+    s = plan.s
     return StageTrace(
         q_n=q_n,
         dt=dt,
-        stage_solutions=tuple(stage[0] for stage in plan.stages),
+        stage_solutions=(q_n, *states[: s - 1]),
         stage_derivatives=tuple(derivs),
-        shifted_states=tuple(plan.out[plan.s :]),
-        q_rk=plan.q_rk,
+        shifted_states=tuple(states[s:]),
+        q_rk=states[s - 1],
         grid=grid,
     )
 
@@ -148,12 +159,32 @@ class MonitorVerdict:
     index: int | None = None
 
 
+def _value(monitor, grid, state) -> float:
+    """G(state) for energy and tv, from the functionals of ``rkstab.fields``;
+    for positivity the state floor, from ``kernel_oracles.euler_minima_per_cell``:
+    min(rho, rho*e), only min(rho) when some rho <= 0, NaN when either is."""
+    if monitor.kind == "energy":
+        return float(quadratic_energy_array(state))
+    if monitor.kind == "tv":
+        return float(total_variation_array(state, tv_includes_wrap(grid.boundary, monitor.tv_wrap)))
+    min_rho, min_rhoe = euler_minima_per_cell(state)
+    if math.isnan(min_rho) or not min_rho > 0.0:
+        return min_rho
+    return math.nan if math.isnan(min_rhoe) else min(min_rho, min_rhoe)
+
+
 def _verdicts(monitor, trace, labelled) -> list[MonitorVerdict]:
-    values = state_values(monitor, trace.grid, np.stack([trace.q_n] + [x for _, _, x in labelled]))
-    return [
-        MonitorVerdict(bool(passes(monitor, d)), float(d), where, index)
-        for (where, index, _), d in zip(labelled, step_deltas(monitor, values)[1:])
-    ]
+    """Each state's delta and verdict by the monitor's rule: the rise of G
+    over G(q^n) at most ``tolerance * scale`` for energy and tv, a positive
+    floor for positivity.  NaN never passes."""
+    positivity = monitor.kind == "positivity"
+    reference = 0.0 if positivity else _value(monitor, trace.grid, trace.q_n)
+    verdicts = []
+    for where, index, state in labelled:
+        delta = _value(monitor, trace.grid, state) - reference
+        passed = delta > 0.0 if positivity else delta <= monitor.tolerance * monitor.scale
+        verdicts.append(MonitorVerdict(passed, delta, where, index))
+    return verdicts
 
 
 def check_step_criterion(monitor, trace) -> list[MonitorVerdict]:

@@ -17,7 +17,7 @@ from rkstab.limits import (
 )
 from rkstab.presets import preset_config
 
-from conftest import SWEEP_WORKERS, record_chunks
+from conftest import SWEEP_WORKERS, record_chunks, record_offers
 from serial_search import drive, serial_limits, serial_scan
 
 
@@ -135,25 +135,6 @@ def test_workers_do_not_change_results():
     seq = find_limits(upwind_search(c_max=1.6))
     par = find_limits(upwind_search(c_max=1.6, workers=SWEEP_WORKERS))
     assert seq == par
-
-
-def record_offers(monkeypatch) -> list:
-    """Patch the sweep's scans to record every offer as (scheme, band, cs)."""
-    offers = []
-    scan = limits._scan
-
-    def recording(cfg, band):
-        inner = scan(cfg, band)
-        offer = next(inner)
-        try:
-            while True:
-                offers.append((cfg.base.tableau.name, band, tuple(offer)))
-                offer = inner.send((yield offer))
-        except StopIteration as stop:
-            return stop.value
-
-    monkeypatch.setattr(limits, "_scan", recording)
-    return offers
 
 
 def test_refine_scan_offers_a_band_of_ticks_and_drops_the_outcomes_past_its_stop(monkeypatch):

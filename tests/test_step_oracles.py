@@ -6,6 +6,8 @@ of ``simulate`` bit for bit, and a traced step must equal ``rk_step_rows``,
 the textbook step of ``tests/kernel_oracles.py``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from rkstab.presets import PRESET_IDS, preset_config
 from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme
 
 from kernel_oracles import rk_step_rows
-from step_oracles import check_shifted_criterion, check_step_criterion, traced_step
+import step_oracles
+from step_oracles import check_shifted_criterion, check_step_criterion, traced_run, traced_step
 from test_acceptance import _short_run_traces
 
 
@@ -79,3 +82,37 @@ def test_traced_step_equals_the_textbook_step(preset, name):
             assert len(got) == len(want) == 2 * tab.s + 1
             for x, y in zip(got, want):
                 np.testing.assert_array_equal(x[row], y)
+
+
+@pytest.mark.parametrize(
+    "preset, c, kw",
+    [
+        ("dissipative", 2.1, {"t_final": 0.05}),
+        ("dissipative", 0.5, {"t_final": 0.05, "tolerance": 0.0}),
+        ("upwind", 1.5, {"t_final": 0.5}),
+        ("upwind", 1.2, {"t_final": 0.5, "tolerance": 0.0}),
+        ("muscl2", 1.5, {"t_final": 10.0}),
+        ("muscl2", 1.0, {"t_final": 10.0, "tolerance": 0.0}),
+        ("leblanc_n2", 0.6, {"n_cells": 120, "t_final": 0.05}),
+    ],
+)
+def test_the_loop_fails_a_criterion_where_the_verdict_oracles_do(preset, c, kw):
+    """``simulate``'s first failure of each criterion is the first traced
+    rk44 step whose oracle verdicts do not all pass, at the preset's
+    tolerance and at zero tolerance, where a state whose delta is exactly 0
+    (q^n itself, a shifted state of equal TV) passes.  The oracles judge
+    apart from ``rkstab.monitors``, so a wrong rule there fails here."""
+    cfg = preset_config(preset, "rk44", c, **kw)
+    traces = list(traced_run(cfg))
+    monitor = cfg.monitor
+    if monitor.kind != "positivity":  # the run's slack scale, max(1, |G(q^0)|)
+        monitor = replace(monitor, scale=max(1.0, abs(step_oracles._value(monitor, cfg.grid, traces[0].q_n))))
+    record = simulate(cfg)
+    assert len(traces) == record.n_steps > 0
+    first = {}
+    for step, tr in enumerate(traces):
+        for name, check in (("step", check_step_criterion), ("shifted", check_shifted_criterion)):
+            if not all(v.passed for v in check(monitor, tr)):
+                first.setdefault(name, step)
+    verdict = record.verdict
+    assert (verdict.first_step_failure, verdict.first_shifted_failure) == (first.get("step"), first.get("shifted"))
