@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .fields import field_to_csv
-from .integrator import simulate
+from .integrator import check_record_every, simulate
 from .limits import limits_table
 from .presets import PRESET_IDS, preset_config
 from .tableau import (
@@ -168,12 +168,12 @@ def cmd_run(args) -> int:
         monitor_kind=settings.get("monitor"),
         tv_wrap=_tv_wrap_flag(args.tv_wrap),
         lf=args.lf,
-        record_every=args.record_every,
     )
+    check_record_every(args.record_every)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
     record = simulate(config)
-    record.write_csv(out / "history.csv")
+    record.write_csv(out / "history.csv", args.record_every)
     field_to_csv(record.final_field, out / "final_field.csv")
     v = record.verdict
     verdict = {

@@ -16,7 +16,7 @@ import csv
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,15 +29,7 @@ from .fields import (
     admissibility_error,
     require_number,
 )
-from .monitors import (
-    Monitor,
-    bind_scale,
-    euler_state_floor,
-    family_worst,
-    passes,
-    state_values,
-    step_deltas,
-)
+from .monitors import RULES, Monitor, euler_state_floor, judge, state_values
 from .tableau import ButcherTableau
 
 __all__ = [
@@ -51,6 +43,7 @@ __all__ = [
     "rk_step_instrumented",
     "run_batch",
     "simulate",
+    "check_record_every",
 ]
 
 #: A run may take at most this many times ceil(t_final / dt_0) steps, dt_0
@@ -125,23 +118,19 @@ class SimulationConfig:
     t_final: float
     dt_factor: float
     monitor: Monitor
-    record_every: int = 1
 
     def __post_init__(self):
         require_number("t_final", self.t_final)
         require_number("dt_factor", self.dt_factor)
-        require_number("record_every", self.record_every, numbers.Integral)
         # An infinite t_final, or one at or below the end-time tolerance,
         # would end every run before its first step.
         if not END_TIME_TOLERANCE < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, above {END_TIME_TOLERANCE}, got {self.t_final!r}")
         if not 0 < self.dt_factor < math.inf:
             raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
-        # So is_euler also means the positivity monitor.
+        # So is_euler also means a monitor of Euler states.
         is_euler = bool(getattr(self.scheme, "is_euler", False))
-        if (self.monitor.kind == "positivity") != is_euler:
+        if RULES[self.monitor.kind].euler != is_euler:
             raise ValueError(f"{self.monitor.kind} monitor requires {'a scalar' if is_euler else 'an Euler'} scheme")
 
 
@@ -192,25 +181,24 @@ class SimulationRecord:
     min_rhoe: np.ndarray | None
     final_field: object
     verdict: RunVerdict
-    config: SimulationConfig = field(repr=False, default=None)
 
     @property
     def n_steps(self) -> int:
         return self.verdict.n_steps
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, record_every: int = 1) -> None:
         """History CSV: t, G_step, worst_stage_delta, worst_shifted_delta[, min_rho, min_rhoe].
 
-        Every ``config.record_every``-th step is written, and the last one.
+        Every ``record_every``-th step is written, and the last one.
         """
-        stride = self.config.record_every if self.config is not None else 1
+        check_record_every(record_every)
         header = ["t", "G_step", "worst_stage_delta", "worst_shifted_delta"]
         columns = [self.times, self.monitor_step_values, self.monitor_stage_worst, self.monitor_shifted_worst]
         if self.min_rho is not None:
             header += ["min_rho", "min_rhoe"]
             columns += [self.min_rho, self.min_rhoe]
         n = len(self.times)
-        rows = list(range(0, n, stride))
+        rows = list(range(0, n, record_every))
         if rows and rows[-1] != n - 1:
             rows.append(n - 1)
         columns = [np.asarray(col, dtype=float)[rows].tolist() for col in columns]
@@ -218,6 +206,13 @@ class SimulationRecord:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(zip(*columns))  # a float is written as its repr
+
+
+def check_record_every(record_every) -> None:
+    """The history stride's rule: an integer, at least 1."""
+    require_number("record_every", record_every, numbers.Integral)
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
 
 
 @dataclass(eq=False)
@@ -378,7 +373,7 @@ def run_batch(
     f0 = config.ic.build(grid)
     q0 = f0.stack() if is_euler else f0.q
     v0 = state_values(monitor, grid, q0)  # G(q^0), or the floor of q^0
-    monitor = bind_scale(monitor, v0)  # positivity ignores the slack
+    slack = monitor.tolerance * max(1.0, abs(v0))  # positivity reads none
 
     t_final = config.t_final
     t_eps = END_TIME_TOLERANCE * max(1.0, t_final)
@@ -510,15 +505,15 @@ def run_batch(
                         break
 
             # Per row, the worst delta of the step family (q^n, the stages and
-            # q_rk) and of the shifted family; columns 0 and 1 of ``failed``.
-            worst = family_worst(monitor, step_deltas(monitor, values), s)
+            # q_rk) and of the shifted family, and whether each fails; columns
+            # 0 and 1 of ``failed``.
+            worst, fail = judge(monitor, values, s, slack)
             v_n = values[:, s]
             t += dt
             if record:
                 columns = (t, v_n, worst[:, 0], worst[:, 1], *minima)
                 for k, r in enumerate(live.tolist()):
                     rows[r].history.append(tuple(float(x[k]) for x in columns))
-            fail = ~passes(monitor, worst)
             new = fail > failed
             if np.count_nonzero(new):
                 for k, family in zip(*np.nonzero(new)):
@@ -533,7 +528,7 @@ def run_batch(
     return rows
 
 
-def simulate(config: SimulationConfig, *, early_stop: bool = False) -> SimulationRecord:
+def simulate(config: SimulationConfig) -> SimulationRecord:
     """Advance the configured problem from t = 0 to t_final.
 
     The one-row case of :func:`run_batch` at ``config.dt_factor``, with the
@@ -542,11 +537,9 @@ def simulate(config: SimulationConfig, *, early_stop: bool = False) -> Simulatio
     violation is recorded (first-failure step per criterion) but the run
     continues; only an inadmissible Euler stage, a degenerate step size or
     the step budget aborts it (when an Euler step solution lost positivity,
-    the degenerate-step reason names the quantity and the first bad cell).  With
-    ``early_stop`` the run stops once both criteria have already failed,
-    which cannot change the verdict (used by limit sweeps).
+    the degenerate-step reason names the quantity and the first bad cell).
     """
-    (row,) = run_batch(config, [config.dt_factor], early_stop=early_stop, record=True)
+    (row,) = run_batch(config, [config.dt_factor], record=True)
     euler = bool(getattr(config.scheme, "is_euler", False))
     columns = list(zip(*row.history)) or [()] * (6 if euler else 4)
     history = [np.array(col) for col in columns]
@@ -563,5 +556,4 @@ def simulate(config: SimulationConfig, *, early_stop: bool = False) -> Simulatio
         min_rhoe=history[5] if euler else None,
         final_field=final_field,
         verdict=row.verdict,
-        config=config,
     )

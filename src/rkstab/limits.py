@@ -360,8 +360,6 @@ def limits_table(
 
     if isinstance(schemes, str):  # a string would be read as its characters
         raise ValueError(f"schemes must be a list of scheme ids, not the string {schemes!r}")
-    if "record_every" in preset_overrides:  # flags that would do nothing are errors
-        raise ValueError("a table writes no history, so it takes no record_every")
     schemes = list(BUILTIN_SCHEME_IDS if schemes is None else schemes)
     if not schemes:
         raise ValueError("limits_table needs at least one scheme")

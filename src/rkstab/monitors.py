@@ -5,15 +5,16 @@ strict positivity of density and internal energy.  Each is applied to two
 families of states from a single step: the stage solutions plus the step
 result (the "step" criterion), and the shifted Euler states
 q^n + dt * R^j (the "shifted" criterion).  The functions here judge a
-stack of states at once: ``state_values`` gives each state's value,
-``step_deltas`` its delta from q^n, ``passes`` the per-state rule and
-``family_worst`` the worst delta of each family.
+stack of states at once: ``state_values`` gives each state's value and
+``judge`` the worst delta of each family and whether it fails, by the
+monitor's rule in :data:`RULES`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,35 +29,50 @@ from .fields import (
 
 __all__ = [
     "Monitor",
+    "RULES",
     "evaluate_functional",
     "euler_state_floor",
     "state_values",
-    "bind_scale",
-    "step_deltas",
-    "passes",
-    "family_worst",
+    "judge",
 ]
 
-MONITOR_KINDS = ("energy", "tv", "positivity")
+
+class Rule(NamedTuple):
+    """How a monitor kind judges the values of a step's states."""
+
+    relative: bool  # a delta is value - value(q^n); else the value itself
+    worst: np.ufunc  # a family's most-violating delta: np.maximum or np.minimum
+    bounded: bool  # a state passes when its delta is <= slack; else when > 0
+    euler: bool  # the kind judges Euler states; else scalar ones
+
+
+#: The rule of every monitor kind.  It holds no value function: the values
+#: come from :func:`state_values`, which calls ``evaluate_functional`` and
+#: ``euler_state_floor`` through this module's globals, where
+#: ``perfbench/tracing.py`` wraps them by name.
+RULES = {
+    "energy": Rule(relative=True, worst=np.maximum, bounded=True, euler=False),
+    "tv": Rule(relative=True, worst=np.maximum, bounded=True, euler=False),
+    "positivity": Rule(relative=False, worst=np.minimum, bounded=False, euler=True),
+}
 
 
 @dataclass(frozen=True)
 class Monitor:
-    """A stability criterion with its comparison slack.
+    """A stability criterion with its comparison tolerance.
 
-    For energy/tv, a candidate passes when G(candidate) - G(reference) does
-    not exceed ``tolerance * scale``; ``scale`` is set to max(1, |G(q^0)|) at
-    the start of a run so the roundoff slack tracks problem magnitude.
-    Positivity ignores the tolerance and the scale: a sign is a sign.
+    For energy/tv, a candidate passes when G(candidate) - G(q^n) does not
+    exceed the run's slack, ``tolerance * max(1, |G(q^0)|)``, so that the
+    roundoff slack tracks problem magnitude.  Positivity reads no tolerance:
+    a sign is a sign.
     """
 
     kind: str
     tolerance: float = 1e-12
     tv_wrap: bool | None = None  # None: follow the grid's boundary type
-    scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in MONITOR_KINDS:
+        if self.kind not in RULES:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
         require_number("tolerance", self.tolerance)
         # NaN slack would fail every comparison, and +inf pass every one.
@@ -64,10 +80,6 @@ class Monitor:
             raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
         if self.tv_wrap is not None and not isinstance(self.tv_wrap, bool):  # "no" would turn it on
             raise ValueError(f"tv_wrap must be None or a bool, got {self.tv_wrap!r}")
-
-    @property
-    def slack(self) -> float:
-        return self.tolerance * self.scale
 
 
 def evaluate_functional(monitor: Monitor, state: np.ndarray, grid):
@@ -100,37 +112,24 @@ def euler_state_floor(U: np.ndarray, *, with_minima: bool = False):
 def state_values(monitor: Monitor, grid, states: np.ndarray):
     """The monitored value of each state of a stack: G(state) for energy/tv,
     the state floor for positivity (a float for a single state)."""
-    if monitor.kind == "positivity":
+    if RULES[monitor.kind].euler:
         return euler_state_floor(states)
     return evaluate_functional(monitor, states, grid)
 
 
-def bind_scale(monitor: Monitor, g0: float) -> Monitor:
-    """Attach the run's reference magnitude max(1, |G(q^0)|) to the slack."""
-    return replace(monitor, scale=max(1.0, abs(g0)))
+def judge(monitor: Monitor, values: np.ndarray, s: int, slack: float):
+    """The worst delta of each family of each row's step, and whether it fails.
 
-
-def step_deltas(monitor: Monitor, values):
-    """Every state's delta from the values of a step's states, the first of
-    which (``values[..., 0]``) is that of q^n: value - G(q^n) for energy/tv,
-    the floor itself (the reference is 0) for positivity."""
-    return values if monitor.kind == "positivity" else values - values[..., :1]
-
-
-def passes(monitor: Monitor, delta):
-    """The per-state rule: delta <= slack for energy/tv, delta > 0 for
-    positivity.  NaN never passes."""
-    if monitor.kind == "positivity":
-        return delta > 0.0
-    return delta <= monitor.slack
-
-
-def family_worst(monitor: Monitor, deltas: np.ndarray, s: int) -> np.ndarray:
-    """The most-violating delta (NaN if any is NaN) of each row's step family,
-    columns 0..s of ``deltas`` (q^n, the stages and the step solution), and of
-    its shifted family, columns s+1..2s: a ``(rows, 2)`` array.
-
-    A family passes exactly when this value passes.
+    ``values`` holds the values of every row's states in a ``(rows, 2s+1)``
+    layout: q^n, stages 1..s-1 and the step solution (the step family,
+    columns 0..s), then the shifted states (columns s+1..2s).  A delta is
+    value - G(q^n) for energy/tv and the floor itself for positivity.  Returns
+    ``(worst, fail)``, two ``(rows, 2)`` arrays: each family's most-violating
+    delta (NaN if any is NaN) and whether it fails, ``not worst <= slack``
+    for energy/tv and ``not worst > 0`` for positivity.  A family passes
+    exactly when its worst delta passes, and NaN never passes.
     """
-    reduce = np.minimum if monitor.kind == "positivity" else np.maximum
-    return reduce.reduceat(deltas, (0, s + 1), axis=1)
+    rule = RULES[monitor.kind]
+    deltas = values - values[:, :1] if rule.relative else values
+    worst = rule.worst.reduceat(deltas, (0, s + 1), axis=1)
+    return worst, ~(worst <= slack if rule.bounded else worst > 0.0)

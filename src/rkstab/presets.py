@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import Dirichlet, EulerField, Grid1D, Outflow, Periodic, ScalarField
 from .integrator import SimulationConfig
-from .monitors import Monitor
+from .monitors import RULES, Monitor
 from .spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers
 from .tableau import builtin_scheme
 
@@ -154,8 +154,8 @@ def preset_config(preset_id: str, scheme_id: str = "rk44", dt_factor: float = 1.
     """The preset's default run with ``scheme_id`` at ``dt_factor``.
 
     Each override replaces one value of it, and None keeps it: ``n_cells`` the grid's cell count, ``t_final``,
-    ``lf="global"`` the Lax-Friedrichs scheme's ``local``, ``monitor_kind``, ``tolerance`` and ``tv_wrap`` (tv
-    monitor only) the monitor's fields, and ``record_every`` (default 1).
+    ``lf="global"`` the Lax-Friedrichs scheme's ``local``, and ``monitor_kind``, ``tolerance`` (energy and tv
+    monitors only) and ``tv_wrap`` (tv monitor only) the monitor's fields.
     """
     if preset_id not in _PRESETS:
         raise ValueError(f"unknown experiment {preset_id!r}; valid ids: {', '.join(PRESET_IDS)}")
@@ -165,7 +165,6 @@ def preset_config(preset_id: str, scheme_id: str = "rk44", dt_factor: float = 1.
 def _override(
     preset_id: str, scheme_id: str, dt_factor: float, *, n_cells: int | None = None, t_final: float | None = None,
     tolerance: float | None = None, monitor_kind: str | None = None, tv_wrap: bool | None = None, lf: str = "local",
-    record_every: int = 1,
 ) -> SimulationConfig:
     default = _PRESETS[preset_id]
     kind = monitor_kind if monitor_kind is not None else default.monitor.kind
@@ -178,6 +177,8 @@ def _override(
         scheme = replace(scheme, local=False)
     if tv_wrap is not None and kind != "tv":
         raise ValueError(f"tv_wrap applies to the tv monitor only, not to {kind!r}")
+    if tolerance is not None and kind in RULES and not RULES[kind].relative:  # Monitor names an unknown kind
+        raise ValueError(f"tolerance applies to the energy and tv monitors only, not to {kind!r}")
     grid = default.grid if n_cells is None else replace(default.grid, n_cells=n_cells)
     monitor_fields = {"kind": kind, "tolerance": tolerance, "tv_wrap": tv_wrap}
     monitor = replace(default.monitor, **{k: v for k, v in monitor_fields.items() if v is not None})
@@ -189,5 +190,4 @@ def _override(
         t_final=t_final if t_final is not None else default.t_final,
         dt_factor=dt_factor,
         monitor=monitor,
-        record_every=record_every,
     )

@@ -9,8 +9,8 @@ loop monitors (a test pins the two together).  ``check_step_criterion`` and
 ``check_shifted_criterion`` judge a trace state by state with rules of
 their own, apart from ``rkstab.monitors``: G from the functionals of
 ``rkstab.fields``, the positivity floor from
-``kernel_oracles.euler_minima_per_cell``, and the monitor's slack compared
-in Python floats.  ``modified_representation_stage`` rebuilds a stage as
+``kernel_oracles.euler_minima_per_cell``, and a slack given as a number
+(``run_slack`` makes a run's) compared in Python floats.  ``modified_representation_stage`` rebuilds a stage as
 the convex combination of q^n and the shifted states.  The field-level
 ``rhs_*``, ``total_variation`` and ``quadratic_energy`` apply the library's
 array kernels and functionals to field objects.
@@ -173,36 +173,44 @@ def _value(monitor, grid, state) -> float:
     return math.nan if math.isnan(min_rhoe) else min(min_rho, min_rhoe)
 
 
-def _verdicts(monitor, trace, labelled) -> list[MonitorVerdict]:
+def run_slack(cfg) -> float:
+    """The slack of a run of ``cfg``: ``tolerance * max(1, |G(q^0)|)``, G
+    taken as :func:`_value` takes it (positivity reads no slack)."""
+    f0 = cfg.ic.build(cfg.grid)
+    q0 = f0.stack() if cfg.scheme.is_euler else f0.q
+    return cfg.monitor.tolerance * max(1.0, abs(_value(cfg.monitor, cfg.grid, q0)))
+
+
+def _verdicts(monitor, trace, labelled, slack) -> list[MonitorVerdict]:
     """Each state's delta and verdict by the monitor's rule: the rise of G
-    over G(q^n) at most ``tolerance * scale`` for energy and tv, a positive
-    floor for positivity.  NaN never passes."""
+    over G(q^n) at most ``slack`` for energy and tv, a positive floor for
+    positivity.  NaN never passes."""
     positivity = monitor.kind == "positivity"
     reference = 0.0 if positivity else _value(monitor, trace.grid, trace.q_n)
     verdicts = []
     for where, index, state in labelled:
         delta = _value(monitor, trace.grid, state) - reference
-        passed = delta > 0.0 if positivity else delta <= monitor.tolerance * monitor.scale
+        passed = delta > 0.0 if positivity else delta <= slack
         verdicts.append(MonitorVerdict(passed, delta, where, index))
     return verdicts
 
 
-def check_step_criterion(monitor, trace) -> list[MonitorVerdict]:
+def check_step_criterion(monitor, trace, slack: float = 0.0) -> list[MonitorVerdict]:
     """Verdicts for every stage solution plus the step solution.
 
-    All of them passing (within slack) is the per-step requirement behind
-    the practical coefficient c^p.
+    All of them passing (within ``slack``) is the per-step requirement
+    behind the practical coefficient c^p.
     """
     states = [("stage", i, q) for i, q in enumerate(trace.stage_solutions)]
-    return _verdicts(monitor, trace, states + [("step", None, trace.q_rk)])
+    return _verdicts(monitor, trace, states + [("step", None, trace.q_rk)], slack)
 
 
-def check_shifted_criterion(monitor, trace) -> list[MonitorVerdict]:
+def check_shifted_criterion(monitor, trace, slack: float = 0.0) -> list[MonitorVerdict]:
     """Verdicts for the shifted Euler states q^n + dt*R^j, j = 1..s.
 
     All of them passing is the per-step requirement behind c^s.
     """
-    return _verdicts(monitor, trace, [("shifted", j, q) for j, q in enumerate(trace.shifted_states)])
+    return _verdicts(monitor, trace, [("shifted", j, q) for j, q in enumerate(trace.shifted_states)], slack)
 
 
 def total_variation(f: ScalarField, include_wrap: bool | None = None) -> float:

@@ -12,7 +12,6 @@ import pytest
 
 from rkstab.integrator import simulate
 from rkstab.limits import limits_table
-from rkstab.monitors import bind_scale, evaluate_functional
 from rkstab.presets import preset_config
 from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme, check_assumption1, ssp_coefficient
 
@@ -23,6 +22,7 @@ from step_oracles import (
     quadratic_energy,
     rhs_muscl_burgers,
     rhs_upwind_burgers,
+    run_slack,
     total_variation,
     traced_run,
     traced_step,
@@ -275,7 +275,7 @@ def test_criterion_6c_muscl_figure():
 
 
 def _short_run_traces():
-    """Traces from short runs of all four experiments, with bound monitors."""
+    """Traces from short runs of all four experiments, with each run's slack."""
     cases = [
         ("dissipative", "rk44", 1.0, {"t_final": 0.05}),
         ("dissipative", "rk31", 1.4, {"t_final": 0.05}),
@@ -288,12 +288,7 @@ def _short_run_traces():
     ]
     for preset, scheme, c, kw in cases:
         cfg = preset_config(preset, scheme, c, **kw)
-        field = cfg.ic.build(cfg.grid)
-        state = field.stack() if cfg.scheme.is_euler else field.q
-        monitor = cfg.monitor
-        if monitor.kind != "positivity":
-            monitor = bind_scale(monitor, evaluate_functional(monitor, state, cfg.grid))
-        yield cfg, monitor, list(traced_run(cfg))
+        yield cfg, run_slack(cfg), list(traced_run(cfg))
 
 
 def test_criterion_7_property_suites():
@@ -305,7 +300,7 @@ def test_criterion_7_property_suites():
 
     worst_rel = 0.0
     implication_checked = 0
-    for cfg, monitor, traces in _short_run_traces():
+    for cfg, slack, traces in _short_run_traces():
         tableau = cfg.tableau
         assert check_assumption1(tableau)
         for tr in traces:
@@ -315,9 +310,9 @@ def test_criterion_7_property_suites():
                 rel = float(np.max(np.abs(rebuilt - tr.stage_solutions[i]))) / scale
                 worst_rel = max(worst_rel, rel)
             # convex-combination implication: shifted all pass => step passes
-            if all(v.passed for v in check_shifted_criterion(monitor, tr)):
+            if all(v.passed for v in check_shifted_criterion(cfg.monitor, tr, slack)):
                 crit.check(
-                    all(v.passed for v in check_step_criterion(monitor, tr)),
+                    all(v.passed for v in check_step_criterion(cfg.monitor, tr, slack)),
                     "shifted criterion passed but step criterion failed",
                 )
                 implication_checked += 1

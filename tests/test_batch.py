@@ -99,7 +99,7 @@ def test_candidate_fields_equal_single_runs(preset):
         cfg = short_search(preset, scheme)
         result = find_limits(cfg)
         for o in result.per_candidate:
-            assert o == simulate(replace(cfg.base, dt_factor=o.c), early_stop=True).verdict
+            assert o == run_batch(cfg.base, [o.c], early_stop=True)[0].verdict
 
 
 @pytest.mark.parametrize("preset", PRESET_IDS)

@@ -356,6 +356,9 @@ def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, valu
     assert not out.exists()
 
 
+TOLERANCE_ON_POSITIVITY = "tolerance applies to the energy and tv monitors only, not to 'positivity'"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -364,11 +367,14 @@ def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, valu
         (["run", "leblanc_n2", "--tv-wrap", "on"], "error: tv_wrap applies to the tv monitor only"),
         (["run", "dissipative", "--tv-wrap", "off"], "error: tv_wrap applies to the tv monitor only"),
         (["limits", "muscl2", "--schemes", "rk44", "--lf", "global"], "error: lf='global' needs"),
+        (["run", "leblanc_n2", "--tolerance", "0.5"], f"error: {TOLERANCE_ON_POSITIVITY}\n"),
+        (["limits", "leblanc_n2", "--schemes", "rk44", "--tolerance", "0.5"], f"error: {TOLERANCE_ON_POSITIVITY}\n"),
     ],
 )
 def test_flags_a_preset_would_ignore_are_errors(tmp_path, capsys, argv, message):
-    """--lf global on a Burgers preset and --tv-wrap without the tv monitor
-    used to exit 0 with the default result."""
+    """--lf global on a Burgers preset, --tv-wrap without the tv monitor and
+    --tolerance with the positivity monitor, which reads none, used to exit 0
+    with the default result."""
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(message)
@@ -440,11 +446,13 @@ def test_run_config_file_with_an_unknown_scheme(tmp_path, capsys):
     [
         ({"experiment": "leblanc_n2", "monitor": "energy"}, "energy monitor requires a scalar scheme"),
         ({"experiment": "upwind", "monitor": "positivity"}, "positivity monitor requires an Euler scheme"),
+        ({"experiment": "leblanc_n2", "tolerance": 0.5}, TOLERANCE_ON_POSITIVITY),
     ],
 )
 def test_run_config_file_with_a_monitor_the_scheme_does_not_fit(tmp_path, capsys, settings, message):
-    """The config rejects the pair when it is built, so the run exits 1
-    before it creates the --out directory."""
+    """The config rejects the pair when it is built, and the preset a
+    tolerance the positivity monitor would ignore, so the run exits 1 before
+    it creates the --out directory."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))
     out = tmp_path / "o"

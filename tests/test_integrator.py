@@ -7,7 +7,14 @@ import pytest
 
 from rkstab.fields import EulerField, Grid1D, NonPhysicalStateError, Periodic, ScalarField
 from rkstab.fields import admissibility_error, euler_minima
-from rkstab.integrator import END_TIME_TOLERANCE, SimulationConfig, StepFailedError, run_batch, simulate
+from rkstab.integrator import (
+    END_TIME_TOLERANCE,
+    SimulationConfig,
+    StepFailedError,
+    check_record_every,
+    run_batch,
+    simulate,
+)
 from rkstab.monitors import Monitor
 from rkstab.presets import preset_config
 from rkstab.spatial import LaxFriedrichsEuler
@@ -254,14 +261,17 @@ def test_abort_after_lost_positivity_names_quantity_and_cell():
 
 
 def test_simulate_early_stop_shortens_failed_runs():
+    """``run_batch``'s ``early_stop``, which sweeps use and ``simulate`` does
+    not, stops a run once both criteria failed and keeps its verdict."""
     cfg = preset_config("upwind", "forward_euler", 3.0)
-    full = simulate(cfg)
-    stopped = simulate(cfg, early_stop=True)
-    assert not full.verdict.passed and not stopped.verdict.passed
-    assert stopped.n_steps <= full.n_steps
-    assert (
-        stopped.verdict.first_step_failure == full.verdict.first_step_failure
-        and stopped.verdict.first_shifted_failure == full.verdict.first_shifted_failure
+    full = simulate(cfg).verdict
+    (stopped,) = run_batch(cfg, [cfg.dt_factor], early_stop=True)
+    stopped = stopped.verdict
+    assert not full.passed and not stopped.passed
+    assert stopped.n_steps < full.n_steps
+    assert (stopped.first_step_failure, stopped.first_shifted_failure) == (
+        full.first_step_failure,
+        full.first_shifted_failure,
     )
 
 
@@ -285,11 +295,20 @@ def test_config_rejects_a_time_that_is_not_a_real_number(field, value):
 
 
 @pytest.mark.parametrize("record_every", [2.0, True, None, "2"])
-def test_config_rejects_a_record_every_that_is_not_an_integer(record_every):
-    """2.0 used to run the whole simulation and then fail in write_csv."""
-    with pytest.raises(ValueError, match=re.escape(f"record_every must be an integer, got {record_every!r}")):
-        preset_config("upwind", "rk44", t_final=0.1, record_every=record_every)
-    assert preset_config("upwind", "rk44", record_every=np.int64(2)).record_every == 2
+def test_config_rejects_a_record_every_that_is_not_an_integer(record_every, tmp_path):
+    """The history stride is the writer's setting, checked by
+    ``check_record_every`` (``rkstab run`` calls it before the run): 2.0
+    used to run the whole simulation and then fail in write_csv."""
+    message = re.escape(f"record_every must be an integer, got {record_every!r}")
+    with pytest.raises(ValueError, match=message):
+        check_record_every(record_every)
+    record = simulate(preset_config("upwind", "rk44", t_final=0.1))
+    with pytest.raises(ValueError, match=message):
+        record.write_csv(tmp_path / "history.csv", record_every)
+    assert not (tmp_path / "history.csv").exists()
+    record.write_csv(tmp_path / "history.csv", np.int64(2))
+    n = record.n_steps  # every other step and the last, under a header
+    assert len((tmp_path / "history.csv").read_text().splitlines()) == 1 + len(range(0, n, 2)) + ((n - 1) % 2 != 0)
 
 
 @pytest.mark.parametrize("t_final", [1e-13, END_TIME_TOLERANCE])

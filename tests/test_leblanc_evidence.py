@@ -22,7 +22,7 @@ from numpy.polynomial import legendre
 
 from kernel_oracles import lax_friedrichs_flux_euler
 from rkstab.fields import admissibility_error
-from rkstab.integrator import simulate
+from rkstab.integrator import run_batch, simulate
 from rkstab.monitors import Monitor
 from rkstab.presets import preset_config
 from rkstab.spatial import LaxFriedrichsEuler
@@ -85,7 +85,7 @@ def test_limits_bracketed_by_full_runs(scheme):
     c_s, c_p = LEBLANC_LIMITS[scheme]
     onset_s, onset_p = FAILURE_ONSET[scheme]
     runs = {
-        c: simulate(preset_config("leblanc_n2", scheme, c), early_stop=True).verdict
+        c: run_batch(preset_config("leblanc_n2", scheme, c), [c], early_stop=True)[0].verdict
         for c in {c_s, _above(c_s), c_p, _above(c_p)}
     }
     assert runs[c_s].shifted_pass and runs[c_p].step_pass
@@ -193,7 +193,8 @@ def test_gauss_lobatto_prototype_stays_below_transcribed_thresholds(n_elements, 
     assert widths.size == 600 and widths.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.cumsum(widths)[197] == pytest.approx(0.33, abs=1e-14)
     fe_pass = simulate(gauss_lobatto_config(n_elements, n_nodes, "forward_euler", 1.2)).verdict
-    fe_fail = simulate(gauss_lobatto_config(n_elements, n_nodes, "forward_euler", 1.3), early_stop=True).verdict
+    (fe_fail,) = run_batch(gauss_lobatto_config(n_elements, n_nodes, "forward_euler", 1.3), [1.3], early_stop=True)
+    fe_fail = fe_fail.verdict
     assert fe_pass.passed
     assert (fe_fail.first_step_failure, fe_fail.first_shifted_failure) == (1, 1)
     for scheme in ("ssprk33", "rk44"):

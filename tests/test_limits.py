@@ -359,6 +359,7 @@ def test_a_table_rejects_a_string_of_schemes():
 
 
 def test_a_table_rejects_record_every():
-    """A table writes no history: record_every used to be accepted and ignored."""
-    with pytest.raises(ValueError, match="a table writes no history, so it takes no record_every"):
+    """A table writes no history: record_every used to be accepted and ignored.
+    It is the history writer's setting, so no preset override takes it."""
+    with pytest.raises(TypeError, match="unexpected keyword argument 'record_every'"):
         limits_table("upwind", ["rk44"], c_max=0.3, t_final=0.1, record_every=3)

@@ -6,12 +6,12 @@ import pytest
 
 from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField
 from rkstab.fields import admissibility_error
-from rkstab.integrator import simulate
-from rkstab.monitors import Monitor, bind_scale, euler_state_floor, evaluate_functional
+from rkstab.integrator import run_batch, simulate
+from rkstab.monitors import Monitor, euler_state_floor, evaluate_functional, judge
 from rkstab.presets import preset_config
 from rkstab.tableau import builtin_scheme, check_assumption1
 
-from step_oracles import StageTrace, check_shifted_criterion, check_step_criterion, traced_run, traced_step
+from step_oracles import StageTrace, check_shifted_criterion, check_step_criterion, run_slack, traced_run, traced_step
 
 
 def positivity_of_trace(trace):
@@ -33,10 +33,6 @@ def upwind_trace(scheme_id="forward_euler", dt_factor=1.0):
     )
 
 
-def bound_monitor(cfg, state):
-    return bind_scale(cfg.monitor, evaluate_functional(cfg.monitor, state, cfg.grid))
-
-
 def test_monitor_validation():
     with pytest.raises(ValueError):
         Monitor(kind="entropy")
@@ -48,7 +44,7 @@ def test_monitor_validation():
 def test_monitor_rejects_a_tolerance_that_is_not_a_real_number(tolerance):
     with pytest.raises(ValueError, match=re.escape(f"tolerance must be a real number, got {tolerance!r}")):
         Monitor(kind="tv", tolerance=tolerance)
-    assert Monitor(kind="tv", tolerance=np.float32(0.0)).slack == 0.0
+    assert Monitor(kind="tv", tolerance=np.float32(0.0)).tolerance == 0.0
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
@@ -60,9 +56,8 @@ def test_monitor_rejects_a_tolerance_that_is_not_finite(kind, tolerance):
 
 def test_forward_euler_verdict_structure():
     cfg, trace = upwind_trace("forward_euler")
-    monitor = bound_monitor(cfg, trace.q_n)
-    step_verdicts = check_step_criterion(monitor, trace)
-    shifted_verdicts = check_shifted_criterion(monitor, trace)
+    step_verdicts = check_step_criterion(cfg.monitor, trace, run_slack(cfg))
+    shifted_verdicts = check_shifted_criterion(cfg.monitor, trace, run_slack(cfg))
     assert [v.where for v in step_verdicts] == ["stage", "step"]
     assert [v.where for v in shifted_verdicts] == ["shifted"]
     # the single stage is the step start itself
@@ -73,14 +68,13 @@ def test_forward_euler_verdict_structure():
 
 def test_rk44_verdict_counts():
     cfg, trace = upwind_trace("rk44")
-    monitor = bound_monitor(cfg, trace.q_n)
-    assert len(check_step_criterion(monitor, trace)) == 5
-    assert len(check_shifted_criterion(monitor, trace)) == 4
+    assert len(check_step_criterion(cfg.monitor, trace)) == 5
+    assert len(check_shifted_criterion(cfg.monitor, trace)) == 4
 
 
 def test_tv_verdicts_translation_invariant():
     cfg, trace = upwind_trace("rk44")
-    monitor = bound_monitor(cfg, trace.q_n)
+    slack = run_slack(cfg)
     shifted = StageTrace(
         q_n=trace.q_n + 5.0,
         dt=trace.dt,
@@ -90,8 +84,8 @@ def test_tv_verdicts_translation_invariant():
         q_rk=trace.q_rk + 5.0,
         grid=trace.grid,
     )
-    original = [(v.passed, v.delta) for v in check_step_criterion(monitor, trace)]
-    moved = [(v.passed, v.delta) for v in check_step_criterion(monitor, shifted)]
+    original = [(v.passed, v.delta) for v in check_step_criterion(cfg.monitor, trace, slack)]
+    moved = [(v.passed, v.delta) for v in check_step_criterion(cfg.monitor, shifted, slack)]
     for (p0, d0), (p1, d1) in zip(original, moved):
         assert p0 == p1
         assert d0 == pytest.approx(d1, abs=1e-12)
@@ -220,8 +214,8 @@ def test_dissipative_rk44_all_pass_at_unit_factor():
 
 def test_dissipative_rk44_fails_beyond_step_limit():
     # measured c_p = 2.0 for rk44: at 2.1 some verdict fails
-    rec = simulate(preset_config("dissipative", "rk44", 2.1), early_stop=True)
-    assert not rec.verdict.step_pass
+    cfg = preset_config("dissipative", "rk44", 2.1)
+    assert not run_batch(cfg, [cfg.dt_factor], early_stop=True)[0].verdict.step_pass
 
 
 def test_upwind_rk44_shifted_fails_beyond_limit():
@@ -248,14 +242,10 @@ def test_convexity_implication_on_recorded_traces():
     for preset, scheme, c, kw in cases:
         cfg = preset_config(preset, scheme, c, **kw)
         assert check_assumption1(cfg.tableau)
-        field = cfg.ic.build(cfg.grid)
-        state = field.stack() if cfg.scheme.is_euler else field.q
-        monitor = cfg.monitor
-        if monitor.kind != "positivity":
-            monitor = bind_scale(monitor, evaluate_functional(monitor, state, cfg.grid))
+        slack = run_slack(cfg)
         for tr in traced_run(cfg):
-            if all(v.passed for v in check_shifted_criterion(monitor, tr)):
-                assert all(v.passed for v in check_step_criterion(monitor, tr))
+            if all(v.passed for v in check_shifted_criterion(cfg.monitor, tr, slack)):
+                assert all(v.passed for v in check_step_criterion(cfg.monitor, tr, slack))
                 checked += 1
     assert checked > 100
 
@@ -276,14 +266,11 @@ def test_history_worst_deltas_come_from_the_verdicts(preset, c, kw):
     cfg = preset_config(preset, "rk44", c, **kw)
     traces = list(traced_run(cfg))
     record = simulate(cfg)
-    monitor = cfg.monitor
-    worst = min if monitor.kind == "positivity" else max
-    if monitor.kind != "positivity":
-        monitor = bound_monitor(cfg, traces[0].q_n)
+    worst = min if cfg.monitor.kind == "positivity" else max
     assert len(traces) == record.n_steps > 0
     for i, tr in enumerate(traces):
-        step = worst(v.delta for v in check_step_criterion(monitor, tr))
-        shifted = worst(v.delta for v in check_shifted_criterion(monitor, tr))
+        step = worst(v.delta for v in check_step_criterion(cfg.monitor, tr))
+        shifted = worst(v.delta for v in check_shifted_criterion(cfg.monitor, tr))
         assert record.monitor_stage_worst[i] == step
         assert record.monitor_shifted_worst[i] == shifted
     assert not record.verdict.passed and record.verdict.aborted_step is None
@@ -301,3 +288,79 @@ def test_positivity_has_no_scalar_functional():
     grid = Grid1D(4, 0.0, 1.0)
     with pytest.raises(ValueError, match="positivity monitor does not define a scalar functional"):
         evaluate_functional(Monitor(kind="positivity"), np.ones((3, 4)), grid)
+
+
+# ---------------------------------------------------------------------------
+# judge: the rule table on hand-made (rows, 2s+1) values
+
+STAGE_COUNTS = [1, 2, 3, 4]
+
+
+def in_family(s: int) -> np.ndarray:
+    """``(2s+1, 2)``: whether each column of a step's values is in its step
+    family (q^n, the stages and q_rk) or its shifted family."""
+    step = np.arange(2 * s + 1) <= s
+    return np.stack([step, ~step], axis=1)
+
+
+@pytest.mark.parametrize("s", STAGE_COUNTS)
+@pytest.mark.parametrize("kind", ["energy", "tv"])
+def test_judge_passes_a_rise_of_exactly_the_slack_and_fails_the_next_float(kind, s):
+    """Row ``r`` raises state ``r + 1`` over q^n (0.5) by exactly the slack,
+    then by the next float up; the family holding it passes, then fails."""
+    slack, rows = 1.0, np.arange(2 * s)
+    for value, rise, fails in ((1.5, slack, False), (np.nextafter(1.5, np.inf), np.nextafter(slack, np.inf), True)):
+        values = np.full((2 * s, 2 * s + 1), 0.5)
+        values[rows, rows + 1] = value
+        worst, fail = judge(Monitor(kind), values, s, slack)
+        raised = in_family(s)[rows + 1]
+        np.testing.assert_array_equal(worst, np.where(raised, rise, 0.0))
+        np.testing.assert_array_equal(fail, raised & fails)
+
+
+@pytest.mark.parametrize("s", STAGE_COUNTS)
+def test_judge_fails_a_floor_of_zero_or_minus_zero_and_passes_the_least_positive_float(s):
+    """Positivity reads no slack: row ``r`` sets the floor of state ``r``
+    (q^n included) among floors of 1; only that state's family can fail."""
+    rows = np.arange(2 * s + 1)
+    for floor, fails in ((0.0, True), (-0.0, True), (5e-324, False)):
+        values = np.ones((2 * s + 1, 2 * s + 1))
+        values[rows, rows] = floor
+        worst, fail = judge(Monitor("positivity"), values, s, 1.0)
+        held = in_family(s)[rows]
+        np.testing.assert_array_equal(worst, np.where(held, floor, 1.0))
+        assert np.all(np.signbit(worst[held]) == np.signbit(floor))
+        np.testing.assert_array_equal(fail, held & fails)
+
+
+@pytest.mark.parametrize("s", STAGE_COUNTS)
+@pytest.mark.parametrize("kind", ["energy", "tv", "positivity"])
+def test_a_nan_makes_its_family_worst_nan_and_fails_it(kind, s):
+    """Row ``r`` holds a NaN in column ``r``.  A NaN at q^n (column 0) is in
+    every delta of an energy or tv step, so both families fail there."""
+    rows = np.arange(2 * s + 1)
+    values = np.full((2 * s + 1, 2 * s + 1), 0.25 if kind == "positivity" else 0.0)
+    values[rows, rows] = np.nan
+    worst, fail = judge(Monitor(kind), values, s, 1e-12)
+    held = in_family(s)[rows]
+    if kind != "positivity":
+        held[0] = True
+    np.testing.assert_array_equal(np.isnan(worst), held)
+    np.testing.assert_array_equal(fail, held)
+
+
+@pytest.mark.parametrize("s", STAGE_COUNTS)
+@pytest.mark.parametrize("kind", ["energy", "tv", "positivity"])
+def test_judge_takes_the_max_or_the_min_over_each_family(kind, s):
+    """A family's worst is the max of value - value(q^n) over columns 0..s
+    and s+1..2s for energy and tv, the min of the floors for positivity,
+    bit for bit; a family fails when its worst does."""
+    values = np.random.default_rng(s).uniform(-1.0, 1.0, (64, 2 * s + 1))
+    slack = 0.1
+    worst, fail = judge(Monitor(kind), values, s, slack)
+    deltas = values if kind == "positivity" else values - values[:, :1]
+    reduce = np.min if kind == "positivity" else np.max
+    expected = np.stack([reduce(deltas[:, : s + 1], axis=1), reduce(deltas[:, s + 1 :], axis=1)], axis=1)
+    np.testing.assert_array_equal(worst, expected)
+    np.testing.assert_array_equal(fail, expected <= 0.0 if kind == "positivity" else expected > slack)
+    assert 0 < np.count_nonzero(fail) < fail.size

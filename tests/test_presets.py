@@ -92,7 +92,7 @@ def test_default_run_is_the_readme_problem(preset):
     assert cfg.ic == ic
     assert cfg.monitor == Monitor(monitor_kind)
     assert cfg.t_final == t_final
-    assert (cfg.tableau.name, cfg.dt_factor, cfg.record_every) == ("rk44", 1.0, 1)
+    assert (cfg.tableau.name, cfg.dt_factor) == ("rk44", 1.0)
 
 
 def fields_of(cfg) -> dict:
@@ -106,7 +106,7 @@ def fields_of(cfg) -> dict:
     [
         ("rk44", 1.0, {}),
         ("ssprk33", 2.5, {"n_cells": 40, "t_final": 0.1, "lf": "global"}),
-        ("forward_euler", 0.7, {"tolerance": 1e-9, "record_every": 3}),
+        ("forward_euler", 0.7, {}),
     ],
 )
 def test_leblanc_n5_is_leblanc_n2(scheme, c, overrides):
@@ -116,3 +116,17 @@ def test_leblanc_n5_is_leblanc_n2(scheme, c, overrides):
     n5 = preset_config("leblanc_n5", scheme, c, **overrides)
     assert fields_of(n5) == fields_of(n2)
     assert np.array_equal(n5.ic.build(n5.grid).stack(), n2.ic.build(n2.grid).stack())
+
+
+@pytest.mark.parametrize("preset", PRESET_IDS)
+def test_tolerance_applies_to_the_energy_and_tv_monitors_only(preset):
+    """The rule table says which monitors read a tolerance; positivity
+    reads none, so a tolerance on a Leblanc preset is an error, not a no-op."""
+    kind = preset_config(preset).monitor.kind
+    if kind == "positivity":
+        with pytest.raises(ValueError, match="tolerance applies to the energy and tv monitors only, not to 'positivity'"):
+            preset_config(preset, tolerance=0.5)
+    else:
+        assert preset_config(preset, tolerance=0.5).monitor == Monitor(kind, tolerance=0.5)
+    with pytest.raises(ValueError, match="unknown monitor kind 'entropy'"):
+        preset_config(preset, monitor_kind="entropy", tolerance=0.5)

@@ -6,8 +6,6 @@ of ``simulate`` bit for bit, and a traced step must equal ``rk_step_rows``,
 the textbook step of ``tests/kernel_oracles.py``.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,8 +16,7 @@ from rkstab.presets import PRESET_IDS, preset_config
 from rkstab.tableau import BUILTIN_SCHEME_IDS, builtin_scheme
 
 from kernel_oracles import rk_step_rows
-import step_oracles
-from step_oracles import check_shifted_criterion, check_step_criterion, traced_run, traced_step
+from step_oracles import check_shifted_criterion, check_step_criterion, run_slack, traced_run, traced_step
 from test_acceptance import _short_run_traces
 
 
@@ -31,7 +28,8 @@ def test_traced_run_gives_the_history_of_simulate_on_the_criterion_7_runs():
     """On each of criterion 7's eight runs, the history rebuilt from the
     traces (times, G of q_rk, the worst delta of each family and, for Euler,
     the minima of q_rk) equals every column of ``simulate``'s, bit for bit."""
-    for cfg, monitor, traces in _short_run_traces():
+    for cfg, slack, traces in _short_run_traces():
+        monitor = cfg.monitor
         record = simulate(cfg)
         assert len(traces) == record.n_steps > 0
         worst = min if monitor.kind == "positivity" else max
@@ -42,8 +40,10 @@ def test_traced_run_gives_the_history_of_simulate_on_the_criterion_7_runs():
         columns = {
             "times": times,
             "monitor_step_values": [state_values(monitor, cfg.grid, tr.q_rk) for tr in traces],
-            "monitor_stage_worst": [worst(v.delta for v in check_step_criterion(monitor, tr)) for tr in traces],
-            "monitor_shifted_worst": [worst(v.delta for v in check_shifted_criterion(monitor, tr)) for tr in traces],
+            "monitor_stage_worst": [worst(v.delta for v in check_step_criterion(monitor, tr, slack)) for tr in traces],
+            "monitor_shifted_worst": [
+                worst(v.delta for v in check_shifted_criterion(monitor, tr, slack)) for tr in traces
+            ],
         }
         if cfg.scheme.is_euler:
             columns["min_rho"], columns["min_rhoe"] = zip(*(euler_minima(tr.q_rk) for tr in traces))
@@ -104,15 +104,13 @@ def test_the_loop_fails_a_criterion_where_the_verdict_oracles_do(preset, c, kw):
     apart from ``rkstab.monitors``, so a wrong rule there fails here."""
     cfg = preset_config(preset, "rk44", c, **kw)
     traces = list(traced_run(cfg))
-    monitor = cfg.monitor
-    if monitor.kind != "positivity":  # the run's slack scale, max(1, |G(q^0)|)
-        monitor = replace(monitor, scale=max(1.0, abs(step_oracles._value(monitor, cfg.grid, traces[0].q_n))))
+    slack = run_slack(cfg)
     record = simulate(cfg)
     assert len(traces) == record.n_steps > 0
     first = {}
     for step, tr in enumerate(traces):
         for name, check in (("step", check_step_criterion), ("shifted", check_shifted_criterion)):
-            if not all(v.passed for v in check(monitor, tr)):
+            if not all(v.passed for v in check(cfg.monitor, tr, slack)):
                 first.setdefault(name, step)
     verdict = record.verdict
     assert (verdict.first_step_failure, verdict.first_shifted_failure) == (first.get("step"), first.get("shifted"))
