@@ -5,9 +5,10 @@ solutions q^i, the step solution and the shifted Euler states q^n + dt*R^j.
 ``run_batch`` is the one stepping loop: it advances one run per step-size
 multiplier together, as a stack of states ``(B, n)`` or ``(B, 3, n)``, each
 row with its own adaptive step size, time, first failures and abort, and
-evaluates the configured monitor on all recorded states every step.
-``simulate`` is its one-row case with a per-step history; limit sweeps feed
-it chunks of candidates.
+evaluates the configured monitor on all recorded states every step.  Each
+row ends as one :class:`SimulationRecord`, built when it leaves the stack.
+``simulate`` is the one-row case with a per-step history; limit sweeps feed
+``run_batch`` chunks of candidates and keep each record's verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "SimulationConfig",
     "RunVerdict",
     "SimulationRecord",
-    "RunRow",
     "STEP_BUDGET_FACTOR",
     "END_TIME_TOLERANCE",
     "rk_step_instrumented",
@@ -144,7 +144,8 @@ class RunVerdict:
     (non-physical state, degenerate step size, or step budget exhausted)
     fails both criteria: neither can be certified through t_final.  A sweep
     stops a run once both criteria have failed, so ``n_steps`` counts the
-    steps it took.  The field order is that of a table's JSON.
+    steps it took.  The field order is that of a table's JSON.  Only
+    :func:`_run_record` builds it, when a row leaves :func:`run_batch`.
     """
 
     c: float
@@ -163,7 +164,8 @@ class RunVerdict:
 
 @dataclass(eq=False)
 class SimulationRecord:
-    """Per-step monitor history of one run.
+    """One run: its verdict and, when recorded, its per-step monitor history
+    and final field (all None when not).
 
     ``monitor_step_values`` holds G(q^RK) for energy/tv and the state floor
     min(rho, rho*e) of q^RK for positivity.  The two ``*_worst`` columns are
@@ -173,14 +175,14 @@ class SimulationRecord:
     are none) and stay None for scalar problems.
     """
 
-    times: np.ndarray
-    monitor_step_values: np.ndarray
-    monitor_stage_worst: np.ndarray
-    monitor_shifted_worst: np.ndarray
-    min_rho: np.ndarray | None
-    min_rhoe: np.ndarray | None
-    final_field: object
     verdict: RunVerdict
+    final_field: object = None
+    times: np.ndarray | None = None
+    monitor_step_values: np.ndarray | None = None
+    monitor_stage_worst: np.ndarray | None = None
+    monitor_shifted_worst: np.ndarray | None = None
+    min_rho: np.ndarray | None = None
+    min_rhoe: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -192,6 +194,8 @@ class SimulationRecord:
         Every ``record_every``-th step is written, and the last one.
         """
         check_record_every(record_every)
+        if self.times is None:
+            raise ValueError("no history was recorded for this run")
         header = ["t", "G_step", "worst_stage_delta", "worst_shifted_delta"]
         columns = [self.times, self.monitor_step_values, self.monitor_stage_worst, self.monitor_shifted_worst]
         if self.min_rho is not None:
@@ -201,7 +205,7 @@ class SimulationRecord:
         rows = list(range(0, n, record_every))
         if rows and rows[-1] != n - 1:
             rows.append(n - 1)
-        columns = [np.asarray(col, dtype=float)[rows].tolist() for col in columns]
+        columns = [col[rows].tolist() for col in columns]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -215,37 +219,21 @@ def check_record_every(record_every) -> None:
         raise ValueError("record_every must be at least 1")
 
 
-@dataclass(eq=False)
-class RunRow:
-    """What :func:`run_batch` learnt about one row (one multiplier).
-
-    ``history`` holds one tuple per step, ``(t, G_step, worst_stage_delta,
-    worst_shifted_delta[, min_rho, min_rhoe])``, and ``final_state`` the
-    state the row ended on; both are kept only when recording.
-    """
-
-    dt_factor: float
-    n_steps: int = 0
-    first_step_failure: int | None = None
-    first_shifted_failure: int | None = None
-    aborted_step: int | None = None
-    abort_reason: str | None = None
-    history: list | None = None
-    final_state: np.ndarray | None = None
-
-    @property
-    def verdict(self) -> RunVerdict:
-        aborted = self.aborted_step is not None
-        return RunVerdict(
-            self.dt_factor,
-            self.first_step_failure is None and not aborted,
-            self.first_shifted_failure is None and not aborted,
-            self.n_steps,
-            self.first_step_failure,
-            self.first_shifted_failure,
-            self.aborted_step,
-            self.abort_reason,
-        )
+def _run_record(config, c, n_steps, first, reason, history=None, state=None) -> SimulationRecord:
+    """The record of a row that leaves :func:`run_batch` after ``n_steps``
+    steps at multiplier ``c``, with its first step and shifted failures in
+    ``first`` (-1: none) and its abort reason (None: it did not abort; one
+    that did aborted at its last step).  ``history``, one tuple of the CSV's
+    columns per step, and the final ``state`` are kept when recording."""
+    step, shifted = (None if f < 0 else int(f) for f in first)
+    aborted = None if reason is None else n_steps
+    ok = aborted is None
+    verdict = RunVerdict(c, step is None and ok, shifted is None and ok, n_steps, step, shifted, aborted, reason)
+    if history is None:
+        return SimulationRecord(verdict)
+    euler = getattr(config.scheme, "is_euler", False)
+    field = EulerField.from_stack(config.grid, state, config.scheme.gamma) if euler else ScalarField(config.grid, state)
+    return SimulationRecord(verdict, field, *np.array(history, dtype=float).reshape(-1, 6 if euler else 4).T)
 
 
 def _coefficients(tableaux: list):
@@ -334,7 +322,7 @@ def run_batch(
     tableaux=None,
     early_stop: bool = False,
     record: bool = False,
-) -> list[RunRow]:
+) -> list[SimulationRecord]:
     """Advance one run of ``config`` per multiplier in ``dt_factors`` together.
 
     Every row starts from the same initial condition and takes
@@ -357,23 +345,27 @@ def run_batch(
     Euler stage, and the abort reason names the first stage whose floor is
     not positive with the :func:`~rkstab.fields.admissibility_error` of its
     state.  A kernel that raises anyway raises :class:`StepFailedError` out
-    of the call, at any batch size.  With ``record`` each row keeps its
-    history and final state.
+    of the call, at any batch size.  Returns each row's
+    :class:`SimulationRecord`, in the order of ``dt_factors``, with its
+    history and final field when ``record``.  An Euler initial field must
+    have the scheme's ``gamma``.
     """
     scheme = config.scheme
     grid = config.grid
     is_euler = bool(getattr(scheme, "is_euler", False))
     monitor = config.monitor
-    rows = [RunRow(float(c), history=[] if record else None) for c in dt_factors]
-    tableaux = [config.tableau] * len(rows) if tableaux is None else list(tableaux)
-    if len(tableaux) != len(rows):
+    cs = [float(c) for c in dt_factors]
+    tableaux = [config.tableau] * len(cs) if tableaux is None else list(tableaux)
+    if len(tableaux) != len(cs):
         raise ValueError("run_batch needs one tableau per row")
-    if not rows:
-        return rows
+    if not cs:
+        return []
     f0 = config.ic.build(grid)
+    if is_euler and f0.gamma != scheme.gamma:
+        raise ValueError(f"the initial field's gamma {f0.gamma!r} differs from the scheme's gamma {scheme.gamma!r}")
     q0 = f0.stack() if is_euler else f0.q
     v0 = state_values(monitor, grid, q0)  # G(q^0), or the floor of q^0
-    slack = monitor.tolerance * max(1.0, abs(v0))  # positivity reads none
+    slack = 0.0 if monitor.tolerance is None else monitor.tolerance * max(1.0, abs(v0))  # positivity reads none
 
     t_final = config.t_final
     t_eps = END_TIME_TOLERANCE * max(1.0, t_final)
@@ -385,16 +377,20 @@ def run_batch(
     as_column = (-1,) + (1,) * q0.ndim  # per-row dt against a stack of states
 
     # Per stacked row, in descending stage count (a stable sort, kept when rows
-    # leave): its RunRow index, multiplier, time, value of q^n, step budget
-    # and whether each criterion (step, shifted) has failed.  All live rows
-    # have taken the same number of steps.
-    live = np.array(sorted(range(len(rows)), key=lambda k: -tableaux[k].s))
+    # leave): its index in dt_factors, multiplier, time, value of q^n, step
+    # budget, and per criterion (step, shifted) whether and at which step it
+    # first failed (-1: not yet).  All live rows have taken the same number of
+    # steps.  By index in dt_factors: abort reasons, histories and records.
+    live = np.array(sorted(range(len(cs)), key=lambda k: -tableaux[k].s))
     counts, Ab = _coefficients([tableaux[k] for k in live])
-    c = np.array([rows[k].dt_factor for k in live])
-    t = np.zeros(len(rows))
-    v_n = np.full(len(rows), v0)
-    budget = np.zeros(len(rows))
-    failed = np.zeros((len(rows), 2), dtype=bool)
+    c = np.array(cs)[live]
+    t = np.zeros(len(cs))
+    v_n = np.full(len(cs), v0)
+    budget = np.zeros(len(cs))
+    failed = np.zeros((len(cs), 2), dtype=bool)
+    first_at = np.full((len(cs), 2), -1)
+    reasons, records = {}, [None] * len(cs)
+    history = [[] for _ in cs] if record else None
     step = 0
     # The workspace: q^n of the live rows (a prefix of q_rows), room for the
     # first step's states (rows only leave, so later steps need less), a
@@ -402,25 +398,26 @@ def run_batch(
     # column runs one inner loop per row: short on a scalar stack, where dt
     # is spread over the cells of each row, and one of 3n cells on an Euler
     # stack, where it stays a column.
-    q_rows = np.repeat(q0[None], len(rows), axis=0)
+    q_rows = np.repeat(q0[None], len(cs), axis=0)
     buffer = np.empty((2 * int(counts.sum()),) + q0.shape)
     scratch = np.empty_like(q_rows)
-    dt_cells = np.empty((len(rows),) + as_column[1:] if is_euler else q_rows.shape)
+    dt_cells = np.empty((len(cs),) + as_column[1:] if is_euler else q_rows.shape)
 
     def bind(m):
         return _step_plan(counts, Ab, q_rows[:m], (buffer, scratch[:m], dt_cells[:m] if m > 1 else None))
 
-    q, plan = q_rows, bind(len(rows))
+    q, plan = q_rows, bind(len(cs))
 
     def leave(keep, *extra):
-        """Drop the rows outside ``keep``; return ``extra`` row arrays filtered alike."""
-        nonlocal live, c, q, t, v_n, budget, failed, counts, Ab, plan
+        """Record the rows outside ``keep`` and drop them; return ``extra`` row
+        arrays filtered alike."""
+        nonlocal live, c, q, t, v_n, budget, failed, first_at, counts, Ab, plan
         for k in np.flatnonzero(~keep):
-            row = rows[live[k]]
-            row.n_steps = step
-            if record:
-                row.final_state = q[k].copy()
-        live, c, t, v_n, budget, failed, counts, Ab = (a[keep] for a in (live, c, t, v_n, budget, failed, counts, Ab))
+            r = live[k]
+            kept = (history[r], q[k].copy()) if record else ()
+            records[r] = _run_record(config, cs[r], step, first_at[k], reasons.get(r), *kept)
+        live, c, t, v_n, budget, failed, first_at = (a[keep] for a in (live, c, t, v_n, budget, failed, first_at))
+        counts, Ab = counts[keep], Ab[keep]
         q_rows[: live.size] = q[keep]  # the rows that stay move up
         q = q_rows[: live.size]
         if live.size:  # step with the rows that stay
@@ -428,8 +425,7 @@ def run_batch(
         return [None if a is None else a[keep] for a in extra]
 
     def abort(k, reason: str) -> None:
-        rows[live[k]].aborted_step = step
-        rows[live[k]].abort_reason = reason
+        reasons[live[k]] = reason
 
     # A mask is tested with count_nonzero, which costs a fraction of .all().
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -513,11 +509,10 @@ def run_batch(
             if record:
                 columns = (t, v_n, worst[:, 0], worst[:, 1], *minima)
                 for k, r in enumerate(live.tolist()):
-                    rows[r].history.append(tuple(float(x[k]) for x in columns))
+                    history[r].append(tuple(float(x[k]) for x in columns))
             new = fail > failed
             if np.count_nonzero(new):
-                for k, family in zip(*np.nonzero(new)):
-                    setattr(rows[live[k]], ("first_step_failure", "first_shifted_failure")[family], step)
+                first_at[new] = step
                 failed |= fail
             q[...] = q_rk  # q^{n+1} takes the place of q^n in the workspace
             step += 1
@@ -525,35 +520,14 @@ def run_batch(
                 both = failed[:, 0] & failed[:, 1]
                 if np.count_nonzero(both):
                     leave(~both)
-    return rows
+    return records
 
 
 def simulate(config: SimulationConfig) -> SimulationRecord:
-    """Advance the configured problem from t = 0 to t_final.
-
-    The one-row case of :func:`run_batch` at ``config.dt_factor``, with the
-    per-step history.  Monitor values for the step solution, every stage
-    solution and every shifted state are recorded each step.  A criterion
-    violation is recorded (first-failure step per criterion) but the run
-    continues; only an inadmissible Euler stage, a degenerate step size or
-    the step budget aborts it (when an Euler step solution lost positivity,
-    the degenerate-step reason names the quantity and the first bad cell).
+    """Advance the configured problem from t = 0 to t_final: the one-row case
+    of :func:`run_batch` at ``config.dt_factor``, with the per-step history
+    and final field.  The run does not stop at a criterion violation (when
+    an Euler step solution lost positivity, the next step aborts it as a
+    degenerate step, whose reason names the quantity and the first bad cell).
     """
-    (row,) = run_batch(config, [config.dt_factor], record=True)
-    euler = bool(getattr(config.scheme, "is_euler", False))
-    columns = list(zip(*row.history)) or [()] * (6 if euler else 4)
-    history = [np.array(col) for col in columns]
-    if euler:
-        final_field = EulerField.from_stack(config.grid, row.final_state, config.scheme.gamma)
-    else:
-        final_field = ScalarField(config.grid, row.final_state)
-    return SimulationRecord(
-        times=history[0],
-        monitor_step_values=history[1],
-        monitor_stage_worst=history[2],
-        monitor_shifted_worst=history[3],
-        min_rho=history[4] if euler else None,
-        min_rhoe=history[5] if euler else None,
-        final_field=final_field,
-        verdict=row.verdict,
-    )
+    return run_batch(config, [config.dt_factor], record=True)[0]

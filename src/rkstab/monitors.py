@@ -62,24 +62,33 @@ class Monitor:
     """A stability criterion with its comparison tolerance.
 
     For energy/tv, a candidate passes when G(candidate) - G(q^n) does not
-    exceed the run's slack, ``tolerance * max(1, |G(q^0)|)``, so that the
-    roundoff slack tracks problem magnitude.  Positivity reads no tolerance:
-    a sign is a sign.
+    exceed the run's slack, ``tolerance * max(1, |G(q^0)|)`` (tolerance 1e-12
+    by default), so that the roundoff slack tracks problem magnitude.
+    Positivity reads no tolerance (a sign is a sign) and only tv reads
+    ``tv_wrap``: either given to a kind that does not read it is an error.
     """
 
     kind: str
-    tolerance: float = 1e-12
+    tolerance: float | None = None  # None: 1e-12 for energy and tv
     tv_wrap: bool | None = None  # None: follow the grid's boundary type
 
     def __post_init__(self):
         if self.kind not in RULES:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
-        require_number("tolerance", self.tolerance)
-        # NaN slack would fail every comparison, and +inf pass every one.
-        if not 0 <= self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
-        if self.tv_wrap is not None and not isinstance(self.tv_wrap, bool):  # "no" would turn it on
-            raise ValueError(f"tv_wrap must be None or a bool, got {self.tv_wrap!r}")
+        if self.tolerance is not None:
+            require_number("tolerance", self.tolerance)
+            # NaN slack would fail every comparison, and +inf pass every one.
+            if not 0 <= self.tolerance < math.inf:
+                raise ValueError(f"tolerance must be non-negative and finite, got {self.tolerance!r}")
+            if not RULES[self.kind].relative:
+                raise ValueError(f"tolerance applies to the energy and tv monitors only, not to {self.kind!r}")
+        elif RULES[self.kind].relative:
+            object.__setattr__(self, "tolerance", 1e-12)
+        if self.tv_wrap is not None:
+            if not isinstance(self.tv_wrap, bool):  # "no" would turn it on
+                raise ValueError(f"tv_wrap must be None or a bool, got {self.tv_wrap!r}")
+            if self.kind != "tv":
+                raise ValueError(f"tv_wrap applies to the tv monitor only, not to {self.kind!r}")
 
 
 def evaluate_functional(monitor: Monitor, state: np.ndarray, grid):

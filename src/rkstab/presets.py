@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import Dirichlet, EulerField, Grid1D, Outflow, Periodic, ScalarField
 from .integrator import SimulationConfig
-from .monitors import RULES, Monitor
+from .monitors import Monitor
 from .spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers
 from .tableau import builtin_scheme
 
@@ -167,7 +167,6 @@ def _override(
     tolerance: float | None = None, monitor_kind: str | None = None, tv_wrap: bool | None = None, lf: str = "local",
 ) -> SimulationConfig:
     default = _PRESETS[preset_id]
-    kind = monitor_kind if monitor_kind is not None else default.monitor.kind
     if lf not in ("local", "global"):
         raise ValueError(f"lf must be 'local' or 'global', got {lf!r}")
     scheme = default.scheme
@@ -175,13 +174,9 @@ def _override(
         if not isinstance(scheme, LaxFriedrichsEuler):  # flags that would do nothing are errors
             raise ValueError(f"lf='global' needs a Lax-Friedrichs preset; {preset_id!r} is {type(scheme).__name__}")
         scheme = replace(scheme, local=False)
-    if tv_wrap is not None and kind != "tv":
-        raise ValueError(f"tv_wrap applies to the tv monitor only, not to {kind!r}")
-    if tolerance is not None and kind in RULES and not RULES[kind].relative:  # Monitor names an unknown kind
-        raise ValueError(f"tolerance applies to the energy and tv monitors only, not to {kind!r}")
+    # Every preset's monitor takes the defaults of its kind.
+    monitor = Monitor(default.monitor.kind if monitor_kind is None else monitor_kind, tolerance, tv_wrap)
     grid = default.grid if n_cells is None else replace(default.grid, n_cells=n_cells)
-    monitor_fields = {"kind": kind, "tolerance": tolerance, "tv_wrap": tv_wrap}
-    monitor = replace(default.monitor, **{k: v for k, v in monitor_fields.items() if v is not None})
     return replace(
         default,
         scheme=scheme,

@@ -176,6 +176,8 @@ def _value(monitor, grid, state) -> float:
 def run_slack(cfg) -> float:
     """The slack of a run of ``cfg``: ``tolerance * max(1, |G(q^0)|)``, G
     taken as :func:`_value` takes it (positivity reads no slack)."""
+    if cfg.monitor.tolerance is None:
+        return 0.0
     f0 = cfg.ic.build(cfg.grid)
     q0 = f0.stack() if cfg.scheme.is_euler else f0.q
     return cfg.monitor.tolerance * max(1.0, abs(_value(cfg.monitor, cfg.grid, q0)))

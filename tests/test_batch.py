@@ -20,7 +20,7 @@ import pytest
 
 import rkstab.integrator as integrator
 import rkstab.limits as limits
-from rkstab.fields import Grid1D, Periodic, ScalarField, quadratic_energy_array, total_variation_array
+from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField, quadratic_energy_array, total_variation_array
 from rkstab.integrator import STEP_BUDGET_FACTOR, SimulationConfig, run_batch, simulate
 from rkstab.limits import LimitSearchConfig, find_limits, limits_table
 from rkstab.monitors import Monitor
@@ -161,10 +161,10 @@ def test_batched_rows_equal_one_row_runs():
         for c, row in zip(cs, run_batch(base, cs, record=True)):
             rec = simulate(replace(base, dt_factor=c))
             assert row.verdict == rec.verdict and row.n_steps == rec.n_steps
-            assert [h[0] for h in row.history] == rec.times.tolist()
-            assert [h[2] for h in row.history] == rec.monitor_stage_worst.tolist()
+            assert row.times.tolist() == rec.times.tolist()
+            assert row.monitor_stage_worst.tolist() == rec.monitor_stage_worst.tolist()
             if rec.min_rhoe is not None:
-                np.testing.assert_array_equal(np.array([h[5] for h in row.history]), rec.min_rhoe)
+                np.testing.assert_array_equal(row.min_rhoe, rec.min_rhoe)
 
 
 @dataclass(eq=False)
@@ -260,10 +260,23 @@ def test_batch_composition_does_not_depend_on_scheme_order(monkeypatch):
         assert first == second
 
 
+def history(record):
+    """A recorded run's history columns as one ``(steps, columns)`` array."""
+    columns = [record.times, record.monitor_step_values, record.monitor_stage_worst, record.monitor_shifted_worst]
+    if record.min_rho is not None:
+        columns += [record.min_rho, record.min_rhoe]
+    return np.column_stack(columns)
+
+
+def final_state(record):
+    field = record.final_field
+    return field.stack() if isinstance(field, EulerField) else field.q
+
+
 def assert_rows_equal(mixed, alone):
     assert mixed.verdict == alone.verdict and mixed.n_steps == alone.n_steps
-    np.testing.assert_array_equal(np.array(mixed.history), np.array(alone.history))
-    np.testing.assert_array_equal(mixed.final_state, alone.final_state)
+    np.testing.assert_array_equal(history(mixed), history(alone))
+    np.testing.assert_array_equal(final_state(mixed), final_state(alone))
 
 
 def test_mixed_tableau_rows_equal_one_row_runs():
@@ -280,7 +293,7 @@ def test_mixed_tableau_rows_equal_one_row_runs():
             assert_rows_equal(row, alone)
             rec = simulate(replace(base, tableau=tab, dt_factor=c))
             assert row.verdict == rec.verdict and row.n_steps == rec.n_steps
-            assert [h[1] for h in row.history] == rec.monitor_step_values.tolist()
+            assert row.monitor_step_values.tolist() == rec.monitor_step_values.tolist()
 
 
 @dataclass(frozen=True)
@@ -316,9 +329,9 @@ def test_overflowing_row_of_a_mixed_batch_keeps_its_verdict():
     overflowing, others = rows[0], rows[1:]
     (alone,) = run_batch(cfg, cs[:1], record=True)
     assert alone.verdict == overflowing.verdict and alone.n_steps == overflowing.n_steps
-    assert (alone.aborted_step, alone.abort_reason) == (2, "degenerate_dt")
-    assert (alone.first_step_failure, alone.first_shifted_failure) == (1, 1)
-    assert np.isinf(alone.history[1][3])
+    assert (alone.verdict.aborted_step, alone.verdict.abort_reason) == (2, "degenerate_dt")
+    assert (alone.verdict.first_step_failure, alone.verdict.first_shifted_failure) == (1, 1)
+    assert np.isinf(alone.monitor_shifted_worst[1])
     assert_rows_equal(overflowing, alone)
     for tab, c, row in zip(tableaux[1:], cs[1:], others):
         (one,) = run_batch(replace(cfg, tableau=tab), [c], record=True)
@@ -371,9 +384,9 @@ def test_a_row_with_a_near_overflow_dt_equals_its_one_row_run():
         (alone,) = run_batch(replace(cfg, tableau=tab), [c], record=True, early_stop=True)
         assert row.n_steps == alone.n_steps == 1
         assert_rows_equal(row, alone)
-        np.testing.assert_array_equal(row.final_state.view(np.int64), alone.final_state.view(np.int64))
-    (near,) = [row for row in rows if row.dt_factor == huge]
-    assert np.isfinite(near.final_state).all()
+        np.testing.assert_array_equal(final_state(row).view(np.int64), final_state(alone).view(np.int64))
+    (near,) = [row for row in rows if row.verdict.c == huge]
+    assert np.isfinite(final_state(near)).all()
 
 
 @dataclass(eq=False)
@@ -433,11 +446,11 @@ def test_mixed_rows_in_any_order_equal_one_row_runs():
             tableaux, cs = zip(*order)
             rows = run_batch(base, cs, tableaux=tableaux, record=True)
             for tab, c, row in zip(tableaux, cs, rows):
-                assert row.dt_factor == c
+                assert row.verdict.c == c
                 assert_rows_equal(row, alone[tab.name, c])
                 rec = simulate(replace(base, tableau=tab, dt_factor=c))
                 assert row.verdict == rec.verdict and row.n_steps == rec.n_steps
-                assert [h[2] for h in row.history] == rec.monitor_stage_worst.tolist()
+                assert row.monitor_stage_worst.tolist() == rec.monitor_stage_worst.tolist()
 
 
 def test_rows_leaving_at_different_steps_keep_their_own_history_and_state():
@@ -453,11 +466,11 @@ def test_rows_leaving_at_different_steps_keep_their_own_history_and_state():
         rows = run_batch(base, cs, tableaux=tableaux, record=True, early_stop=early_stop)
         if not early_stop:
             assert sorted({row.n_steps for row in rows}) == [0, 1, 11, 25, 48, 49]
-            assert any(row.n_steps == 11 and row.abort_reason.startswith("degenerate_dt: ") for row in rows)
+            assert any(row.n_steps == 11 and row.verdict.abort_reason.startswith("degenerate_dt: ") for row in rows)
         for tab, c, row in zip(tableaux, cs, rows):
             (alone,) = run_batch(replace(base, tableau=tab), [c], record=True, early_stop=early_stop)
             assert_rows_equal(row, alone)
-            np.testing.assert_array_equal(row.final_state.view(np.int64), alone.final_state.view(np.int64))
+            np.testing.assert_array_equal(final_state(row).view(np.int64), final_state(alone).view(np.int64))
 
 
 @pytest.mark.parametrize("preset", ["muscl2", "leblanc_n2"])

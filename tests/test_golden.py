@@ -33,3 +33,23 @@ def test_no_golden_candidate_fails_the_step_criterion_before_the_shifted_one():
                 assert step is None or (shifted is not None and shifted <= step), (path.name, row["scheme"], o["c"])
                 checked += 1
     assert checked == 1308  # every candidate of the ten tables: all five built-ins satisfy Assumption 1
+
+
+def test_every_golden_candidate_keeps_the_verdict_rules():
+    """A criterion passes exactly when it never failed and the run did not
+    abort; a run aborts at the step it ends on, with a reason; every failure
+    lies within the steps taken."""
+    checked = 0
+    for path in sorted(GOLDEN.glob("table_*.json")):
+        for row in json.loads(path.read_text())["rows"]:
+            for o in row["per_candidate"]:
+                where = (path.name, row["scheme"], o["c"])
+                aborted = o["aborted_step"] is not None
+                assert o["step_pass"] == (o["first_step_failure"] is None and not aborted), where
+                assert o["shifted_pass"] == (o["first_shifted_failure"] is None and not aborted), where
+                assert (o["abort_reason"] is None) == (not aborted), where
+                assert not aborted or o["aborted_step"] == o["n_steps"], where
+                for failure in (o["first_step_failure"], o["first_shifted_failure"]):
+                    assert failure is None or 0 <= failure < o["n_steps"], where
+                checked += 1
+    assert checked == 1308

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,11 +41,26 @@ def test_monitor_validation():
         Monitor(kind="tv", tolerance=-1.0)
 
 
-@pytest.mark.parametrize("tolerance", [True, False, np.True_, "1e-12", None])
+@pytest.mark.parametrize("tolerance", [True, False, np.True_, "1e-12"])
 def test_monitor_rejects_a_tolerance_that_is_not_a_real_number(tolerance):
     with pytest.raises(ValueError, match=re.escape(f"tolerance must be a real number, got {tolerance!r}")):
         Monitor(kind="tv", tolerance=tolerance)
     assert Monitor(kind="tv", tolerance=np.float32(0.0)).tolerance == 0.0
+
+
+def test_a_monitor_rejects_a_setting_its_kind_does_not_read():
+    """Built directly, a positivity monitor with a tolerance or an energy
+    monitor with tv_wrap used to construct and run with the value ignored."""
+    with pytest.raises(ValueError, match="tolerance applies to the energy and tv monitors only, not to 'positivity'"):
+        Monitor("positivity", tolerance=0.5)
+    for kind, wrap in (("energy", True), ("positivity", False)):
+        with pytest.raises(ValueError, match=f"tv_wrap applies to the tv monitor only, not to '{kind}'"):
+            Monitor(kind, tv_wrap=wrap)
+    # An omitted tolerance is the kind's default: 1e-12 where it is read.
+    assert [Monitor(kind).tolerance for kind in ("energy", "tv", "positivity")] == [1e-12, 1e-12, None]
+    assert Monitor("tv", tolerance=None) == Monitor("tv", tolerance=1e-12)
+    for monitor in (Monitor("positivity"), Monitor("tv", 0.5, True)):
+        assert replace(monitor) == monitor
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
