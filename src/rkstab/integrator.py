@@ -386,7 +386,7 @@ def run_batch(
     c = np.array(cs)[live]
     t = np.zeros(len(cs))
     v_n = np.full(len(cs), v0)
-    budget = np.zeros(len(cs))
+    budget, first_over = np.zeros(len(cs)), math.inf
     failed = np.zeros((len(cs), 2), dtype=bool)
     first_at = np.full((len(cs), 2), -1)
     reasons, records = {}, [None] * len(cs)
@@ -424,16 +424,14 @@ def run_batch(
             plan = bind(live.size)
         return [None if a is None else a[keep] for a in extra]
 
-    def abort(k, reason: str) -> None:
-        reasons[live[k]] = reason
-
     # A mask is tested with count_nonzero, which costs a fraction of .all().
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
-            remaining = t_final - t
-            running = remaining > t_eps
+            running = t_final - t > t_eps
+            if early_stop:  # both criteria have failed: the verdict is final
+                running &= ~(failed[:, 0] & failed[:, 1])
             if np.count_nonzero(running) < live.size:
-                (remaining,) = leave(running, remaining)
+                leave(running)
                 if not live.size:
                     break
 
@@ -442,28 +440,25 @@ def run_batch(
                     r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)
                 except NonPhysicalStateError as exc:
                     raise StepFailedError(0, exc) from exc
-                dt = c * dt
             else:
-                dt = c * scheme.dt_fe_array(q, grid)
-            dt_ok = dt > 0.0  # NaN is not
-            if np.count_nonzero(dt_ok) < live.size:
-                for k in np.flatnonzero(~dt_ok):
-                    cause = admissibility_error(q[k]) if is_euler else None
-                    abort(k, "degenerate_dt" if cause is None else f"degenerate_dt: {cause}")
-                dt, remaining, r0 = leave(dt_ok, dt, remaining, r0)
+                dt = scheme.dt_fe_array(q, grid)
+            dt = np.minimum(c * dt, t_final - t)
+            stay = dt > 0.0  # NaN is not
+            if step >= first_over:
+                stay &= step < budget
+                first_over = budget.min()
+            if np.count_nonzero(stay) < live.size:
+                for k in np.flatnonzero(~stay):
+                    if dt[k] > 0.0:
+                        reasons[live[k]] = "step_budget"
+                    else:
+                        cause = admissibility_error(q[k]) if is_euler else None
+                        reasons[live[k]] = "degenerate_dt" if cause is None else f"degenerate_dt: {cause}"
+                dt, r0 = leave(stay, dt, r0)
                 if not live.size:
                     break
-            dt = np.minimum(dt, remaining)
             if step == 0:  # a budget is at least 100 steps; test from the smallest on
                 budget = STEP_BUDGET_FACTOR * np.ceil(t_final / dt)
-                first_over = budget.min()
-            elif step >= first_over:
-                in_budget = step < budget
-                for k in np.flatnonzero(~in_budget):
-                    abort(k, "step_budget")
-                dt, r0 = leave(in_budget, dt, r0)
-                if not live.size:
-                    break
                 first_over = budget.min()
 
             # One row's dt is passed as a scalar: it broadcasts to the same
@@ -495,7 +490,7 @@ def run_batch(
                         # Stage i of row k in the workspace; stage 0 is q^n.
                         at = plan.take[k, i] - live.size
                         cause = admissibility_error(q[k] if at < 0 else states[at])
-                        abort(k, str(StepFailedError(i, cause)))
+                        reasons[live[k]] = str(StepFailedError(i, cause))
                     dt, values, q_rk, *minima = leave(~inadmissible, dt, values, q_rk, *minima)
                     if not live.size:
                         break
@@ -516,10 +511,6 @@ def run_batch(
                 failed |= fail
             q[...] = q_rk  # q^{n+1} takes the place of q^n in the workspace
             step += 1
-            if early_stop:
-                both = failed[:, 0] & failed[:, 1]
-                if np.count_nonzero(both):
-                    leave(~both)
     return records
 
 

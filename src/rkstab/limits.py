@@ -3,11 +3,13 @@
 For one (problem, RK scheme, monitor) triple, the sweep runs a full
 simulation at each candidate multiplier c of the forward-Euler step bound
 and reports the largest c for which every step passed the step criterion
-(c^p) and the shifted criterion (c^s).  Candidates are independent runs:
-chunks of them advance together through ``integrator.run_batch``, one
-tableau per row, and chunks may execute in parallel.  A table's scans, one
-per scheme, advance in lockstep through shared chunks; results do not
-depend on the chunking, the scheme order or the worker count.
+(c^p) and the shifted criterion (c^s), next to its formal SSP coefficient:
+one :class:`LimitResult`, the scheme's row of a table.  Candidates are
+independent runs: chunks of them advance together through
+``integrator.run_batch``, one tableau per row, and chunks may execute in
+parallel.  A table's scans, one per scheme, advance in lockstep through
+shared chunks; results do not depend on the chunking, the scheme order or
+the worker count.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ import os
 from dataclasses import dataclass
 
 from .fields import require_number
-from .integrator import RunVerdict as CandidateOutcome, SimulationConfig, run_batch
+from .integrator import RunVerdict, SimulationConfig, run_batch
 from .tableau import BUILTIN_SCHEME_IDS, builtin_scheme, ssp_coefficient
 
 __all__ = [
     "LimitSearchConfig",
-    "CandidateOutcome",
     "LimitResult",
-    "TableRow",
     "ExperimentTable",
     "find_limits",
     "limits_table",
@@ -95,16 +95,17 @@ class LimitSearchConfig:
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Measured limits for one scheme; None means every candidate failed (< c_min)."""
+    """One scheme's row of a table, in its JSON key order; a limit of None
+    means every candidate failed (< c_min)."""
 
     scheme: str
-    monitor: str
-    c_p: float | None
+    c_ssp: float
     c_s: float | None
-    per_candidate: tuple[CandidateOutcome, ...]
+    c_p: float | None
+    per_candidate: tuple[RunVerdict, ...]
 
 
-def _run_chunk(args) -> list[CandidateOutcome]:
+def _run_chunk(args) -> list[RunVerdict]:
     base, tableaux, cs = args
     return [row.verdict for row in run_batch(base, cs, tableaux=tableaux, early_stop=True)]
 
@@ -131,16 +132,19 @@ def _candidate_values(c_min: float, c_max: float, granularity: float) -> list[fl
 def _scan(cfg: LimitSearchConfig, band: int):
     """One scheme's search, as a generator: it yields the candidates it wants
     run next, in ascending c, is sent their outcomes in that order, and
-    returns its :class:`LimitResult`.  Without ``refine`` it offers the whole
-    scan at once.  With ``refine`` it offers ``band`` coarse ticks at a time
-    and stops once both criteria have failed, dropping the outcomes past that
-    tick; then it bisects ``c_p`` and ``c_s`` together (see :func:`_bisect`).
+    returns its :class:`LimitResult`; ``c_ssp`` is taken before the first
+    offer, so no candidate of an inconsistent tableau runs.  Without
+    ``refine`` it offers the whole scan at once.  With ``refine`` it offers
+    ``band`` coarse ticks at a time and stops once both criteria have
+    failed, dropping the outcomes past that tick; then it bisects ``c_p``
+    and ``c_s`` together (see :func:`_bisect`).
     A coarse offer holds at most ``band`` ticks and a bisection offer at most
     ``max(band, open brackets)`` midpoints, and the result is the one of the
     serial search (a tick, then a midpoint, at a time) for any band.
     """
+    c_ssp = ssp_coefficient(cfg.base.tableau).ssp_coefficient
     candidates = _candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
-    outcomes: dict[float, CandidateOutcome] = {}
+    outcomes: dict[float, RunVerdict] = {}
     ticks = band if cfg.refine else len(candidates)
     step_failed = shifted_failed = stopped = False
     for i in range(0, len(candidates), ticks):
@@ -163,9 +167,9 @@ def _scan(cfg: LimitSearchConfig, band: int):
         limits = yield from _bisect(cfg, outcomes, band, limits)
     return LimitResult(
         scheme=cfg.base.tableau.name,
-        monitor=cfg.base.monitor.kind,
-        c_p=limits["step_pass"],
+        c_ssp=c_ssp,
         c_s=limits["shifted_pass"],
+        c_p=limits["step_pass"],
         per_candidate=tuple(outcomes[c] for c in sorted(outcomes)),
     )
 
@@ -179,7 +183,7 @@ def _bisect(cfg, outcomes, band, limits):
     outcomes.  Only midpoints on a path enter ``outcomes`` (the others wait
     in ``side``), so a round wastes at most ``band - 1`` rows and the result
     is the serial bisection's."""
-    side: dict[float, CandidateOutcome] = {}
+    side: dict[float, RunVerdict] = {}
     top = cfg.c_max + 1e-9 * cfg.granularity  # a limit whose next tick is past it brackets nothing
     ends = {flag: (c, round(c + cfg.granularity, TICK_DECIMALS)) for flag, c in limits.items() if c is not None}
     brackets = {flag: (lo, hi) for flag, (lo, hi) in ends.items() if hi <= top}
@@ -262,10 +266,12 @@ def _lockstep(search: LimitSearchConfig, tableaux: list) -> list[LimitResult]:
 def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     """Sweep c and report, per criterion, the top of the contiguous pass run.
 
-    The reported limit is the largest c such that every candidate from
-    c_min up to c passed; that is the step-size region the scheme can
-    actually be trusted in.  Isolated passes beyond the first failure do
-    occur (degenerate data can hit exact-arithmetic resonances at special
+    The result is the row a table on the same search holds for the scheme;
+    a tableau that :func:`ssp_coefficient` rejects fails before any run.
+    The reported limit is the largest c such that every candidate from c_min
+    up to c passed; that is the step-size region the scheme can actually be
+    trusted in.  Isolated passes beyond the first failure do occur
+    (degenerate data can hit exact-arithmetic resonances at special
     multipliers) and remain visible in ``per_candidate``, which records the
     full scan.  With ``refine`` the coarse scan stops once both criteria
     have failed and each limit is bisected inside its coarse bracket, up to
@@ -275,21 +281,12 @@ def find_limits(cfg: LimitSearchConfig) -> LimitResult:
     bisection assumes that passes are monotone inside the coarse bracket,
     which they need not be (on ``upwind``, ssprk33 passes at 1.35 and
     1.3625 and fails at 1.36).  Each round then runs up to a chunk's worth
-    of coarse ticks or midpoints (and at least the next midpoint of each open
-    bracket), some of them speculatively (see :func:`_scan`); the result is
-    the serial search's.
+    of coarse ticks or midpoints (and at least the next midpoint of each
+    open bracket), some of them speculatively (see :func:`_scan`); the
+    result is the serial search's.
     """
     (result,) = _lockstep(cfg, [cfg.base.tableau])
     return result
-
-
-@dataclass(frozen=True)
-class TableRow:
-    scheme: str
-    c_ssp: float
-    c_s: float | None
-    c_p: float | None
-    per_candidate: tuple[CandidateOutcome, ...]
 
 
 @dataclass(frozen=True)
@@ -301,7 +298,7 @@ class ExperimentTable:
     c_min: float
     c_max: float
     granularity: float
-    rows: tuple[TableRow, ...]
+    rows: tuple[LimitResult, ...]
 
     def to_json_dict(self) -> dict:
         table = dataclasses.asdict(self)
@@ -348,13 +345,14 @@ def limits_table(
     workers: int = 1,
     **preset_overrides,
 ) -> ExperimentTable:
-    """Sweep every scheme on one experiment and join the formal SSP coefficients.
+    """Sweep every scheme on one experiment: one :class:`LimitResult` row each.
 
     ``schemes`` is a non-empty list of distinct built-in scheme ids (default:
     all five).  The table is one search: one preset config, from
     ``preset_overrides`` (n_cells, t_final, tolerance, tv_wrap, lf, ...), and
     one :class:`LimitSearchConfig`, whose scans, one per scheme, advance in
-    lockstep (see :func:`_lockstep`).
+    lockstep (see :func:`_lockstep`); each scan's result is its scheme's row,
+    in the order of ``schemes``.
     """
     from .presets import preset_config
 
@@ -375,21 +373,11 @@ def limits_table(
         refine=refine,
         workers=workers,
     )
-    rows = tuple(
-        TableRow(
-            scheme=t.name,
-            c_ssp=ssp_coefficient(t).ssp_coefficient,
-            c_s=result.c_s,
-            c_p=result.c_p,
-            per_candidate=result.per_candidate,
-        )
-        for t, result in zip(tableaux, _lockstep(search, tableaux))
-    )
     return ExperimentTable(
         experiment=experiment,
         monitor=search.base.monitor.kind,
         c_min=c_min,
         c_max=c_max,
         granularity=granularity,
-        rows=rows,
+        rows=tuple(_lockstep(search, tableaux)),
     )

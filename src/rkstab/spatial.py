@@ -105,8 +105,9 @@ class LaxFriedrichsEuler:
     gamma: float = 5.0 / 3.0
     local: bool = True
     is_euler = True
-    #: ``rhs_array(U, grid, with_dt_fe=True)`` returns ``(R, dt_fe_array(U,
-    #: grid))``, the bound taken from the wavespeeds of the same pass.
+    #: ``rhs_array(U, grid, with_dt_fe=True)`` returns ``(R, dt_fe)``, the
+    #: bound taken from the wavespeeds of the same pass; ``dt_fe_array`` is
+    #: that bound.
     rhs_gives_dt_fe = True
 
     def __post_init__(self):
@@ -118,7 +119,7 @@ class LaxFriedrichsEuler:
         return _llf_rhs(U, grid.dx, self.gamma, grid.boundary, self.local, with_dt_fe)
 
     def dt_fe_array(self, U: np.ndarray, grid: Grid1D):
-        return _bound_over(grid.dx, _max_wavespeed(U, self.gamma))
+        return self.rhs_array(U, grid, with_dt_fe=True)[1]
 
 
 def _require_periodic(grid: Grid1D, what: str) -> None:
@@ -228,10 +229,6 @@ def _primitive_parts(rho, m, E, gamma: float):
     speed = np.abs(u)
     speed += np.sqrt(sound, out=sound)
     return u, p, speed
-
-
-def _max_wavespeed(U: np.ndarray, gamma: float):
-    return per_row(np.maximum.reduce(_primitive_parts(U[..., 0, :], U[..., 1, :], U[..., 2, :], gamma)[2], axis=-1))
 
 
 def _extend_euler(V: np.ndarray, boundary) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "validate_consistency",
     "check_assumption1",
     "ssp_coefficient",
-    "tableau_to_text",
     "tableau_from_text",
 ]
 
@@ -262,17 +261,10 @@ def ssp_coefficient(t: ButcherTableau, tol: float = 1e-9) -> SspAnalysis:
     return SspAnalysis(lo, assumption1, tol)
 
 
-def tableau_to_text(t: ButcherTableau) -> str:
-    """Serialize to the plain-text form: name, s, the rows of A, then b."""
-    lines = [t.name, str(t.s)]
-    for i in range(t.s):
-        lines.append(" ".join(repr(float(v)) for v in t.A[i]))
-    lines.append(" ".join(repr(float(v)) for v in t.b))
-    return "\n".join(lines) + "\n"
-
-
 def tableau_from_text(text: str) -> ButcherTableau:
-    """Parse the plain-text tableau form produced by :func:`tableau_to_text`.
+    """Parse the plain-text tableau form: the name, the stage count s, the s
+    rows of A, then b, one line each, entries separated by whitespace; blank
+    lines are skipped.
 
     Raises :class:`TableauFormatError` with a 1-based line number on any
     malformed content.  The abscissae are recomputed as row sums.

@@ -9,6 +9,7 @@ search in ``limits`` must return the same :class:`LimitResult`, bit for bit.
 import itertools
 
 from rkstab.limits import REFINE_RESOLUTION, LimitResult, _candidate_values, _run_chunk
+from rkstab.tableau import ssp_coefficient
 
 
 def serial_scan(cfg):
@@ -37,9 +38,9 @@ def serial_scan(cfg):
         c_s = yield from serial_bisect(c_s, cfg, outcomes, "shifted_pass")
     return LimitResult(
         scheme=cfg.base.tableau.name,
-        monitor=cfg.base.monitor.kind,
-        c_p=c_p,
+        c_ssp=ssp_coefficient(cfg.base.tableau).ssp_coefficient,
         c_s=c_s,
+        c_p=c_p,
         per_candidate=tuple(outcomes[c] for c in sorted(outcomes)),
     )
 

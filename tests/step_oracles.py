@@ -34,9 +34,9 @@ from rkstab.fields import (
     tv_includes_wrap,
 )
 from rkstab.monitors import euler_state_floor
-from rkstab.spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers, _max_wavespeed
+from rkstab.spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers
 
-from kernel_oracles import euler_minima_per_cell
+from kernel_oracles import _primitive_parts, euler_minima_per_cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,4 +260,4 @@ def rhs_llf_euler(f: EulerField, local: bool = True):
     U = f.stack()
     require_admissible(U)
     R = LaxFriedrichsEuler(f.gamma, local).rhs_array(U, f.grid)
-    return EulerField.from_stack(f.grid, R, f.gamma), _max_wavespeed(U, f.gamma)
+    return EulerField.from_stack(f.grid, R, f.gamma), float(np.max(_primitive_parts(U, f.gamma)[2]))

@@ -219,7 +219,8 @@ def test_step_budget_ends_a_collapsing_run():
 @pytest.mark.parametrize("preset", PRESET_IDS)
 def test_table_sweep_equals_per_scheme_sweeps(preset, monkeypatch):
     """Every scheme's scan advances in the same batches as the others'; each
-    row must still be the sweep of that scheme alone."""
+    row must still be the sweep of that scheme alone: the LimitResult that
+    find_limits returns, SSP coefficient included."""
     t_final = SHORT_T_FINAL[preset]
     for refine in (False, True):
         alone = {
@@ -235,9 +236,7 @@ def test_table_sweep_equals_per_scheme_sweeps(preset, monkeypatch):
                 table = limits_table(preset, order, c_max=3.0, refine=refine, t_final=t_final)
                 assert [r.scheme for r in table.rows] == list(order)
                 for row in table.rows:
-                    result = alone[row.scheme]
-                    assert (row.c_p, row.c_s) == (result.c_p, result.c_s)
-                    assert row.per_candidate == result.per_candidate
+                    assert row == alone[row.scheme]
             monkeypatch.undo()
         pooled = limits_table(preset, c_max=3.0, refine=refine, workers=SWEEP_WORKERS, t_final=t_final)
         assert pooled == limits_table(preset, c_max=3.0, refine=refine, t_final=t_final)

@@ -8,10 +8,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rkstab"
 PERFBENCH = ROOT / "perfbench"
 
-#: Top-level definitions kept without a caller in the tool: the writer half
-#: of the ``coef`` tableau file format, whose reader the CLI uses.
-UNCALLED = {"tableau_to_text"}
-
 
 def names_in(node) -> set:
     """Every name ``node`` refers to: each ``Name`` and each attribute read."""
@@ -43,6 +39,5 @@ def test_src_holds_only_what_the_tool_runs():
             for top in tree.body:
                 if isinstance(top, ast.Assign) and {t.id for t in top.targets} & {"FUNCTIONS", "METHODS"}:
                     used |= {n.value for n in ast.walk(top.value) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
-    assert UNCALLED <= defined.keys()
-    unused = sorted(f"{defined[name]}:{name}" for name in defined.keys() - used - UNCALLED)
+    unused = sorted(f"{defined[name]}:{name}" for name in defined.keys() - used)
     assert unused == [], f"defined in src/rkstab but used by no code of the tool: {unused}"

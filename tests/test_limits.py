@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,13 +10,9 @@ from hypothesis import strategies as st
 
 import rkstab.limits as limits
 from rkstab.integrator import RunVerdict
-from rkstab.limits import (
-    CandidateOutcome,
-    LimitSearchConfig,
-    find_limits,
-    limits_table,
-)
+from rkstab.limits import LimitSearchConfig, find_limits, limits_table
 from rkstab.presets import preset_config
+from rkstab.tableau import ButcherTableau
 
 from conftest import SWEEP_WORKERS, record_chunks, record_offers
 from serial_search import drive, serial_limits, serial_scan
@@ -101,12 +98,26 @@ def test_a_scan_has_fewer_than_max_ticks():
     LimitSearchConfig(base=base, c_min=1.0, c_max=2.0, granularity=1.01 / limits.MAX_TICKS)
 
 
+def test_an_inconsistent_tableau_fails_before_any_candidate_runs(monkeypatch):
+    """The scheme's SSP coefficient is taken before the first offer, so a
+    tableau whose weights do not sum to 1 is not swept."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(limits, "run_batch", no_sweep)
+    short = ButcherTableau("short_weights", [[0.0]], [0.9])
+    base = dataclasses.replace(preset_config("upwind", "rk44", 1.0), tableau=short)
+    with pytest.raises(ValueError, match=re.escape("tableau 'short_weights' is inconsistent: weight_sum")):
+        find_limits(LimitSearchConfig(base=base))
+
+
 def test_upwind_forward_euler_limits():
     result = find_limits(upwind_search())
     assert result.c_p == pytest.approx(1.3)
     assert result.c_s == pytest.approx(1.3)
     assert result.scheme == "forward_euler"
-    assert result.monitor == "tv"
+    assert result.c_ssp == 1.0
 
 
 def test_forward_euler_step_and_shifted_flags_coincide():
@@ -120,8 +131,7 @@ def test_forward_euler_step_and_shifted_flags_coincide():
 def test_per_candidate_covers_the_scan():
     result = find_limits(upwind_search(c_min=0.5, c_max=1.0, granularity=0.1))
     assert [o.c for o in result.per_candidate] == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-    assert CandidateOutcome is RunVerdict  # a candidate's outcome is its run's verdict
-    assert all(isinstance(o, CandidateOutcome) for o in result.per_candidate)
+    assert all(isinstance(o, RunVerdict) for o in result.per_candidate)  # a candidate's outcome is its run's verdict
     assert all(o.step_pass and o.shifted_pass for o in result.per_candidate)
 
 
@@ -180,7 +190,7 @@ def synthetic_search(c_min=0.1, c_max=5.0, granularity=0.1, refine=True):
 
 def synthetic(verdict):
     """Outcomes of an offer from ``verdict(c) -> (step_pass, shifted_pass)``; no simulation."""
-    return lambda offer: [CandidateOutcome(c, *verdict(c), 1, None, None, None) for c in offer]
+    return lambda offer: [RunVerdict(c, *verdict(c), 1, None, None, None) for c in offer]
 
 
 def assert_speculative_equals_serial(cfg, band, verdict):
