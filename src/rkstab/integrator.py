@@ -425,13 +425,19 @@ def run_batch(
         return [None if a is None else a[keep] for a in extra]
 
     # A mask is tested with count_nonzero, which costs a fraction of .all().
+    # ``done`` marks, under early_stop, the rows that have failed both
+    # criteria, made only after a step with a new failure: any row it marks
+    # leaves at the top of the next step, so at other steps it marks none.
+    done = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
-            running = t_final - t > t_eps
-            if early_stop:  # both criteria have failed: the verdict is final
-                running &= ~(failed[:, 0] & failed[:, 1])
+            remaining = t_final - t
+            running = remaining > t_eps
+            if done is not None:  # both criteria have failed: the verdict is final
+                running &= ~done
+                done = None
             if np.count_nonzero(running) < live.size:
-                leave(running)
+                (remaining,) = leave(running, remaining)
                 if not live.size:
                     break
 
@@ -442,7 +448,7 @@ def run_batch(
                     raise StepFailedError(0, exc) from exc
             else:
                 dt = scheme.dt_fe_array(q, grid)
-            dt = np.minimum(c * dt, t_final - t)
+            dt = np.minimum(c * dt, remaining)
             stay = dt > 0.0  # NaN is not
             if step >= first_over:
                 stay &= step < budget
@@ -509,6 +515,8 @@ def run_batch(
             if np.count_nonzero(new):
                 first_at[new] = step
                 failed |= fail
+                if early_stop:
+                    done = failed[:, 0] & failed[:, 1]
             q[...] = q_rk  # q^{n+1} takes the place of q^n in the workspace
             step += 1
     return records

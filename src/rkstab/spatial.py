@@ -13,11 +13,15 @@ leading batch axes, ``(..., n)`` or ``(..., 3, n)``: every row is advanced
 independently, and ``dt_fe_array`` returns one step bound per row (a float
 for a single state), or one float when the bound does not depend on the
 state.  Kernels do not check admissibility; the stepping loop does, once
-per row and stage.
+per row and stage.  A kernel's result is always a fresh array.  The three
+Burgers kernels compute in views of one per-process scratch buffer, cut
+once per stack shape (see :class:`_Scratch`), so a kernel call is not
+re-entrant across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +65,7 @@ class DissipativeBurgers:
 
     def rhs_array(self, q: np.ndarray, grid: Grid1D) -> np.ndarray:
         _require_periodic(grid, "dissipative Burgers")
-        return _dissipative_rhs(q, grid.dx, self.mu)
+        return _SCRATCH.kernel(_dissipative, 2, 3, q.shape, grid.dx, self.mu)(q)
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
         return 0.006 * grid.dx
@@ -75,7 +79,7 @@ class UpwindBurgers:
 
     def rhs_array(self, q: np.ndarray, grid: Grid1D) -> np.ndarray:
         _require_periodic(grid, "upwind Burgers")
-        return _upwind_rhs(q, grid.dx)
+        return _SCRATCH.kernel(_upwind, 1, 2, q.shape, grid.dx)(q)
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
         return grid.dx
@@ -88,7 +92,7 @@ class MusclBurgers:
     is_euler = False
 
     def rhs_array(self, q: np.ndarray, grid: Grid1D) -> np.ndarray:
-        return _muscl_rhs(q, grid.dx, grid.boundary)
+        return _SCRATCH.kernel(_muscl, 4, 4, q.shape, grid.dx, grid.boundary)(q)
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
         return _bound_over(grid.dx, 2.0 * np.maximum.reduce(np.abs(q), axis=-1))
@@ -136,82 +140,176 @@ def _bound_over(dx: float, speed):
 # ---------------------------------------------------------------------------
 # Burgers kernels
 
-def _dissipative_rhs(q: np.ndarray, dx: float, mu: float) -> np.ndarray:
-    # One contiguous pass per operation over the flattened stack of extended
-    # rows, as the LLF interfaces do: lane k pairs entries k and k+1, q_i and
-    # q_{i+1} of cell i = k - 1 of its row.  The lanes that pair a row's last
-    # cells with the next row's first ones are scratch, computed and dropped.
-    qe = np.concatenate((q[..., -1:], q, q[..., :1]), axis=-1)
+class _Scratch:
+    """The working memory of the scalar kernels: one float buffer per process.
+
+    A kernel's form is bound once per stack shape, grid spacing and
+    parameters.  It gets the ghost-extended stack and a few flat blocks as
+    long as that stack, all cut from the head of the buffer, and returns a
+    function of the state that fills the extended stack and runs the
+    kernel's ufuncs on those views, cut once, leaving the flux difference
+    ``F_{i+1/2} - F_{i-1/2}`` in the first n lanes of each extended row.
+    The bound kernel divides those out by ``-dx`` into a fresh array, so a
+    result never views the buffer.  The bindings of every kernel and shape
+    share the buffer, which grows to the widest stack served and then drops
+    the bindings cut from the old one.  A kernel call is therefore not
+    re-entrant across threads; the sweep's pool runs processes, each with
+    its own buffer.
+    """
+
+    LIMIT = 64  # bindings kept; one more starts the table again
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+        self.bound = {}
+
+    def kernel(self, form, ghosts: int, blocks: int, shape: tuple, dx: float, *params):
+        """``form(qe, *flat_blocks, *params)`` bound for stacks of ``shape``:
+        ``qe`` has ``ghosts`` more cells per row, and ``blocks`` counts it
+        with the flat blocks."""
+        key = (form, shape, dx, params)
+        kernel = self.bound.get(key)
+        if kernel is None:
+            extended = shape[:-1] + (shape[-1] + ghosts,)
+            lanes = math.prod(extended)
+            if blocks * lanes > self.buffer.size:
+                self.buffer = np.empty(blocks * lanes)
+                self.bound.clear()
+            elif len(self.bound) >= self.LIMIT:
+                self.bound.clear()
+            cut = self.buffer[: blocks * lanes].reshape(blocks, lanes)
+            qe = cut[0].reshape(extended)
+            fill = form(qe, *cut[1:], *params)
+            kernel = self.bound[key] = _divided(fill, qe[..., : shape[-1]], -dx)
+        return kernel
+
+
+def _divided(fill, cells, by):
+    """``fill(q)``, then ``cells / by`` as a fresh C-ordered array."""
+    divide = np.divide
+    if cells.flags.c_contiguous:  # a single state, or a stack of one row
+
+        def kernel(q):
+            fill(q)
+            return divide(cells, by)
+
+    else:
+
+        def kernel(q):
+            fill(q)
+            # A divide of strided rows into a new array costs more than a
+            # copy divided in place.
+            r = cells.copy()
+            divide(r, by, r)
+            return r
+
+    return kernel
+
+
+_SCRATCH = _Scratch()
+
+
+# Each form runs on the flattened stack of extended rows, one contiguous
+# pass per operation, as the LLF interfaces do: lane k pairs entries k and
+# k+1.  The lanes that pair a row's last cells with the next row's first
+# ones are scratch, computed and dropped.  The ghost cells are filled after
+# the cells, from the cells they copy (periodic) or from the boundary
+# values (Dirichlet), and the flux difference is written over the head of
+# the extended stack, which nothing reads any more.
+
+def _dissipative(qe, sq, flux, mu):
+    n = qe.shape[-1] - 2
+    cells, left, right = qe[..., 1:-1], qe[..., :1], qe[..., -1:]
+    last, first = qe[..., n : n + 1], qe[..., 1:2]
     e = qe.reshape(-1)
-    sq = e * e
-    ql, qr = e[:-1], e[1:]
-    # F = (q^2 + q q_r + q_r^2) / 6 - mu (q_r - q), the flux through i+1/2
-    F = ql * qr
-    np.add(sq[:-1], F, F)
-    F += sq[1:]
-    F /= 6.0
-    jump = np.subtract(qr, ql, sq[:-1])
-    np.multiply(mu, jump, jump)
-    F -= jump
-    np.subtract(F[1:], F[:-1], e[:-2])  # into qe, whose first n lanes a row reads out
-    # The rows are copied out, then divided in place: a divide of the strided
-    # rows into a new array makes a temporary as large inside the call.
-    r = qe[..., : q.shape[-1]].copy()
-    r /= -dx
-    return r
+    ql, qr, sq_l, sq_r = e[:-1], e[1:], sq[:-1], sq[1:]
+    F = flux[:-1]
+    F_r, F_l, head = F[1:], F[:-1], e[:-2]
+    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+
+    def kernel(q):
+        cells[...] = q  # one ghost cell per side, periodic
+        left[...] = last
+        right[...] = first
+        multiply(e, e, sq)
+        # F = (q^2 + q q_r + q_r^2) / 6 - mu (q_r - q), the flux through i+1/2
+        multiply(ql, qr, F)
+        add(sq_l, F, F)
+        add(F, sq_r, F)
+        divide(F, 6.0, F)
+        subtract(qr, ql, sq_l)  # the jump
+        multiply(mu, sq_l, sq_l)
+        subtract(F, sq_l, F)
+        subtract(F_r, F_l, head)
+
+    return kernel
 
 
-def _upwind_rhs(q: np.ndarray, dx: float) -> np.ndarray:
-    f = 0.5 * q * q  # the upwind flux f(q_i) through i+1/2
-    return np.divide(f - np.concatenate((f[..., -1:], f[..., :-1]), axis=-1), -dx)
+def _upwind(qe, f):
+    n = qe.shape[-1] - 1
+    cells, left, last = qe[..., 1:], qe[..., :1], qe[..., n:]
+    e = qe.reshape(-1)
+    f_r, f_l, head = f[1:], f[:-1], e[:-1]
+    multiply, subtract = np.multiply, np.subtract
+
+    def kernel(q):
+        cells[...] = q  # one periodic ghost cell on the left
+        left[...] = last
+        multiply(0.5, e, f)  # the upwind flux f(q_i) through i+1/2
+        multiply(f, e, f)
+        subtract(f_r, f_l, head)
+
+    return kernel
 
 
-def _extend_scalar(q: np.ndarray, boundary, width: int) -> np.ndarray:
+def _muscl(qe, a, b, c, boundary):
+    n = qe.shape[-1] - 4
+    cells, left, right = qe[..., 2:-2], qe[..., :2], qe[..., -2:]
     if isinstance(boundary, Periodic):
-        return np.concatenate((q[..., -width:], q, q[..., :width]), axis=-1)
-    if isinstance(boundary, Dirichlet):
-        qe = np.empty(q.shape[:-1] + (q.shape[-1] + 2 * width,))
-        qe[..., :width] = float(boundary.left)
-        qe[..., width:-width] = q
-        qe[..., -width:] = float(boundary.right)
-        return qe
-    raise UnsupportedBoundaryError(
-        "MUSCL Burgers supports periodic or dirichlet boundaries only"
-    )
-
-
-def _muscl_rhs(q: np.ndarray, dx: float, boundary) -> np.ndarray:
-    qe = _extend_scalar(q, boundary, 2)  # two ghost cells per side
-    # The stencil runs on the flattened (..., n+4) extended stack as the
-    # dissipative kernel's does; in row terms every index below is the one
-    # of the row kernel.
+        ghost_l, ghost_r = qe[..., n : n + 2], qe[..., 2:4]
+    elif isinstance(boundary, Dirichlet):
+        ghost_l, ghost_r = float(boundary.left), float(boundary.right)
+    else:  # so no binding exists for another boundary
+        raise UnsupportedBoundaryError("MUSCL Burgers supports periodic or dirichlet boundaries only")
     e = qe.reshape(-1)
-    dq = e[1:] - e[:-1]
-    # half the minmod slope of extended cell k+1, k = 0 .. n+1:
-    # 0.5 * (0.5 * (sign(a) + sign(b)) * min(|a|, |b|)), a = dq[k+1], b = dq[k]
-    sign = np.sign(dq)
-    np.abs(dq, out=dq)
-    half = np.minimum(dq[1:], dq[:-1])
-    sign = sign[1:] + sign[:-1]
-    sign *= 0.5
-    half *= sign
-    half *= 0.5
-    qm = e[1:-2] + half[:-1]  # q^- at interfaces -1/2 .. n-1/2
-    qp = e[2:-1] - half[1:]  # q^+ at the same interfaces
-    # Godunov flux of q^2/2: max(f(max(q^-, 0)), f(min(q^+, 0))), f(x) = (0.5 x) x,
-    # which is 0 when q^- <= 0 <= q^+, else min or max of the endpoint fluxes.
-    np.maximum(qm, 0.0, out=qm)
-    np.minimum(qp, 0.0, out=qp)
-    f = 0.5 * qm
-    f *= qm
-    fp = 0.5 * qp
-    fp *= qp
-    np.maximum(f, fp, out=f)
-    # f[k + 1] - f[k] into qe, whose first n lanes of each row are read out
-    np.subtract(f[1:], f[:-1], e[:-4])
-    r = qe[..., : q.shape[-1]].copy()
-    r /= -dx
-    return r
+    # Each block holds one quantity at a time; a quantity's block is free
+    # once every quantity it makes is made.
+    dq, sign, half = a[:-1], b[:-1], c[:-2]
+    signs, qm, qp, f, fp = a[:-2], b[:-3], a[:-3], c[:-3], b[:-3]
+    e_r, e_l, dq_r, dq_l, sign_r, sign_l = e[1:], e[:-1], dq[1:], dq[:-1], sign[1:], sign[:-1]
+    qe_m, qe_p, half_l, half_r = e[1:-2], e[2:-1], half[:-1], half[1:]
+    f_r, f_l, head = f[1:], f[:-1], e[:-4]
+    add, subtract, multiply, maximum, minimum = np.add, np.subtract, np.multiply, np.maximum, np.minimum
+    sign_of, absolute = np.sign, np.abs
+
+    def kernel(q):
+        cells[...] = q  # two ghost cells per side
+        left[...] = ghost_l
+        right[...] = ghost_r
+        subtract(e_r, e_l, dq)
+        # half the minmod slope of extended cell k+1, k = 0 .. n+1:
+        # 0.5 * (0.5 * (sign(a) + sign(b)) * min(|a|, |b|)), a = dq[k+1], b = dq[k]
+        sign_of(dq, sign)
+        absolute(dq, dq)
+        minimum(dq_r, dq_l, out=half)
+        add(sign_r, sign_l, signs)
+        multiply(signs, 0.5, signs)
+        multiply(half, signs, half)
+        multiply(half, 0.5, half)
+        add(qe_m, half_l, qm)  # q^- at interfaces -1/2 .. n-1/2
+        subtract(qe_p, half_r, qp)  # q^+ at the same interfaces
+        # Godunov flux of q^2/2: max(f(max(q^-, 0)), f(min(q^+, 0))), f(x) = (0.5 x) x,
+        # which is 0 when q^- <= 0 <= q^+, else min or max of the endpoint fluxes.
+        maximum(qm, 0.0, out=qm)
+        minimum(qp, 0.0, out=qp)
+        multiply(0.5, qm, f)
+        multiply(f, qm, f)
+        multiply(0.5, qp, fp)
+        multiply(fp, qp, fp)
+        maximum(f, fp, out=f)
+        subtract(f_r, f_l, head)
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------

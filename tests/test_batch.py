@@ -433,6 +433,55 @@ def test_mixed_step_runs_each_stage_on_the_rows_that_have_it(monkeypatch):
     assert states == [None, 2 * stages]  # G(q^0), then the step's states
 
 
+class CountingScheme:
+    """Stands in for a scheme and counts its ``rhs_array`` calls and the rows
+    they evaluate, as ``perfbench/tracing.py``'s ``SchemeProxy`` wraps it: a
+    kernel the stepping loop reaches some other way goes uncounted."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = self.rows = 0
+
+    def rhs_array(self, q, grid, **kwargs):
+        self.calls += 1
+        self.rows += math.prod(q.shape[:-1])
+        return self._inner.rhs_array(q, grid, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_a_scheme_double_sees_every_rhs_evaluation_of_a_run():
+    base = preset_config("dissipative", "rk44", 1.0, t_final=SHORT_T_FINAL["dissipative"])
+    counting = CountingScheme(base.scheme)
+    record = simulate(replace(base, scheme=counting))
+    assert record.n_steps > 0
+    assert counting.calls == counting.rows == 4 * record.n_steps
+    assert record.verdict == simulate(base).verdict
+
+
+def test_a_scheme_double_sees_every_rhs_evaluation_of_a_table(monkeypatch):
+    """Every taken step of a row evaluates each of its stages once, so the
+    rows the double counts are the sum of s * n_steps over the candidates of
+    the unwrapped table, and the wrapped table equals it."""
+    t_final = SHORT_T_FINAL["dissipative"]
+    reference = limits_table("dissipative", t_final=t_final)
+    stages = {name: builtin_scheme(name).s for name in BUILTIN_SCHEME_IDS}
+    want = sum(stages[row.scheme] * v.n_steps for row in reference.rows for v in row.per_candidate)
+    doubles = []
+
+    def counting_config(*args, **kwargs):
+        config = preset_config(*args, **kwargs)
+        doubles.append(CountingScheme(config.scheme))
+        return replace(config, scheme=doubles[-1])
+
+    monkeypatch.setattr("rkstab.presets.preset_config", counting_config)
+    assert limits_table("dissipative", t_final=t_final) == reference
+    (double,) = doubles
+    assert double.rows == want
+    assert 0 < double.calls < want
+
+
 def test_mixed_rows_in_any_order_equal_one_row_runs():
     """The batch stacks its rows by stage count; the rows must come back in
     the order given, each equal to its own run, whatever that order."""

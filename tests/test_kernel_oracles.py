@@ -5,7 +5,10 @@ that -0.0 and +0.0 differ) and NaN must sit in the same cells, for single
 states and stacks, on every boundary each kernel supports, with NaN,
 infinities, signed zeros and 1e-300 in the data.  The kernels work on
 flattened rows, whose lanes at the first and the last cells pair a row with
-the next: special values sit there too.  ``euler_minima`` is checked against a
+the next: special values sit there too.  The scalar kernels compute in
+views of one per-process scratch, bound per stack shape: each meets a run
+of shapes that grows, shrinks and comes back, and no result may change
+after later calls.  ``euler_minima`` is checked against a
 per-cell oracle, and the one admissibility rule (the state floor judges,
 ``admissibility_error`` locates) against another.
 """
@@ -26,6 +29,7 @@ from kernel_oracles import (
     upwind_rhs,
 )
 from rkstab.fields import Dirichlet, Grid1D, Outflow, Periodic, admissibility_error, euler_minima
+from rkstab import spatial
 from rkstab.monitors import euler_state_floor
 from rkstab.spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers
 
@@ -64,15 +68,37 @@ def stacks(rng, cell_shape):
             yield sprinkle(rng, rng.uniform(-1.5, 1.5, size=lead + cell_shape), share)
 
 
+#: Leading axes of the stacks, in call order, on which the scalar kernels
+#: meet a scratch that grows, shrinks and comes back.
+SHAPE_RUN = ((), (1,), (5,), (81,), (2, 3), (5,))
+
+
+def assert_over_shape_run(monkeypatch, rng, scheme, grid, oracle):
+    """From a new scratch, the kernel on stacks shaped by ``SHAPE_RUN`` equals
+    the oracle bit for bit, and each result keeps its bits through the later
+    calls: a result that viewed the scratch would not."""
+    monkeypatch.setattr(spatial, "_SCRATCH", spatial._Scratch())
+    results = []
+    for lead in SHAPE_RUN:
+        q = sprinkle(rng, rng.uniform(-1.5, 1.5, size=lead + (grid.n_cells,)), 0.1)
+        r = scheme.rhs_array(q, grid)
+        assert r.flags.c_contiguous
+        assert_bitwise(r, oracle(q, grid.dx))
+        results.append((r, r.copy()))
+    for r, kept in results:
+        assert_bitwise(r, kept)
+
+
 @pytest.mark.parametrize(
     "boundary",
     [Periodic(), Dirichlet(1.0, -0.5), Dirichlet(-0.0, 1e-300), Dirichlet(np.inf, np.nan)],
     ids=["periodic", "dirichlet", "dirichlet-zeros", "dirichlet-special"],
 )
-def test_muscl_kernel_equals_oracle_bitwise(boundary):
+def test_muscl_kernel_equals_oracle_bitwise(monkeypatch, boundary):
     rng = np.random.default_rng(41)
     grid = Grid1D(13, 0.0, 6.5, boundary)
     scheme = MusclBurgers()
+    assert_over_shape_run(monkeypatch, rng, scheme, grid, lambda q, dx: muscl_rhs(q, dx, boundary))
     for q in stacks(rng, (13,)):
         assert_bitwise(scheme.rhs_array(q, grid), muscl_rhs(q, grid.dx, boundary))
         assert_bitwise(np.asarray(scheme.dt_fe_array(q, grid)), muscl_dt_fe(q, grid.dx))
@@ -121,7 +147,7 @@ BURGERS_EDGE = np.concatenate([EDGE, [1e308, -1e308]])
 
 
 @pytest.mark.parametrize("kernel", sorted(BURGERS_FLUX))
-def test_burgers_flux_kernel_equals_oracle_bitwise(kernel):
+def test_burgers_flux_kernel_equals_oracle_bitwise(monkeypatch, kernel):
     """The dissipative and upwind kernels work on flattened, periodically
     extended rows, whose last lanes pair a row's last cell with the next
     row's first: special values anywhere, then in cells 0 and n-1 of every
@@ -129,6 +155,7 @@ def test_burgers_flux_kernel_equals_oracle_bitwise(kernel):
     rng = np.random.default_rng(61)
     scheme, oracle = BURGERS_FLUX[kernel]
     grid = Grid1D(9, 0.0, 4.5, Periodic())
+    assert_over_shape_run(monkeypatch, rng, scheme, grid, oracle)
     for q in stacks(rng, (9,)):
         assert_bitwise(scheme.rhs_array(q, grid), oracle(q, grid.dx))
     for rows in (2, 3, 4, 5):
