@@ -102,6 +102,14 @@ def rk_step_instrumented(plan, rhs, dt, *, r0=None) -> None:
         del r_i, views  # not alive during the next stage's rhs call
 
 
+def _dt_factor(c) -> float:
+    """``c`` as a float, once it keeps the multiplier's rule: a real number, not a bool, with 0 < c < inf."""
+    require_number("dt_factor", c)
+    if not 0 < c < math.inf:
+        raise ValueError(f"dt_factor must be positive and finite, got {c!r}")
+    return float(c)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to run one experiment at one step-size multiplier.
@@ -121,13 +129,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         require_number("t_final", self.t_final)
-        require_number("dt_factor", self.dt_factor)
+        _dt_factor(self.dt_factor)
         # An infinite t_final, or one at or below the end-time tolerance,
         # would end every run before its first step.
         if not END_TIME_TOLERANCE < self.t_final < math.inf:
             raise ValueError(f"t_final must be positive and finite, above {END_TIME_TOLERANCE}, got {self.t_final!r}")
-        if not 0 < self.dt_factor < math.inf:
-            raise ValueError(f"dt_factor must be positive and finite, got {self.dt_factor!r}")
         # So is_euler also means a monitor of Euler states.
         is_euler = bool(getattr(self.scheme, "is_euler", False))
         if RULES[self.monitor.kind].euler != is_euler:
@@ -354,7 +360,7 @@ def run_batch(
     grid = config.grid
     is_euler = bool(getattr(scheme, "is_euler", False))
     monitor = config.monitor
-    cs = [float(c) for c in dt_factors]
+    cs = [_dt_factor(c) for c in dt_factors]
     tableaux = [config.tableau] * len(cs) if tableaux is None else list(tableaux)
     if len(tableaux) != len(cs):
         raise ValueError("run_batch needs one tableau per row")

@@ -364,6 +364,9 @@ def limits_table(
     repeated = sorted({name for name in schemes if schemes.count(name) > 1})
     if repeated:
         raise ValueError(f"schemes listed more than once: {', '.join(repeated)}")
+    for name in ("scheme_id", "dt_factor"):
+        if name in preset_overrides:
+            raise ValueError(f"limits_table sets {name} per candidate; it cannot be overridden")
     tableaux = [builtin_scheme(name) for name in schemes]
     search = LimitSearchConfig(
         base=preset_config(experiment, dt_factor=1.0, **preset_overrides),

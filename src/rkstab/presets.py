@@ -100,22 +100,6 @@ def _default_run(scheme, grid: Grid1D, ic, monitor_kind: str, t_final: float) ->
     return SimulationConfig(scheme, builtin_scheme("rk44"), grid, ic, t_final, 1.0, Monitor(monitor_kind))
 
 
-# Two conventional element/node layouts (200x3 and 100x6 Gauss-Lobatto
-# points) both carry 600 degrees of freedom; here both map to the same
-# uniform 600-cell grid, so leblanc_n2 and leblanc_n5 are one run.
-_LEBLANC = _default_run(
-    LaxFriedrichsEuler(gamma=_LEBLANC_GAMMA),  # local; lf="global" replaces it
-    Grid1D(n_cells=600, x_min=0.0, x_max=1.0, boundary=Outflow(), sampling="center"),
-    RiemannInitialCondition(
-        left=(1.0, 0.0, (_LEBLANC_GAMMA - 1.0) * 0.1),
-        right=(1e-3, 0.0, (_LEBLANC_GAMMA - 1.0) * 1e-10),
-        x0=0.33,
-        gamma=_LEBLANC_GAMMA,
-    ),
-    "positivity",
-    2.0 / 3.0,
-)
-
 _PRESETS = {
     # Grid resolution and final time are not pinned by the experiment's
     # definition.  The energy-decay margin of a forward Euler step at dt_FE
@@ -143,8 +127,18 @@ _PRESETS = {
         "tv",
         200.0,
     ),
-    "leblanc_n2": _LEBLANC,
-    "leblanc_n5": _LEBLANC,
+    "leblanc_n2": _default_run(
+        LaxFriedrichsEuler(gamma=_LEBLANC_GAMMA),  # local; lf="global" replaces it
+        Grid1D(n_cells=600, x_min=0.0, x_max=1.0, boundary=Outflow(), sampling="center"),
+        RiemannInitialCondition(
+            left=(1.0, 0.0, (_LEBLANC_GAMMA - 1.0) * 0.1),
+            right=(1e-3, 0.0, (_LEBLANC_GAMMA - 1.0) * 1e-10),
+            x0=0.33,
+            gamma=_LEBLANC_GAMMA,
+        ),
+        "positivity",
+        2.0 / 3.0,
+    ),
 }
 
 PRESET_IDS = tuple(_PRESETS)

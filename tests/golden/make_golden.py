@@ -26,7 +26,6 @@ TABLE_T_FINAL = {
     "upwind": 0.1,
     "muscl2": 5.0,
     "leblanc_n2": 0.02,
-    "leblanc_n5": 0.02,
 }
 
 #: ``rkstab run`` arguments per verdict file.

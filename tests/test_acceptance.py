@@ -82,11 +82,8 @@ def muscl_table():
 
 
 @pytest.fixture(scope="module")
-def leblanc_tables():
-    return {
-        preset: limits_table(preset, SCHEMES, workers=SWEEP_WORKERS)
-        for preset in ("leblanc_n2", "leblanc_n5")
-    }
+def leblanc_table():
+    return limits_table("leblanc_n2", SCHEMES, workers=SWEEP_WORKERS)
 
 
 def test_criterion_1_dissipative_table(dissipative_table):
@@ -164,32 +161,26 @@ def test_criterion_3_muscl_table(muscl_table):
     crit.finish(f"measured ssprk33 c_s = {outlier} | " + fmt_rows(muscl_table))
 
 
-def test_criterion_4_leblanc_positivity(leblanc_tables):
-    # Both presets are local LF on the uniform 600-cell grid with
-    # dt_FE = dx / a(q^n); the expected limits and the evidence for each
-    # live in test_leblanc_evidence.py.
+def test_criterion_4_leblanc_positivity(leblanc_table):
+    # Local LF on the uniform 600-cell grid with dt_FE = dx / a(q^n); the
+    # expected limits and the evidence for them live in
+    # test_leblanc_evidence.py.
     crit = Criterion(4, "Leblanc positivity limits")
+    rows = rows_by_scheme(leblanc_table)
+    for scheme in SCHEMES:
+        row = rows[scheme]
+        c_s = row.c_s if row.c_s is not None else 0.0
+        c_p = row.c_p if row.c_p is not None else 0.0
+        exp_s, exp_p = LEBLANC_LIMITS[scheme]
+        crit.check(abs(c_s - exp_s) <= 1e-12, f"{scheme}: c_s={row.c_s}, expected {exp_s}")
+        crit.check(abs(c_p - exp_p) <= 1e-12, f"{scheme}: c_p={row.c_p}, expected {exp_p}")
+        crit.check(c_p >= c_s - 1e-12, f"{scheme}: c_p={row.c_p} < c_s={row.c_s}")
+    fe_cp = rows["forward_euler"].c_p or 0.0
     crit.check(
-        leblanc_tables["leblanc_n2"].rows == leblanc_tables["leblanc_n5"].rows,
-        "leblanc_n2 and leblanc_n5 tables differ: derive leblanc_n5's expected limits anew",
+        any(r.c_ssp <= 1e-6 and (r.c_p or 0.0) >= fe_cp - 1e-12 for r in leblanc_table.rows),
+        f"no scheme with c_ssp = 0 reaches forward Euler's c_p={fe_cp}",
     )
-    for preset, table in leblanc_tables.items():
-        rows = rows_by_scheme(table)
-        for scheme in SCHEMES:
-            row = rows[scheme]
-            c_s = row.c_s if row.c_s is not None else 0.0
-            c_p = row.c_p if row.c_p is not None else 0.0
-            exp_s, exp_p = LEBLANC_LIMITS[scheme]
-            crit.check(abs(c_s - exp_s) <= 1e-12, f"{preset}/{scheme}: c_s={row.c_s}, expected {exp_s}")
-            crit.check(abs(c_p - exp_p) <= 1e-12, f"{preset}/{scheme}: c_p={row.c_p}, expected {exp_p}")
-            crit.check(c_p >= c_s - 1e-12, f"{preset}/{scheme}: c_p={row.c_p} < c_s={row.c_s}")
-        fe_cp = rows["forward_euler"].c_p or 0.0
-        crit.check(
-            any(r.c_ssp <= 1e-6 and (r.c_p or 0.0) >= fe_cp - 1e-12 for r in table.rows),
-            f"{preset}: no scheme with c_ssp = 0 reaches forward Euler's c_p={fe_cp}",
-        )
-    extra = " || ".join(f"{p}: {fmt_rows(t)}" for p, t in leblanc_tables.items())
-    crit.finish(extra)
+    crit.finish(fmt_rows(leblanc_table))
 
 
 def test_criterion_5_ssp_coefficients():
@@ -284,7 +275,7 @@ def _short_run_traces():
         ("muscl2", "ssprk33", 1.0, {"t_final": 50.0}),
         ("muscl2", "rk44", 1.6, {"t_final": 50.0}),
         ("leblanc_n2", "rk44", 0.5, {"n_cells": 150}),
-        ("leblanc_n5", "ssprk33", 0.7, {"n_cells": 150}),
+        ("leblanc_n2", "ssprk33", 0.7, {"n_cells": 150}),
     ]
     for preset, scheme, c, kw in cases:
         cfg = preset_config(preset, scheme, c, **kw)

@@ -38,7 +38,6 @@ SHORT_T_FINAL = {
     "upwind": 0.3,
     "muscl2": 10.0,
     "leblanc_n2": 0.01,
-    "leblanc_n5": 0.01,
 }
 SCHEMES = ("forward_euler", "ssprk33", "rk44")
 

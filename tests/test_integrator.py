@@ -521,3 +521,33 @@ def test_run_batch_rejects_a_tableau_count_off_the_rows():
     with pytest.raises(ValueError, match="run_batch needs one tableau per row"):
         run_batch(cfg, [0.5], tableaux=[cfg.tableau] * 2)
     assert run_batch(cfg, []) == [] and run_batch(cfg, [], tableaux=[]) == []
+
+
+class _Unbuilt:
+    """An initial condition that fails if built: a run that reaches it has begun."""
+
+    def build(self, grid):
+        raise AssertionError("run_batch built the initial field")
+
+
+@pytest.mark.parametrize(
+    "cs, bad",
+    [([math.inf], math.inf), ([True], True), (["0.5"], "0.5"), ([0], 0), ([-1], -1), ([math.nan], math.nan),
+     ([0.5, math.inf], math.inf)],
+)
+def test_run_batch_rejects_a_multiplier_the_config_rejects(cs, bad):
+    """Each multiplier keeps the rule of ``SimulationConfig.dt_factor``: c = inf
+    used to run one step of length t_final, True and "0.5" ran as 1.0 and
+    0.5, and 0, -1 and NaN came back as degenerate_dt aborts."""
+    cfg = preset_config("upwind", "rk44", t_final=0.1)
+    with pytest.raises(ValueError) as rejected:
+        dataclasses.replace(cfg, dt_factor=bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(rejected.value))}$"):
+        run_batch(dataclasses.replace(cfg, ic=_Unbuilt()), cs)
+
+
+def test_run_batch_accepts_numpy_multipliers():
+    cfg = preset_config("upwind", "rk44", t_final=0.1)
+    assert [r.verdict for r in run_batch(cfg, [np.float64(0.5), np.float32(1.5)])] == [
+        r.verdict for r in run_batch(cfg, [0.5, 1.5])
+    ]

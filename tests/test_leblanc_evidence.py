@@ -1,9 +1,9 @@
 """Evidence behind the Leblanc positivity limits pinned by acceptance criterion 4.
 
 ``LEBLANC_LIMITS`` is the measured (c_s, c_p) table of the discretization
-the ``leblanc_n2``/``leblanc_n5`` presets define: local Lax-Friedrichs on a
-uniform 600-cell grid with dt_FE = dx / a(q^n), the classical first-order
-LF positivity bound.  The tests here show where and why the candidate one
+the ``leblanc_n2`` preset defines: local Lax-Friedrichs on a uniform
+600-cell grid with dt_FE = dx / a(q^n), the classical first-order LF
+positivity bound.  The tests here show where and why the candidate one
 sweep tick above each limit fails, that the failing states come from the
 discretization itself (a per-interface rebuild from
 ``lax_friedrichs_flux_euler`` gives the same step), and why SSPRK33 falls

@@ -373,3 +373,24 @@ def test_a_table_rejects_record_every():
     It is the history writer's setting, so no preset override takes it."""
     with pytest.raises(TypeError, match="unexpected keyword argument 'record_every'"):
         limits_table("upwind", ["rk44"], c_max=0.3, t_final=0.1, record_every=3)
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"scheme_id": "forward_euler"}, "scheme_id"),
+        ({"dt_factor": 2.0}, "dt_factor"),
+        ({"scheme_id": "rk44", "dt_factor": 1.0}, "scheme_id"),
+    ],
+)
+def test_a_table_rejects_the_settings_its_sweep_sets(monkeypatch, overrides, named):
+    """The sweep sets the tableau and the multiplier per candidate: scheme_id
+    used to be ignored, and dt_factor raised a TypeError (dt_factor given
+    twice to preset_config)."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(limits, "run_batch", no_sweep)
+    with pytest.raises(ValueError, match=f"^limits_table sets {named} per candidate; it cannot be overridden$"):
+        limits_table("upwind", ["rk44"], c_max=0.3, t_final=0.1, **overrides)

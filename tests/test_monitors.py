@@ -273,7 +273,6 @@ def test_convexity_implication_on_recorded_traces():
         ("upwind", 1.5, {"t_final": 0.5}),
         ("muscl2", 1.5, {"t_final": 10.0}),
         ("leblanc_n2", 0.6, {"n_cells": 120, "t_final": 0.05}),
-        ("leblanc_n5", 0.6, {"n_cells": 120, "t_final": 0.05}),
     ],
 )
 def test_history_worst_deltas_come_from_the_verdicts(preset, c, kw):
