@@ -30,7 +30,6 @@ from .spatial import (
 from .tableau import (
     BUILTIN_SCHEME_IDS,
     ButcherTableau,
-    SspAnalysis,
     builtin_scheme,
     check_assumption1,
     ssp_coefficient,

@@ -50,8 +50,12 @@ class Outflow:
 class Dirichlet:
     """Frozen scalar boundary states, for MUSCL Burgers; Euler takes outflow or periodic."""
 
-    left: object
-    right: object
+    left: float
+    right: float
+
+    def __post_init__(self):
+        require_number("left", self.left, finite=True)
+        require_number("right", self.right, finite=True)
 
 
 class NonPhysicalStateError(ValueError):

@@ -142,7 +142,7 @@ def _scan(cfg: LimitSearchConfig, band: int):
     ``max(band, open brackets)`` midpoints, and the result is the one of the
     serial search (a tick, then a midpoint, at a time) for any band.
     """
-    c_ssp = ssp_coefficient(cfg.base.tableau).ssp_coefficient
+    c_ssp = ssp_coefficient(cfg.base.tableau)
     candidates = _candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)
     outcomes: dict[float, RunVerdict] = {}
     ticks = band if cfg.refine else len(candidates)
@@ -361,13 +361,13 @@ def limits_table(
     schemes = list(BUILTIN_SCHEME_IDS if schemes is None else schemes)
     if not schemes:
         raise ValueError("limits_table needs at least one scheme")
+    tableaux = [builtin_scheme(name) for name in schemes]  # first: a list id is unknown, not unhashable below
     repeated = sorted({name for name in schemes if schemes.count(name) > 1})
     if repeated:
         raise ValueError(f"schemes listed more than once: {', '.join(repeated)}")
     for name in ("scheme_id", "dt_factor"):
         if name in preset_overrides:
             raise ValueError(f"limits_table sets {name} per candidate; it cannot be overridden")
-    tableaux = [builtin_scheme(name) for name in schemes]
     search = LimitSearchConfig(
         base=preset_config(experiment, dt_factor=1.0, **preset_overrides),
         c_min=c_min,

@@ -73,7 +73,7 @@ class Monitor:
     tv_wrap: bool | None = None  # None: follow the grid's boundary type
 
     def __post_init__(self):
-        if self.kind not in RULES:
+        if not isinstance(self.kind, str) or self.kind not in RULES:
             raise ValueError(f"unknown monitor kind {self.kind!r}")
         if self.tolerance is not None:
             require_number("tolerance", self.tolerance)

@@ -151,7 +151,7 @@ def preset_config(preset_id: str, scheme_id: str = "rk44", dt_factor: float = 1.
     ``lf="global"`` the Lax-Friedrichs scheme's ``local``, and ``monitor_kind``, ``tolerance`` (energy and tv
     monitors only) and ``tv_wrap`` (tv monitor only) the monitor's fields.
     """
-    if preset_id not in _PRESETS:
+    if not isinstance(preset_id, str) or preset_id not in _PRESETS:
         raise ValueError(f"unknown experiment {preset_id!r}; valid ids: {', '.join(PRESET_IDS)}")
     return _override(preset_id, scheme_id, dt_factor, **overrides)
 

@@ -1,25 +1,22 @@
 """Butcher tableaux of explicit Runge-Kutta methods and their SSP coefficients.
 
-A method is stored as the raw coefficients (A, b, c).  Classification helpers
-check basic consistency, membership in the all-coefficients-in-[0,1] class,
-and compute the SSP coefficient (radius of absolute monotonicity) by
-bisection on the standard matrix feasibility conditions.
+A method is stored as its coefficients A and b; the abscissae c are the row
+sums of A.  Classification helpers check basic consistency, membership in the
+all-coefficients-in-[0,1] class, and compute the SSP coefficient (radius of
+absolute monotonicity) by bisection on the standard matrix feasibility
+conditions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .fields import require_number
 
 __all__ = [
     "ButcherTableau",
     "ConsistencyViolation",
     "ConsistencyReport",
-    "SspAnalysis",
     "TableauFormatError",
     "BUILTIN_SCHEME_IDS",
     "builtin_scheme",
@@ -29,12 +26,14 @@ __all__ = [
     "tableau_from_text",
 ]
 
-#: Absolute tolerance for the row-sum and weight-sum consistency checks.
+#: Absolute tolerance for the weight-sum consistency check.
 CONSISTENCY_ATOL = 1e-14
 
-#: Slack used when testing the elementwise feasibility conditions during the
-#: SSP bisection.  Must be far below any bisection tolerance so that genuine
-#: violations of size O(tol) are never masked.
+#: Absolute tolerance to which the SSP bisection locates the coefficient.
+SSP_TOLERANCE = 1e-9
+
+#: Slack of the elementwise feasibility tests in the SSP bisection: far below
+#: SSP_TOLERANCE, so that genuine violations of that size are never masked.
 _FEASIBILITY_SLACK = 1e-13
 
 
@@ -43,19 +42,18 @@ class ButcherTableau:
     """Coefficients of an explicit s-stage Runge-Kutta method.
 
     ``A`` is the s-by-s stage coefficient matrix (strictly lower triangular
-    for an explicit method), ``b`` the weight vector and ``c`` the abscissae.
-    When ``c`` is omitted it is filled with the row sums of ``A``, which is
-    the standard consistency choice.
+    for an explicit method) and ``b`` the weight vector.  The abscissae ``c``
+    are not an input: they are the row sums of ``A``, set once here.
 
-    Construction only enforces shapes; numeric invariants (explicitness, row
-    sums, weight sum) are checked by :func:`validate_consistency` so that
-    deliberately broken tableaux can still be represented.
+    Construction only enforces shapes; numeric invariants (finiteness,
+    explicitness, weight sum) are checked by :func:`validate_consistency` so
+    that deliberately broken tableaux can still be represented.
     """
 
     name: str
     A: np.ndarray
     b: np.ndarray
-    c: np.ndarray = field(default=None)  # type: ignore[assignment]
+    c: np.ndarray = field(init=False)
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
@@ -67,9 +65,7 @@ class ButcherTableau:
             raise ValueError("a tableau needs at least one stage")
         if A.shape != (s, s):
             raise ValueError(f"A must be {s}x{s} to match b, got {A.shape}")
-        c = np.sum(A, axis=1) if self.c is None else np.array(self.c, dtype=float)
-        if c.shape != (s,):
-            raise ValueError(f"c must have length {s}, got {c.shape}")
+        c = np.sum(A, axis=1)
         for arr in (A, b, c):
             arr.flags.writeable = False
         object.__setattr__(self, "A", A)
@@ -86,7 +82,7 @@ class ButcherTableau:
 class ConsistencyViolation:
     """One broken tableau invariant: which, where, and by how much."""
 
-    kind: str  # "not_finite" | "not_explicit" | "row_sum" | "weight_sum"
+    kind: str  # "not_finite" | "not_explicit" | "weight_sum"
     index: tuple | int | None
     residual: float
 
@@ -105,15 +101,6 @@ class ConsistencyReport:
         return "; ".join(
             f"{v.kind}[{v.index}] residual={v.residual:.3e}" for v in self.violations
         )
-
-
-@dataclass(frozen=True)
-class SspAnalysis:
-    """Result of the SSP coefficient computation for one tableau."""
-
-    ssp_coefficient: float
-    satisfies_assumption1: bool
-    bisection_tolerance: float
 
 
 class TableauFormatError(ValueError):
@@ -156,16 +143,14 @@ BUILTIN_SCHEME_IDS = tuple(_BUILTIN)
 
 def builtin_scheme(scheme_id: str) -> ButcherTableau:
     """Return one of the built-in tableaux by identifier."""
-    try:
-        A, b = _BUILTIN[scheme_id]
-    except KeyError:
-        valid = ", ".join(BUILTIN_SCHEME_IDS)
-        raise ValueError(f"unknown scheme {scheme_id!r}; valid ids: {valid}") from None
+    if not isinstance(scheme_id, str) or scheme_id not in _BUILTIN:
+        raise ValueError(f"unknown scheme {scheme_id!r}; valid ids: {', '.join(BUILTIN_SCHEME_IDS)}")
+    A, b = _BUILTIN[scheme_id]
     return ButcherTableau(name=scheme_id, A=np.array(A), b=np.array(b))
 
 
 def validate_consistency(t: ButcherTableau) -> ConsistencyReport:
-    """Check explicitness, row-sum consistency and first-order consistency.
+    """Check finiteness, explicitness and first-order consistency (sum b = 1).
 
     Returns a report listing every violated invariant with the offending
     index and the residual; an empty report means the tableau is valid.  A
@@ -174,7 +159,7 @@ def validate_consistency(t: ButcherTableau) -> ConsistencyReport:
     """
     violations = [
         ConsistencyViolation("not_finite", (name, *map(int, index)), float(arr[index]))
-        for name, arr in (("A", t.A), ("b", t.b), ("c", t.c))
+        for name, arr in (("A", t.A), ("b", t.b))
         for index in zip(*np.nonzero(~np.isfinite(arr)))
     ]
     if violations:  # sums of non-finite coefficients mean nothing
@@ -186,10 +171,6 @@ def validate_consistency(t: ButcherTableau) -> ConsistencyReport:
                 violations.append(
                     ConsistencyViolation("not_explicit", (i, j), float(t.A[i, j]))
                 )
-    row_residual = t.c - np.sum(t.A, axis=1)
-    for i in range(s):
-        if abs(row_residual[i]) > CONSISTENCY_ATOL:
-            violations.append(ConsistencyViolation("row_sum", i, float(row_residual[i])))
     weight_residual = float(np.sum(t.b) - 1.0)
     if abs(weight_residual) > CONSISTENCY_ATOL:
         violations.append(ConsistencyViolation("weight_sum", None, weight_residual))
@@ -206,13 +187,9 @@ def check_assumption1(t: ButcherTableau) -> bool:
 
 
 def _absolutely_monotone(A: np.ndarray, b: np.ndarray, r: float) -> bool:
-    """Feasibility of radius r: K(I + rA)^-1 conditions, elementwise."""
+    """Feasibility of radius r: K(I + rA)^-1 conditions, elementwise (A is explicit, so I + rA inverts)."""
     s = b.size
-    eye = np.eye(s)
-    try:
-        M = np.linalg.inv(eye + r * A)
-    except np.linalg.LinAlgError:
-        return False
+    M = np.linalg.inv(np.eye(s) + r * A)
     K = A @ M
     kb = b @ M
     e = np.ones(s)
@@ -225,40 +202,32 @@ def _absolutely_monotone(A: np.ndarray, b: np.ndarray, r: float) -> bool:
     )
 
 
-def ssp_coefficient(t: ButcherTableau, tol: float = 1e-9) -> SspAnalysis:
+def ssp_coefficient(t: ButcherTableau) -> float:
     """Compute the SSP coefficient of an explicit method by bisection.
 
-    The coefficient is the supremum of r >= 0 for which (I + rA) is
-    invertible, A(I+rA)^-1 and b^T(I+rA)^-1 are elementwise non-negative,
-    r*A(I+rA)^-1*e <= e elementwise and r*b^T(I+rA)^-1*e <= 1.  The bracket
-    is [0, 2s] and the result is located to absolute tolerance ``tol`` (a
-    finite positive number), or to adjacent floats when ``tol`` is finer than
-    their spacing; any method with a negative a_ij or b_j has coefficient
-    exactly 0.
+    The coefficient is the supremum of r >= 0 for which A(I+rA)^-1 and
+    b^T(I+rA)^-1 are elementwise non-negative, r*A(I+rA)^-1*e <= e
+    elementwise and r*b^T(I+rA)^-1*e <= 1.  The bracket is [0, 2s] and the
+    result, the feasible end of the final bracket, is located to absolute
+    tolerance :data:`SSP_TOLERANCE`; any method with a negative a_ij or b_j
+    has coefficient exactly 0.  An inconsistent tableau is a ``ValueError``.
     """
-    require_number("tol", tol)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     report = validate_consistency(t)
     if not report.ok:
         raise ValueError(f"tableau {t.name!r} is inconsistent: {report}")
-    assumption1 = check_assumption1(t)
     if t.A.min() < 0.0 or t.b.min() < 0.0:
-        return SspAnalysis(0.0, assumption1, tol)
-
+        return 0.0
     lo = 0.0  # r = 0 is always feasible for non-negative A, b
     hi = 2.0 * t.s
     if _absolutely_monotone(t.A, t.b, hi):
-        return SspAnalysis(hi, assumption1, tol)
-    while hi - lo > tol:
+        return hi
+    while hi - lo > SSP_TOLERANCE:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # lo and hi are adjacent floats
-            break
         if _absolutely_monotone(t.A, t.b, mid):
             lo = mid
         else:
             hi = mid
-    return SspAnalysis(lo, assumption1, tol)
+    return lo
 
 
 def tableau_from_text(text: str) -> ButcherTableau:
@@ -267,7 +236,7 @@ def tableau_from_text(text: str) -> ButcherTableau:
     lines are skipped.
 
     Raises :class:`TableauFormatError` with a 1-based line number on any
-    malformed content.  The abscissae are recomputed as row sums.
+    malformed content.
     """
     numbered = [
         (lineno, line.strip())

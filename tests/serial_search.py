@@ -38,7 +38,7 @@ def serial_scan(cfg):
         c_s = yield from serial_bisect(c_s, cfg, outcomes, "shifted_pass")
     return LimitResult(
         scheme=cfg.base.tableau.name,
-        c_ssp=ssp_coefficient(cfg.base.tableau).ssp_coefficient,
+        c_ssp=ssp_coefficient(cfg.base.tableau),
         c_s=c_s,
         c_p=c_p,
         per_candidate=tuple(outcomes[c] for c in sorted(outcomes)),

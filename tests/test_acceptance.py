@@ -193,7 +193,7 @@ def test_criterion_5_ssp_coefficients():
     }
     crit = Criterion(5, "formal SSP coefficients")
     for scheme in SCHEMES:
-        value = ssp_coefficient(builtin_scheme(scheme), tol=1e-9).ssp_coefficient
+        value = ssp_coefficient(builtin_scheme(scheme))
         crit.check(
             abs(value - expected[scheme]) <= 1e-6,
             f"{scheme}: c_ssp={value}, expected {expected[scheme]} +- 1e-6",

@@ -60,6 +60,24 @@ def test_grid_bounds_must_be_finite_real_numbers(bounds, message):
         Grid1D(10, *bounds)
 
 
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ((True, -0.5), "left must be a real number, got True"),
+        (("1", -0.5), "left must be a real number, got '1'"),
+        ((1.0, None), "right must be a real number, got None"),
+        ((np.nan, -0.5), "left must be finite, got nan"),
+        ((1.0, -np.inf), "right must be finite, got -inf"),
+    ],
+    ids=["bool", "str", "none", "nan", "inf"],
+)
+def test_dirichlet_states_must_be_finite_real_numbers(states, message):
+    """True and "1" used to run as 1.0, None to fail mid-run with a TypeError
+    and NaN to run to a degenerate_dt abort."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dirichlet(*states)
+
+
 def test_fields_reject_a_wrong_length():
     grid = Grid1D(4, 0.0, 1.0)
     with pytest.raises(ValueError, match=re.escape("q must have length 4, got (3,)")):

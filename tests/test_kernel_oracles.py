@@ -37,6 +37,8 @@ from rkstab.spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers,
 SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 1.234e-161, -1.234e-161, 1.0, -0.5, 0.5])
 # ... and subnormals themselves.
 EDGE = np.concatenate([SPECIAL, [5e-324, -5e-324, 1e-310, -1e-310]])
+# Dirichlet states are finite; the largest float overflows when squared in the flux.
+HUGE = np.finfo(float).max
 GAMMA = 5.0 / 3.0
 
 
@@ -91,7 +93,7 @@ def assert_over_shape_run(monkeypatch, rng, scheme, grid, oracle):
 
 @pytest.mark.parametrize(
     "boundary",
-    [Periodic(), Dirichlet(1.0, -0.5), Dirichlet(-0.0, 1e-300), Dirichlet(np.inf, np.nan)],
+    [Periodic(), Dirichlet(1.0, -0.5), Dirichlet(-0.0, 1e-300), Dirichlet(HUGE, -1.234e-161)],
     ids=["periodic", "dirichlet", "dirichlet-zeros", "dirichlet-special"],
 )
 def test_muscl_kernel_equals_oracle_bitwise(monkeypatch, boundary):
@@ -113,7 +115,7 @@ def test_muscl_kernel_equals_oracle_bitwise(monkeypatch, boundary):
 
 @pytest.mark.parametrize(
     "boundary",
-    [Periodic(), Dirichlet(1.0, -0.5), Dirichlet(np.nan, -np.inf)],
+    [Periodic(), Dirichlet(1.0, -0.5), Dirichlet(-5e-324, -HUGE)],
     ids=["periodic", "dirichlet", "dirichlet-special"],
 )
 def test_muscl_scratch_lanes_do_not_reach_the_cells(boundary):

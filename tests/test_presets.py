@@ -1,11 +1,13 @@
 """Each preset's default run is the problem README's Presets table describes."""
 
 import itertools
+import re
 from pathlib import Path
 
 import pytest
 
 from rkstab.fields import Dirichlet, Grid1D, Outflow, Periodic
+from rkstab.limits import limits_table
 from rkstab.monitors import Monitor
 from rkstab.presets import (
     PRESET_IDS,
@@ -16,6 +18,7 @@ from rkstab.presets import (
     preset_config,
 )
 from rkstab.spatial import DissipativeBurgers, LaxFriedrichsEuler, MusclBurgers, UpwindBurgers
+from rkstab.tableau import builtin_scheme
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -114,3 +117,26 @@ def test_tolerance_applies_to_the_energy_and_tv_monitors_only(preset):
         assert preset_config(preset, tolerance=0.5).monitor == Monitor(kind, tolerance=0.5)
     with pytest.raises(ValueError, match="unknown monitor kind 'entropy'"):
         preset_config(preset, monitor_kind="entropy", tolerance=0.5)
+
+
+UNKNOWN_PRESET = "unknown experiment ['upwind']; valid ids: dissipative, upwind, muscl2, leblanc_n2"
+UNKNOWN_SCHEME = "unknown scheme ['rk44']; valid ids: forward_euler, midpoint, ssprk33, rk31, rk44"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: preset_config(["upwind"]), UNKNOWN_PRESET),
+        (lambda: limits_table(["upwind"]), UNKNOWN_PRESET),
+        (lambda: builtin_scheme(["rk44"]), UNKNOWN_SCHEME),
+        (lambda: limits_table("upwind", [["rk44"]]), UNKNOWN_SCHEME),
+        (lambda: limits_table("upwind", [["rk44"], ["rk44"]]), UNKNOWN_SCHEME),
+        (lambda: Monitor(["tv"]), "unknown monitor kind ['tv']"),
+        (lambda: preset_config("upwind", monitor_kind=["tv"]), "unknown monitor kind ['tv']"),
+    ],
+    ids=["preset", "table_preset", "scheme", "table_scheme", "table_repeated_scheme", "monitor", "preset_monitor"],
+)
+def test_an_id_that_is_not_a_string_is_an_unknown_id(call, message):
+    """A list id used to raise TypeError: unhashable type: 'list'."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
