@@ -33,6 +33,7 @@ __all__ = [
     "admissibility_error",
     "internal_energy_density",
     "field_to_csv",
+    "write_csv_columns",
 ]
 
 
@@ -246,15 +247,17 @@ def admissibility_error(U) -> NonPhysicalStateError | None:
 def field_to_csv(f, path) -> None:
     """Write a field snapshot: columns x,q (scalar) or x,rho,m,E,u,p (Euler)."""
     x = f.grid.points()
+    if isinstance(f, ScalarField):
+        write_csv_columns(path, ["x", "q"], [x, f.q])
+    else:
+        p = (f.gamma - 1.0) * internal_energy_density(f.rho, f.m, f.E)
+        write_csv_columns(path, ["x", "rho", "m", "E", "u", "p"], [x, f.rho, f.m, f.E, f.m / f.rho, p])
+
+
+def write_csv_columns(path, header, columns) -> None:
+    """Write a CSV file: the ``header`` row, then row k of the equal-length
+    ``columns`` (sequences or 1-D arrays).  A float is written as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if isinstance(f, ScalarField):
-            writer.writerow(["x", "q"])
-            for xi, qi in zip(x, f.q):
-                writer.writerow([repr(float(xi)), repr(float(qi))])
-        else:
-            writer.writerow(["x", "rho", "m", "E", "u", "p"])
-            u = f.m / f.rho
-            p = (f.gamma - 1.0) * internal_energy_density(f.rho, f.m, f.E)
-            for row in zip(x, f.rho, f.m, f.E, u, p):
-                writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))

@@ -13,7 +13,6 @@ row ends as one :class:`SimulationRecord`, built when it leaves the stack.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import numbers
@@ -29,6 +28,7 @@ from .fields import (
     ScalarField,
     admissibility_error,
     require_number,
+    write_csv_columns,
 )
 from .monitors import RULES, Monitor, euler_state_floor, judge, state_values
 from .tableau import ButcherTableau
@@ -39,6 +39,7 @@ __all__ = [
     "RunVerdict",
     "SimulationRecord",
     "STEP_BUDGET_FACTOR",
+    "MAX_RUN_STEPS",
     "END_TIME_TOLERANCE",
     "rk_step_instrumented",
     "run_batch",
@@ -50,6 +51,11 @@ __all__ = [
 #: being its first step; the next step ends it with abort reason
 #: "step_budget", so a collapsing adaptive dt_FE cannot make a run hang.
 STEP_BUDGET_FACTOR = 100
+
+#: A run whose first step implies more than this many steps to t_final
+#: (ceil(t_final / dt_0)) ends at step 0 with abort reason "step_budget":
+#: the budget above would let it step for ever.
+MAX_RUN_STEPS = 10**7
 
 #: A run ends once t_final - t is at most this times max(1, t_final), so a
 #: t_final at or below it would end the run before its first step.
@@ -211,11 +217,7 @@ class SimulationRecord:
         rows = list(range(0, n, record_every))
         if rows and rows[-1] != n - 1:
             rows.append(n - 1)
-        columns = [col[rows].tolist() for col in columns]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(zip(*columns))  # a float is written as its repr
+        write_csv_columns(path, header, [col[rows] for col in columns])
 
 
 def check_record_every(record_every) -> None:
@@ -333,7 +335,9 @@ def run_batch(
 
     Every row starts from the same initial condition and takes
     ``dt = c * dt_FE(row)`` (``config.dt_factor`` is not used), truncated
-    at the end to land exactly on ``t_final``.  Row ``k`` steps with
+    at the end to land exactly on ``t_final``.  A step's one stage-0
+    kernel call, ``rhs_array(q, grid, with_dt_fe=True)``, gives every
+    row's derivative R(q^n) with its dt_FE(q^n).  Row ``k`` steps with
     ``tableaux[k]`` (default: ``config.tableau`` for every row).  The rows'
     q^n and every state of a step live in one workspace allocated for the
     whole batch, and a step runs the plan :func:`_step_plan` binds to it,
@@ -345,8 +349,9 @@ def run_batch(
     A row leaves the stack when it reaches ``t_final`` (within
     :data:`END_TIME_TOLERANCE`); when it aborts on a degenerate step size,
     on an inadmissible Euler stage or on the step budget
-    (:data:`STEP_BUDGET_FACTOR`); or, with ``early_stop``, once both
-    criteria have failed, which cannot change its verdict.  Kernels do not
+    (:data:`STEP_BUDGET_FACTOR`, :data:`MAX_RUN_STEPS`); or, with
+    ``early_stop``, once both criteria have failed, which cannot change its
+    verdict.  Kernels do not
     check admissibility: after each step the monitor's floor judges every
     Euler stage, and the abort reason names the first stage whose floor is
     not positive with the :func:`~rkstab.fields.admissibility_error` of its
@@ -376,10 +381,6 @@ def run_batch(
     t_final = config.t_final
     t_eps = END_TIME_TOLERANCE * max(1.0, t_final)
     rhs = lambda state: scheme.rhs_array(state, grid)  # noqa: E731
-    # A scheme whose kernel also bounds the step gets q^n's bound from the
-    # stage-0 call; the others are asked for it apart.
-    fused = bool(getattr(scheme, "rhs_gives_dt_fe", False))
-    r0 = None  # that call's derivative, until the step takes it
     as_column = (-1,) + (1,) * q0.ndim  # per-row dt against a stack of states
 
     # Per stacked row, in descending stage count (a stable sort, kept when rows
@@ -392,7 +393,7 @@ def run_batch(
     c = np.array(cs)[live]
     t = np.zeros(len(cs))
     v_n = np.full(len(cs), v0)
-    budget, first_over = np.zeros(len(cs)), math.inf
+    budget, first_over = np.zeros(len(cs)), 0  # set at step 0, then tested from the smallest on
     failed = np.zeros((len(cs), 2), dtype=bool)
     first_at = np.full((len(cs), 2), -1)
     reasons, records = {}, [None] * len(cs)
@@ -447,15 +448,15 @@ def run_batch(
                 if not live.size:
                     break
 
-            if fused:
-                try:  # stage 0's call, which rk_step_instrumented would have made
-                    r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)
-                except NonPhysicalStateError as exc:
-                    raise StepFailedError(0, exc) from exc
-            else:
-                dt = scheme.dt_fe_array(q, grid)
+            try:  # stage 0's call, which also gives q^n's step bound
+                r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)
+            except NonPhysicalStateError as exc:
+                raise StepFailedError(0, exc) from exc
             dt = np.minimum(c * dt, remaining)
             stay = dt > 0.0  # NaN is not
+            if step == 0:  # a budget is at least 100 steps, or 0 for a run too long to take
+                steps = np.ceil(t_final / dt)
+                budget = np.where(steps <= MAX_RUN_STEPS, STEP_BUDGET_FACTOR * steps, 0.0)
             if step >= first_over:
                 stay &= step < budget
                 first_over = budget.min()
@@ -469,16 +470,13 @@ def run_batch(
                 dt, r0 = leave(stay, dt, r0)
                 if not live.size:
                     break
-            if step == 0:  # a budget is at least 100 steps; test from the smallest on
-                budget = STEP_BUDGET_FACTOR * np.ceil(t_final / dt)
-                first_over = budget.min()
 
             # One row's dt is passed as a scalar: it broadcasts to the same
             # values, with less overhead per operation than a 1x1 array.
             dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
             # This step's plan: an Euler leave() below binds a new one.
             s, states, q_rk = plan.s, plan.states, plan.q_rk
-            first, r0 = ([] if r0 is None else [r0]), None  # the step drops it once used
+            first, r0 = [r0], None  # the step drops it once used
             rk_step_instrumented(plan, rhs, dt_rows, r0=first)
 
             # The value of every state of the step in the (rows, 2s+1) layout:

@@ -22,7 +22,7 @@ import numbers
 import os
 from dataclasses import dataclass
 
-from .fields import require_number
+from .fields import require_number, write_csv_columns
 from .integrator import RunVerdict, SimulationConfig, run_batch
 from .tableau import BUILTIN_SCHEME_IDS, builtin_scheme, ssp_coefficient
 
@@ -309,15 +309,10 @@ class ExperimentTable:
         return f"<{self.c_min:g}" if value is None else repr(float(value))
 
     def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scheme", "c_ssp", "c_s", "c_p"])
-            for r in self.rows:
-                writer.writerow(
-                    [r.scheme, repr(float(r.c_ssp)), self._cell(r.c_s), self._cell(r.c_p)]
-                )
+        rows = self.rows
+        columns = [[r.scheme for r in rows], [float(r.c_ssp) for r in rows]]
+        columns += [[self._cell(getattr(r, name)) for r in rows] for name in ("c_s", "c_p")]
+        write_csv_columns(path, ["scheme", "c_ssp", "c_s", "c_p"], columns)
 
     def format_summary(self) -> str:
         """Human-readable table rounded to one decimal."""

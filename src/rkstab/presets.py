@@ -144,7 +144,11 @@ _PRESETS = {
 PRESET_IDS = tuple(_PRESETS)
 
 
-def preset_config(preset_id: str, scheme_id: str = "rk44", dt_factor: float = 1.0, **overrides) -> SimulationConfig:
+def preset_config(
+    preset_id: str, scheme_id: str = "rk44", dt_factor: float = 1.0, *, n_cells: int | None = None,
+    t_final: float | None = None, tolerance: float | None = None, monitor_kind: str | None = None,
+    tv_wrap: bool | None = None, lf: str = "local",
+) -> SimulationConfig:
     """The preset's default run with ``scheme_id`` at ``dt_factor``.
 
     Each override replaces one value of it, and None keeps it: ``n_cells`` the grid's cell count, ``t_final``,
@@ -153,13 +157,6 @@ def preset_config(preset_id: str, scheme_id: str = "rk44", dt_factor: float = 1.
     """
     if not isinstance(preset_id, str) or preset_id not in _PRESETS:
         raise ValueError(f"unknown experiment {preset_id!r}; valid ids: {', '.join(PRESET_IDS)}")
-    return _override(preset_id, scheme_id, dt_factor, **overrides)
-
-
-def _override(
-    preset_id: str, scheme_id: str, dt_factor: float, *, n_cells: int | None = None, t_final: float | None = None,
-    tolerance: float | None = None, monitor_kind: str | None = None, tv_wrap: bool | None = None, lf: str = "local",
-) -> SimulationConfig:
     default = _PRESETS[preset_id]
     if lf not in ("local", "global"):
         raise ValueError(f"lf must be 'local' or 'global', got {lf!r}")

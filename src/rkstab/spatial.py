@@ -7,16 +7,18 @@ size dt_FE below which a single forward Euler step is guaranteed (or, for
 the dissipative flux, reported) to preserve its stability property.
 
 A scheme's ``rhs_array`` and ``dt_fe_array`` kernels operate on bare numpy
-arrays and are what the time integrator drives.  Kernels take a state,
-``(n,)`` for Burgers and ``(3, n)`` for Euler, or a stack of states with
-leading batch axes, ``(..., n)`` or ``(..., 3, n)``: every row is advanced
-independently, and ``dt_fe_array`` returns one step bound per row (a float
-for a single state), or one float when the bound does not depend on the
-state.  Kernels do not check admissibility; the stepping loop does, once
-per row and stage.  A kernel's result is always a fresh array.  The three
-Burgers kernels compute in views of one per-process scratch buffer, cut
-once per stack shape (see :class:`_Scratch`), so a kernel call is not
-re-entrant across threads.
+arrays.  Kernels take a state, ``(n,)`` for Burgers and ``(3, n)`` for
+Euler, or a stack of states with leading batch axes, ``(..., n)`` or
+``(..., 3, n)``: every row is advanced independently, and ``dt_fe_array``
+returns one step bound per row (a float for a single state), or one float
+when the bound does not depend on the state.  ``rhs_array(q, grid,
+with_dt_fe=True)`` returns ``(R, dt_fe_array(q, grid))``, which is the one
+call the time integrator makes for a step's stage 0 (the LLF kernel takes
+the bound from the wavespeeds of the same pass).  Kernels do not check
+admissibility; the stepping loop does, once per row and stage.  A kernel's
+result is always a fresh array.  The three Burgers kernels compute in
+views of one per-process scratch buffer, cut once per stack shape (see
+:class:`_Scratch`), so a kernel call is not re-entrant across threads.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ class DissipativeBurgers:
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
 
-    def rhs_array(self, q: np.ndarray, grid: Grid1D) -> np.ndarray:
+    def rhs_array(self, q: np.ndarray, grid: Grid1D, *, with_dt_fe: bool = False):
         _require_periodic(grid, "dissipative Burgers")
-        return _SCRATCH.kernel(_dissipative, 2, 3, q.shape, grid.dx, self.mu)(q)
+        r = _SCRATCH.kernel(_dissipative, 2, 3, q.shape, grid.dx, self.mu)(q)
+        return (r, self.dt_fe_array(q, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
         return 0.006 * grid.dx
@@ -77,9 +80,10 @@ class UpwindBurgers:
 
     is_euler = False
 
-    def rhs_array(self, q: np.ndarray, grid: Grid1D) -> np.ndarray:
+    def rhs_array(self, q: np.ndarray, grid: Grid1D, *, with_dt_fe: bool = False):
         _require_periodic(grid, "upwind Burgers")
-        return _SCRATCH.kernel(_upwind, 1, 2, q.shape, grid.dx)(q)
+        r = _SCRATCH.kernel(_upwind, 1, 2, q.shape, grid.dx)(q)
+        return (r, self.dt_fe_array(q, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
         return grid.dx
@@ -91,8 +95,9 @@ class MusclBurgers:
 
     is_euler = False
 
-    def rhs_array(self, q: np.ndarray, grid: Grid1D) -> np.ndarray:
-        return _SCRATCH.kernel(_muscl, 4, 4, q.shape, grid.dx, grid.boundary)(q)
+    def rhs_array(self, q: np.ndarray, grid: Grid1D, *, with_dt_fe: bool = False):
+        r = _SCRATCH.kernel(_muscl, 4, 4, q.shape, grid.dx, grid.boundary)(q)
+        return (r, self.dt_fe_array(q, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
         return _bound_over(grid.dx, 2.0 * np.maximum.reduce(np.abs(q), axis=-1))
@@ -109,10 +114,6 @@ class LaxFriedrichsEuler:
     gamma: float = 5.0 / 3.0
     local: bool = True
     is_euler = True
-    #: ``rhs_array(U, grid, with_dt_fe=True)`` returns ``(R, dt_fe)``, the
-    #: bound taken from the wavespeeds of the same pass; ``dt_fe_array`` is
-    #: that bound.
-    rhs_gives_dt_fe = True
 
     def __post_init__(self):
         require_number("gamma", self.gamma, finite=True)

@@ -96,28 +96,28 @@ def traced_run(cfg):
     """Yield the trace of every step of ``simulate(cfg)``.
 
     Each step is a :func:`traced_step` from the last one's ``q_rk`` at
-    ``dt = min(c * dt_FE(q), t_final - t)``, the bound taken from the
-    stage-0 kernel call when the scheme gives it there.  The run ends as
-    ``simulate``'s does: within ``END_TIME_TOLERANCE`` of ``t_final``, or
-    with no further trace when a step size is not positive, the step budget
-    is spent, or a stage of an Euler step is inadmissible (that step is not
-    yielded).
+    ``dt = min(c * dt_FE(q), t_final - t)``, the derivative and the bound
+    taken from one stage-0 kernel call.  The run ends as ``simulate``'s
+    does: within ``END_TIME_TOLERANCE`` of ``t_final``, or with no further
+    trace when a step size is not positive, the first step implies more
+    than ``MAX_RUN_STEPS`` steps, the step budget is spent, or a stage of an
+    Euler step is inadmissible (that step is not yielded).
     """
     scheme, grid, t_final = cfg.scheme, cfg.grid, cfg.t_final
     f0 = cfg.ic.build(grid)
     q = f0.stack() if scheme.is_euler else f0.q
-    fused = getattr(scheme, "rhs_gives_dt_fe", False)
     rhs = lambda state: scheme.rhs_array(state, grid)  # noqa: E731
     t, t_eps, step = 0.0, integrator.END_TIME_TOLERANCE * max(1.0, t_final), 0
     while t_final - t > t_eps:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the stepping loop runs
-            r0, dt_fe = scheme.rhs_array(q, grid, with_dt_fe=True) if fused else (None, scheme.dt_fe_array(q, grid))
+            r0, dt_fe = scheme.rhs_array(q, grid, with_dt_fe=True)
             dt = cfg.dt_factor * dt_fe
             if not dt > 0.0:
                 return
             dt = min(dt, t_final - t)
             if step == 0:
-                budget = integrator.STEP_BUDGET_FACTOR * math.ceil(t_final / dt)
+                steps = t_final / dt  # its ceiling is at most MAX_RUN_STEPS when it is
+                budget = integrator.STEP_BUDGET_FACTOR * math.ceil(steps) if steps <= integrator.MAX_RUN_STEPS else 0
             if step >= budget:
                 return
             trace = traced_step(cfg.tableau, rhs, q, dt, grid, r0=r0)

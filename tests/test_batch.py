@@ -21,7 +21,7 @@ import pytest
 import rkstab.integrator as integrator
 import rkstab.limits as limits
 from rkstab.fields import EulerField, Grid1D, Periodic, ScalarField, quadratic_energy_array, total_variation_array
-from rkstab.integrator import STEP_BUDGET_FACTOR, SimulationConfig, run_batch, simulate
+from rkstab.integrator import MAX_RUN_STEPS, STEP_BUDGET_FACTOR, SimulationConfig, run_batch, simulate
 from rkstab.limits import LimitSearchConfig, find_limits, limits_table
 from rkstab.monitors import Monitor
 from rkstab.presets import PRESET_IDS, preset_config
@@ -179,8 +179,9 @@ class CollapsingStep:
     calls: int = 0
     is_euler = False
 
-    def rhs_array(self, q, grid):
-        return np.zeros_like(q)
+    def rhs_array(self, q, grid, *, with_dt_fe=False):
+        r = np.zeros_like(q)
+        return (r, self.dt_fe_array(q, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, q, grid):
         self.calls += 1
@@ -301,8 +302,9 @@ class OverflowBelowHalf:
 
     is_euler = False
 
-    def rhs_array(self, q, grid):
-        return np.where(q > 0.1, -q, np.inf)
+    def rhs_array(self, q, grid, *, with_dt_fe=False):
+        r = np.where(q > 0.1, -q, np.inf)
+        return (r, self.dt_fe_array(q, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, q, grid):
         return np.where(np.isfinite(q).all(axis=-1), 1.0, np.nan)
@@ -343,8 +345,9 @@ class ClippedDecay:
 
     is_euler = False
 
-    def rhs_array(self, q, grid):
-        return -np.clip(q, -1.5, 1.5)
+    def rhs_array(self, q, grid, *, with_dt_fe=False):
+        r = -np.clip(q, -1.5, 1.5)
+        return (r, self.dt_fe_array(q, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, q, grid):
         return np.where(np.isfinite(q).all(axis=-1), 1.0, np.nan)
@@ -363,7 +366,8 @@ def test_a_row_with_a_near_overflow_dt_equals_its_one_row_run():
     (dt a) R does not for a < 1, and rk44's terms then cancel to a finite
     q_rk.  Every row of a five-scheme batch, that row among ordinary ones
     that fail both criteria at their first step, equals its one-row run bit
-    for bit."""
+    for bit.  The ordinary rows' multipliers, 2.5e301 and 3e301, leave them
+    at most MAX_RUN_STEPS steps from t_final, so that they take that step."""
     huge = 1.5e308
     cfg = SimulationConfig(
         scheme=ClippedDecay(),
@@ -375,7 +379,8 @@ def test_a_row_with_a_near_overflow_dt_equals_its_one_row_run():
         monitor=Monitor("energy"),
     )
     tableaux = [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS for _ in range(2)]
-    cs = [2.5, 3.0] * len(BUILTIN_SCHEME_IDS)
+    cs = [2.5e301, 3e301] * len(BUILTIN_SCHEME_IDS)
+    assert huge / 2.5e301 <= MAX_RUN_STEPS
     cs[[t.name for t in tableaux].index("rk44")] = huge
     rows = run_batch(cfg, cs, tableaux=tableaux, record=True, early_stop=True)
     for tab, c, row in zip(tableaux, cs, rows):
@@ -394,9 +399,10 @@ class RecordingDecay:
     rows: list
     is_euler = False
 
-    def rhs_array(self, q, grid):
+    def rhs_array(self, q, grid, *, with_dt_fe=False):
         self.rows.append(q.shape[0])
-        return -q
+        r = -q
+        return (r, self.dt_fe_array(q, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, q, grid):
         return np.ones(q.shape[:-1])
@@ -435,14 +441,18 @@ def test_mixed_step_runs_each_stage_on_the_rows_that_have_it(monkeypatch):
 class CountingScheme:
     """Stands in for a scheme and counts its ``rhs_array`` calls and the rows
     they evaluate, as ``perfbench/tracing.py``'s ``SchemeProxy`` wraps it: a
-    kernel the stepping loop reaches some other way goes uncounted."""
+    kernel the stepping loop reaches some other way goes uncounted.  Past
+    ``cap`` calls it raises, so that a run that does not end fails instead
+    of hanging."""
 
-    def __init__(self, inner):
-        self._inner = inner
+    def __init__(self, inner, cap=math.inf):
+        self._inner, self.cap = inner, cap
         self.calls = self.rows = 0
 
     def rhs_array(self, q, grid, **kwargs):
         self.calls += 1
+        if self.calls > self.cap:
+            raise RuntimeError("the run did not end")
         self.rows += math.prod(q.shape[:-1])
         return self._inner.rhs_array(q, grid, **kwargs)
 
@@ -479,6 +489,56 @@ def test_a_scheme_double_sees_every_rhs_evaluation_of_a_table(monkeypatch):
     (double,) = doubles
     assert double.rows == want
     assert 0 < double.calls < want
+
+
+@pytest.mark.parametrize("overrides", [{"t_final": 1e300}, {"dt_factor": 1e-300}], ids=["t_final", "dt_factor"])
+def test_a_run_too_long_to_take_aborts_at_step_0(overrides):
+    """A first step that implies more than MAX_RUN_STEPS steps (here about
+    1e300) used to make a run step for ever: its budget is that many times
+    100.  It leaves at step 0 on the step budget, failing both criteria."""
+    cfg = preset_config("upwind", **overrides)
+    capped = CountingScheme(cfg.scheme, cap=10)
+    v = simulate(replace(cfg, scheme=capped)).verdict
+    assert capped.calls == 1  # the stage-0 call that gave the step bound
+    assert (v.n_steps, v.aborted_step, v.abort_reason) == (0, 0, "step_budget")
+    assert not v.step_pass and not v.shifted_pass
+    assert list(traced_run(cfg)) == []
+
+
+def test_a_sweep_fails_a_candidate_too_long_to_take():
+    """At c = 1e-9 an upwind run would take 1.5e10 steps; the sweep records
+    it as a step-budget abort at step 0 and goes on to the next tick."""
+    base = preset_config("upwind", "rk44", 1.0)
+    steps = math.ceil(base.t_final / (1e-9 * base.grid.dx))
+    assert steps > MAX_RUN_STEPS
+    search = LimitSearchConfig(base=replace(base, scheme=CountingScheme(base.scheme, cap=10**5)), c_min=1e-9, c_max=0.3)
+    result = find_limits(search)
+    first, *others = result.per_candidate
+    assert (first.c, first.n_steps, first.abort_reason) == (1e-9, 0, "step_budget")
+    assert not first.step_pass and not first.shifted_pass
+    assert [v.passed for v in others] == [True, True]
+    assert result.c_s is None and result.c_p is None
+
+
+class NoBoundApart:
+    """Stands in for a scheme and refuses to give its step bound apart from
+    the kernel: the stepping loop must take it from the stage-0 call."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def dt_fe_array(self, q, grid):
+        raise AssertionError("the stepping loop called dt_fe_array")
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize("preset", PRESET_IDS)
+def test_the_stepping_loop_never_calls_dt_fe_array(preset):
+    search = short_search(preset, "rk44")
+    proxied = replace(search, base=replace(search.base, scheme=NoBoundApart(search.base.scheme)))
+    assert find_limits(proxied) == find_limits(search)
 
 
 def test_mixed_rows_in_any_order_equal_one_row_runs():

@@ -16,6 +16,7 @@ from rkstab.fields import (
     admissibility_error,
     euler_minima,
     field_to_csv,
+    write_csv_columns,
 )
 
 from kernel_oracles import lax_friedrichs_flux_euler
@@ -118,6 +119,17 @@ def written_primitive(tmp_path, rho, m, E, gamma):
     with open(path, newline="") as fh:
         row = next(csv.DictReader(fh))
     return float(row["u"]), float(row["p"])
+
+
+def test_the_csv_writer_writes_every_float_as_its_repr(tmp_path):
+    """Field snapshots, histories and tables share one writer; a float
+    array's value and a Python float's are written alike, as ``repr``,
+    special values included, as the field writer's per-value ``repr`` did."""
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-310, np.finfo(float).max, 0.1, 1.0 / 3.0]
+    path = tmp_path / "columns.csv"
+    write_csv_columns(path, ["a", "b", "name"], [np.array(values), values[::-1], ["x"] * len(values)])
+    rows = [f"{float(a)!r},{float(b)!r},x" for a, b in zip(values, values[::-1])]
+    assert path.read_bytes() == "".join(f"{row}\r\n" for row in ["a,b,name", *rows]).encode()
 
 
 def euler_flux(state, gamma):

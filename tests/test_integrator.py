@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -344,41 +345,20 @@ def test_config_rejects_a_t_final_the_end_tolerance_swallows(t_final):
     assert rec.n_steps == 1 and rec.times[-1] == 2 * END_TIME_TOLERANCE
 
 
-class RaisingEuler:
-    """An Euler scheme whose kernel raises on every call."""
-
-    is_euler = True
-    gamma = 5.0 / 3.0
-
-    def rhs_array(self, U, grid):
-        raise NonPhysicalStateError("kernel refused", cell=0)
-
-    def dt_fe_array(self, U, grid):
-        return np.full(U.shape[0], 1e-3)
-
-
-class RaisingFusedEuler(LaxFriedrichsEuler):
-    """The LLF scheme, whose stage-0 call also gives the step bound, with a
-    kernel that raises on every call."""
+class RaisingEuler(LaxFriedrichsEuler):
+    """The LLF scheme with a kernel that raises on every call."""
 
     def rhs_array(self, U, grid, *, with_dt_fe=False):
         raise NonPhysicalStateError("kernel refused", cell=0)
 
 
-@pytest.mark.parametrize(
-    "n_rows, scheme",
-    [
-        pytest.param(n, scheme, id=f"{n}{kind}")
-        for kind, scheme in (("", RaisingEuler()), ("-fused", RaisingFusedEuler()))
-        for n in (1, 2)
-    ],
-)
-def test_a_raising_kernel_raises_out_of_run_batch_at_any_batch_size(n_rows, scheme):
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_a_raising_kernel_raises_out_of_run_batch_at_any_batch_size(n_rows):
     """The loop, not the kernel, judges admissibility: a kernel that raises is
     a fault, and its error leaves run_batch at one row as at two (one row
-    used to turn it into an abort verdict), also from the stage-0 call that
-    gives the step bound (it used to leave unconverted)."""
-    cfg = dataclasses.replace(preset_config("leblanc_n2", n_cells=8, t_final=0.01), scheme=scheme)
+    used to turn it into an abort verdict), from the stage-0 call that gives
+    the step bound (it used to leave unconverted)."""
+    cfg = dataclasses.replace(preset_config("leblanc_n2", n_cells=8, t_final=0.01), scheme=RaisingEuler())
     with pytest.raises(StepFailedError, match="stage 0: kernel refused"):
         run_batch(cfg, [1.0, 0.5][:n_rows])
 
@@ -440,25 +420,15 @@ def test_history_minima_are_those_of_each_step_solution(scheme, c, lf, abort):
     assert rows[1].verdict == record.verdict
 
 
-class Counting:
-    """Forwards to a scheme, counting its kernel calls; ``fuse=False`` hides
-    the scheme's ``rhs_gives_dt_fe``, so the loop asks for the bound apart."""
-
-    def __init__(self, inner, fuse: bool):
-        self.inner, self.fuse, self.rhs_calls, self.dt_fe_calls = inner, fuse, 0, 0
-
-    def rhs_array(self, U, grid, **kwargs):
-        self.rhs_calls += 1
-        return self.inner.rhs_array(U, grid, **kwargs)
-
-    def dt_fe_array(self, U, grid):
-        self.dt_fe_calls += 1
-        return self.inner.dt_fe_array(U, grid)
-
-    def __getattr__(self, name):
-        if name == "rhs_gives_dt_fe" and not self.fuse:
-            raise AttributeError(name)
-        return getattr(self.inner, name)
+def traced_outcome(cfg):
+    """Steps, times and final state of the traced run of ``cfg``, and the
+    bits of every stage-0 derivative it took from the kernel call that gave
+    the step bound, with those of a plain kernel call on the same state."""
+    traces = list(traced_run(cfg))
+    times = list(itertools.accumulate(trace.dt for trace in traces))  # t += dt, as the loop adds
+    final = traces[-1].q_rk if traces else cfg.ic.build(cfg.grid).stack()
+    stage_0 = [(bits(tr.stage_derivatives[0]), bits(cfg.scheme.rhs_array(tr.q_n, cfg.grid))) for tr in traces]
+    return len(traces), times, final, stage_0
 
 
 @pytest.mark.parametrize("lf", ["local", "global"])
@@ -470,48 +440,38 @@ class Counting:
         ("midpoint", 2.5, "RHS evaluation failed at stage 0"),
         ("forward_euler", 2.5, "degenerate_dt"),
     ],
+    ids=["rk44-0.6", "rk44-1.6-stage_2", "midpoint-2.5-stage_0", "forward_euler-2.5-bad_dt"],
 )
-def test_step_bound_from_the_stage_0_pass_equals_the_bound_asked_apart(lf, scheme_id, c, abort):
-    """An LLF run takes dt_FE(q^n) from its stage-0 kernel call; runs, batches
-    and traced states must equal those of a loop asking dt_fe_array apart,
-    bit for bit, also when a run aborts."""
-    base = preset_config("leblanc_n2", scheme_id, c, t_final=0.02, lf=lf)
-    runs = {}
-    for fuse in (True, False):
-        scheme = Counting(base.scheme, fuse)
-        cfg = SimulationConfig(scheme, base.tableau, base.grid, base.ic, base.t_final, c, base.monitor)
-        record = simulate(cfg)
-        assert (scheme.dt_fe_calls == 0) == fuse
-        # The traced run steps a scheme of its own: the counts stay the loop's.
-        states = [
-            np.concatenate([np.ravel(x) for x in (*trace.stage_solutions, *trace.stage_derivatives, *trace.shifted_states)])
-            for trace in traced_run(dataclasses.replace(cfg, scheme=Counting(base.scheme, fuse)))
-        ]
-        # One tableau and the five built-ins; at c >= 1.6 a forward Euler row
-        # leaves on a degenerate dt_FE while the low-c rows step on.
-        rows = [
-            row
-            for tableaux in ([cfg.tableau] * 5, [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS])
-            for row in run_batch(cfg, [0.3, 0.9, c, 1.6, 2.5], tableaux=tableaux, record=True)
-        ]
-        runs[fuse] = (record, states, rows, scheme.rhs_calls)
-    (record, states, rows, calls), (apart, apart_states, apart_rows, apart_calls) = runs[True], runs[False]
-    # The stage-0 pass is stage 0's one kernel call.  It runs before the bound
-    # is known, so a batch whose last rows leave on a degenerate dt_FE makes
-    # one call that the apart loop does not: at most one per run_batch call.
-    assert apart_calls <= calls <= apart_calls + 3
+def test_runs_and_batches_equal_the_traced_run(lf, scheme_id, c, abort):
+    """A run, and every row of a batch of one tableau and of a batch of the
+    five built-ins, equals the traced run of its tableau and multiplier bit
+    for bit (steps, times and final state), also when a run aborts; each
+    traced stage-0 derivative, taken from the call that gave the step
+    bound, is the kernel's derivative of that state."""
+    cfg = preset_config("leblanc_n2", scheme_id, c, t_final=0.02, lf=lf)
+    record = simulate(cfg)
     if abort is None:
         assert record.verdict.aborted_step is None
     else:
         assert record.verdict.abort_reason.startswith(abort)
-    assert len(states) == len(apart_states) == record.n_steps
-    for got, want in zip(states, apart_states):
-        np.testing.assert_array_equal(bits(got), bits(want))
-    for row, other in zip([record, *rows], [apart, *apart_rows]):
-        assert row.verdict == other.verdict and row.n_steps == other.n_steps
-        for name in ("times", "monitor_step_values", "monitor_stage_worst", "monitor_shifted_worst", "min_rho", "min_rhoe"):
-            np.testing.assert_array_equal(bits(getattr(row, name)), bits(getattr(other, name)))
-        np.testing.assert_array_equal(bits(row.final_field.stack()), bits(other.final_field.stack()))
+    cs = [0.3, 0.9, c, 1.6, 2.5]
+    # At c >= 1.6 a forward Euler row leaves on a degenerate dt_FE while the low-c rows step on.
+    runs = [(record, cfg.tableau, c)] + [
+        (row, tableau, row_c)
+        for tableaux in ([cfg.tableau] * 5, [builtin_scheme(name) for name in BUILTIN_SCHEME_IDS])
+        for row, tableau, row_c in zip(run_batch(cfg, cs, tableaux=tableaux, record=True), tableaux, cs)
+    ]
+    traced = {}
+    for row, tableau, row_c in runs:
+        key = (tableau.name, row_c)
+        if key not in traced:
+            traced[key] = traced_outcome(dataclasses.replace(cfg, tableau=tableau, dt_factor=row_c))
+        n_steps, times, final, stage_0 = traced[key]
+        assert row.n_steps == n_steps
+        np.testing.assert_array_equal(bits(row.times), bits(times))
+        np.testing.assert_array_equal(bits(row.final_field.stack()), bits(final))
+        for got, want in stage_0:
+            np.testing.assert_array_equal(got, want)
 
 
 def test_run_batch_rejects_a_tableau_count_off_the_rows():

@@ -281,6 +281,33 @@ def test_llf_step_bound_equals_oracle_bitwise():
     assert scheme.rhs_array(U, grid, with_dt_fe=True)[1] == np.inf
 
 
+@pytest.mark.parametrize(
+    "scheme",
+    [DissipativeBurgers(), UpwindBurgers(), MusclBurgers(), LaxFriedrichsEuler(GAMMA)],
+    ids=["dissipative", "upwind", "muscl", "llf"],
+)
+def test_the_stage_0_call_is_the_kernel_with_its_bound(monkeypatch, scheme):
+    """The stepping loop's one stage-0 call, ``rhs_array(q, grid,
+    with_dt_fe=True)``, is ``(rhs_array(q, grid), dt_fe_array(q, grid))`` bit
+    for bit, the bound's type included (a float for one state), on stacks
+    shaped by ``SHAPE_RUN`` from a new scratch."""
+    monkeypatch.setattr(spatial, "_SCRATCH", spatial._Scratch())
+    rng = np.random.default_rng(71)
+    grid = Grid1D(13, 0.0, 6.5, Periodic())
+    for lead in SHAPE_RUN:
+        if scheme.is_euler:
+            q = sprinkle(rng, admissible(rng, lead, 13), 0.1)
+        else:
+            q = sprinkle(rng, rng.uniform(-1.5, 1.5, size=lead + (13,)), 0.1)
+        r, bound = scheme.rhs_array(q, grid, with_dt_fe=True)
+        want = scheme.dt_fe_array(q, grid)
+        assert r.flags.c_contiguous
+        assert_bitwise(r, scheme.rhs_array(q, grid))
+        assert type(bound) is type(want)
+        assert lead or type(bound) is float
+        assert_bitwise(np.asarray(bound), np.asarray(want))
+
+
 ROW_KINDS = ("mixed", "all_good", "all_bad")
 CELL = st.one_of(
     st.floats(-3.0, 3.0),

@@ -169,8 +169,9 @@ class SubcellLaxFriedrichsEuler:
     gamma: float = 5.0 / 3.0
     is_euler = True
 
-    def rhs_array(self, U, grid):
-        return LaxFriedrichsEuler(self.gamma).rhs_array(U, grid) * (grid.dx / self.widths)
+    def rhs_array(self, U, grid, *, with_dt_fe=False):
+        r = LaxFriedrichsEuler(self.gamma).rhs_array(U, grid) * (grid.dx / self.widths)
+        return (r, self.dt_fe_array(U, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, U, grid):
         return LaxFriedrichsEuler(self.gamma).dt_fe_array(U, grid) * (self.widths.min() / grid.dx)

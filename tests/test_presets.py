@@ -140,3 +140,14 @@ def test_an_id_that_is_not_a_string_is_an_unknown_id(call, message):
     """A list id used to raise TypeError: unhashable type: 'list'."""
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: preset_config("upwind", foo=1), lambda: limits_table("upwind", ["rk44"], foo=1)],
+    ids=["preset", "table"],
+)
+def test_an_unknown_override_is_named_by_preset_config(call):
+    """The error used to name a private helper, ``_override()``."""
+    with pytest.raises(TypeError, match=re.escape("preset_config() got an unexpected keyword argument 'foo'")):
+        call()
