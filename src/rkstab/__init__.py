@@ -16,7 +16,7 @@ from .fields import (
     Periodic,
     ScalarField,
 )
-from .integrator import SimulationConfig, SimulationRecord, StepFailedError, simulate
+from .integrator import SimulationConfig, SimulationRecord, simulate
 from .limits import ExperimentTable, LimitResult, LimitSearchConfig, find_limits, limits_table
 from .monitors import Monitor
 from .presets import PRESET_IDS, preset_config

@@ -31,15 +31,16 @@ from .tableau import (
 
 __all__ = ["main"]
 
-#: Keys a run config file may hold, with the JSON type each value must have.
-_CONFIG_TYPES = {
-    "experiment": (str, "a string"),
-    "scheme": (str, "a string"),
-    "dt_factor": ((int, float), "a number"),
-    "t_final": ((int, float), "a number"),
-    "n_cells": (int, "an integer"),
-    "monitor": (str, "a string"),
-    "tolerance": ((int, float), "a number"),
+#: Keys a run config file may hold, each with the :func:`preset_config`
+#: keyword it sets; the library checks every value but a null.
+_CONFIG_KEYS = {
+    "experiment": "preset_id",
+    "scheme": "scheme_id",
+    "dt_factor": "dt_factor",
+    "t_final": "t_final",
+    "n_cells": "n_cells",
+    "monitor": "monitor_kind",
+    "tolerance": "tolerance",
 }
 
 
@@ -56,12 +57,6 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-cells", type=int, default=None, help="override grid resolution")
     p.add_argument("--t-final", type=float, default=None, help="override final time")
     p.add_argument("--tolerance", type=float, default=None, help="monitor tolerance")
-    p.add_argument(
-        "--tv-wrap",
-        choices=("on", "off"),
-        default=None,
-        help="force the periodic wrap term of the total variation on or off",
-    )
     p.add_argument(
         "--lf",
         choices=("local", "global"),
@@ -113,14 +108,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _tv_wrap_flag(value: str | None) -> bool | None:
-    if value is None:
-        return None
-    return value == "on"
-
-
 def _load_run_settings(args) -> dict:
-    """Merge preset id / config file with CLI overrides."""
+    """The :func:`preset_config` keywords of a run: the preset id or config
+    file, with the CLI's overrides."""
     settings: dict = {}
     if args.target in PRESET_IDS:
         settings["experiment"] = args.target
@@ -137,38 +127,24 @@ def _load_run_settings(args) -> dict:
             raise _CliError(f"malformed JSON config {args.target}: {exc}") from None
         if not isinstance(loaded, dict):
             raise _CliError("config file must hold a JSON object")
-        unknown = set(loaded) - set(_CONFIG_TYPES)
+        unknown = set(loaded) - set(_CONFIG_KEYS)
         if unknown:
             raise _CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, value in loaded.items():
-            types, what = _CONFIG_TYPES[key]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise _CliError(f"{key} must be {what}, got {value!r}")
+            if value is None:  # to preset_config, None keeps the preset's value
+                raise _CliError(f"{key} must not be null; omit it to keep the preset's value")
         if "experiment" not in loaded:
             raise _CliError("config file must name an 'experiment'")
         settings.update(loaded)
     for key in ("scheme", "dt_factor", "t_final", "n_cells", "tolerance"):
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
-    settings.setdefault("scheme", "rk44")
-    settings.setdefault("dt_factor", 1.0)
-    return settings
+    return {_CONFIG_KEYS[key]: value for key, value in settings.items()}
 
 
 def cmd_run(args) -> int:
     settings = _load_run_settings(args)
-    scheme_id = settings["scheme"]
-    config = preset_config(
-        settings["experiment"],
-        scheme_id=scheme_id,
-        dt_factor=float(settings["dt_factor"]),
-        n_cells=settings.get("n_cells"),
-        t_final=settings.get("t_final"),
-        tolerance=settings.get("tolerance"),
-        monitor_kind=settings.get("monitor"),
-        tv_wrap=_tv_wrap_flag(args.tv_wrap),
-        lf=args.lf,
-    )
+    config = preset_config(**settings, lf=args.lf)
     check_record_every(args.record_every)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # before the run: a bad path fails at once
@@ -176,10 +152,11 @@ def cmd_run(args) -> int:
     record.write_csv(out / "history.csv", args.record_every)
     field_to_csv(record.final_field, out / "final_field.csv")
     v = record.verdict
+    experiment, scheme_id = settings["preset_id"], config.tableau.name
     verdict = {
-        "experiment": settings["experiment"],
+        "experiment": experiment,
         "scheme": scheme_id,
-        "dt_factor": float(settings["dt_factor"]),
+        "dt_factor": v.c,
         "monitor": config.monitor.kind,
         "passed": v.passed,
         # c is dt_factor; the failures come before n_steps
@@ -189,7 +166,7 @@ def cmd_run(args) -> int:
     }
     (out / "verdict.json").write_text(json.dumps(verdict, indent=2) + "\n")
     print(
-        f"{settings['experiment']} / {scheme_id} @ dt_factor={settings['dt_factor']}: "
+        f"{experiment} / {scheme_id} @ dt_factor={config.dt_factor}: "
         + ("pass" if v.passed else "stability violation recorded")
     )
     return 0 if v.passed else 2
@@ -216,7 +193,6 @@ def cmd_limits(args) -> int:
         n_cells=args.n_cells,
         t_final=args.t_final,
         tolerance=args.tolerance,
-        tv_wrap=_tv_wrap_flag(args.tv_wrap),
         lf=args.lf,
     )
     out.write_text(json.dumps(table.to_json_dict(), indent=2) + "\n")

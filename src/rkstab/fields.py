@@ -160,10 +160,10 @@ def internal_energy_density(rho, m, E):
     return E - 0.5 * m * m / rho
 
 
-def tv_includes_wrap(boundary, override: bool | None = None) -> bool:
-    """Whether TV counts the wrap pair |q_0 - q_{n-1}|: by default on periodic
-    grids only (that keeps TV of periodic data translation invariant)."""
-    return isinstance(boundary, Periodic) if override is None else override
+def tv_includes_wrap(boundary) -> bool:
+    """Whether TV counts the wrap pair |q_0 - q_{n-1}|: on periodic grids
+    only (that keeps TV of periodic data translation invariant)."""
+    return isinstance(boundary, Periodic)
 
 
 def require_number(name: str, value, kind=numbers.Real, *, finite: bool = False) -> None:

@@ -24,7 +24,6 @@ import numpy as np
 from .fields import (
     EulerField,
     Grid1D,
-    NonPhysicalStateError,
     ScalarField,
     admissibility_error,
     require_number,
@@ -34,7 +33,6 @@ from .monitors import RULES, Monitor, euler_state_floor, judge, state_values
 from .tableau import ButcherTableau
 
 __all__ = [
-    "StepFailedError",
     "SimulationConfig",
     "RunVerdict",
     "SimulationRecord",
@@ -62,15 +60,6 @@ MAX_RUN_STEPS = 10**7
 END_TIME_TOLERANCE = 1e-12
 
 
-class StepFailedError(RuntimeError):
-    """An RHS evaluation failed inside a step (e.g. non-physical Euler state)."""
-
-    def __init__(self, stage: int, cause: Exception):
-        super().__init__(f"RHS evaluation failed at stage {stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 def rk_step_instrumented(plan, rhs, dt, *, r0=None) -> None:
     """Advance one step of the rows of a step plan, keeping every stage quantity.
 
@@ -81,10 +70,9 @@ def rk_step_instrumented(plan, rhs, dt, *, r0=None) -> None:
     an array broadcasting against the states (one step size per row of a
     stack of states).  ``r0`` is a list that holds ``rhs(q_n)`` when the
     caller has evaluated it already; the step pops it as stage 0's
-    derivative.  An RHS failure (``NonPhysicalStateError``) is re-raised as
-    :class:`StepFailedError` carrying the stage index.  :func:`run_batch`
-    does not catch it: there the monitor judges admissibility after the
-    step, and kernels do not raise.
+    derivative.  An error that ``rhs`` raises propagates unchanged: in
+    :func:`run_batch` the monitor judges admissibility after the step, and
+    kernels do not raise.
     """
     spread = plan.dt_cells is not None
     if spread:
@@ -92,11 +80,8 @@ def rk_step_instrumented(plan, rhs, dt, *, r0=None) -> None:
     for dest, q_0 in plan.copies:
         dest[...] = q_0
     multiply, add = np.multiply, np.add  # the ufuncs of every term, looked up once
-    for i, (q_i, q_0, dt_i, shifted, cuts, terms) in enumerate(plan.stages):
-        try:
-            r_i = r0.pop() if r0 else rhs(q_i)
-        except NonPhysicalStateError as exc:
-            raise StepFailedError(i, exc) from exc
+    for q_i, q_0, dt_i, shifted, cuts, terms in plan.stages:
+        r_i = r0.pop() if r0 else rhs(q_i)
         multiply(dt_i if spread else dt, r_i, shifted)
         add(q_0, shifted, shifted)
         views = [r_i]  # r_i, then its prefixes that later stages need
@@ -355,8 +340,8 @@ def run_batch(
     check admissibility: after each step the monitor's floor judges every
     Euler stage, and the abort reason names the first stage whose floor is
     not positive with the :func:`~rkstab.fields.admissibility_error` of its
-    state.  A kernel that raises anyway raises :class:`StepFailedError` out
-    of the call, at any batch size.  Returns each row's
+    state.  An error that a kernel raises anyway propagates unchanged, at
+    any batch size.  Returns each row's
     :class:`SimulationRecord`, in the order of ``dt_factors``, with its
     history and final field when ``record``.  An Euler initial field must
     have the scheme's ``gamma``.
@@ -448,10 +433,7 @@ def run_batch(
                 if not live.size:
                     break
 
-            try:  # stage 0's call, which also gives q^n's step bound
-                r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)
-            except NonPhysicalStateError as exc:
-                raise StepFailedError(0, exc) from exc
+            r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)  # stage 0's call, with q^n's step bound
             dt = np.minimum(c * dt, remaining)
             stay = dt > 0.0  # NaN is not
             if step == 0:  # a budget is at least 100 steps, or 0 for a run too long to take
@@ -500,7 +482,7 @@ def run_batch(
                         # Stage i of row k in the workspace; stage 0 is q^n.
                         at = plan.take[k, i] - live.size
                         cause = admissibility_error(q[k] if at < 0 else states[at])
-                        reasons[live[k]] = str(StepFailedError(i, cause))
+                        reasons[live[k]] = f"RHS evaluation failed at stage {i}: {cause}"
                     dt, values, q_rk, *minima = leave(~inadmissible, dt, values, q_rk, *minima)
                     if not live.size:
                         break

@@ -72,8 +72,9 @@ class LimitSearchConfig:
         # A non-finite bound or step would make the candidate list endless.
         for name in ("c_min", "c_max", "granularity"):
             require_number(name, getattr(self, name), finite=True)
-        if not self.c_min > 0:
-            raise ValueError("c_min must be positive")
+        # The first tick is c_min rounded as every tick is.
+        if not round(self.c_min, TICK_DECIMALS) > 0:
+            raise ValueError(f"c_min must be positive when rounded to {TICK_DECIMALS} decimals, got {self.c_min!r}")
         if not self.granularity > 0:
             raise ValueError("granularity must be positive")
         if not self.c_max > self.c_min:
@@ -344,10 +345,11 @@ def limits_table(
 
     ``schemes`` is a non-empty list of distinct built-in scheme ids (default:
     all five).  The table is one search: one preset config, from
-    ``preset_overrides`` (n_cells, t_final, tolerance, tv_wrap, lf, ...), and
-    one :class:`LimitSearchConfig`, whose scans, one per scheme, advance in
-    lockstep (see :func:`_lockstep`); each scan's result is its scheme's row,
-    in the order of ``schemes``.
+    ``preset_overrides`` (the keywords of :func:`~rkstab.presets.preset_config`
+    but ``scheme_id`` and ``dt_factor``: n_cells, t_final, tolerance,
+    monitor_kind and lf), and one :class:`LimitSearchConfig`, whose scans,
+    one per scheme, advance in lockstep (see :func:`_lockstep`); each scan's
+    result is its scheme's row, in the order of ``schemes``.
     """
     from .presets import preset_config
 

@@ -64,13 +64,13 @@ class Monitor:
     For energy/tv, a candidate passes when G(candidate) - G(q^n) does not
     exceed the run's slack, ``tolerance * max(1, |G(q^0)|)`` (tolerance 1e-12
     by default), so that the roundoff slack tracks problem magnitude.
-    Positivity reads no tolerance (a sign is a sign) and only tv reads
-    ``tv_wrap``: either given to a kind that does not read it is an error.
+    Positivity reads no tolerance (a sign is a sign): one given to it is an
+    error.  TV counts the wrap pair on periodic grids only (see
+    :func:`~rkstab.fields.tv_includes_wrap`).
     """
 
     kind: str
     tolerance: float | None = None  # None: 1e-12 for energy and tv
-    tv_wrap: bool | None = None  # None: follow the grid's boundary type
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in RULES:
@@ -84,11 +84,6 @@ class Monitor:
                 raise ValueError(f"tolerance applies to the energy and tv monitors only, not to {self.kind!r}")
         elif RULES[self.kind].relative:
             object.__setattr__(self, "tolerance", 1e-12)
-        if self.tv_wrap is not None:
-            if not isinstance(self.tv_wrap, bool):  # "no" would turn it on
-                raise ValueError(f"tv_wrap must be None or a bool, got {self.tv_wrap!r}")
-            if self.kind != "tv":
-                raise ValueError(f"tv_wrap applies to the tv monitor only, not to {self.kind!r}")
 
 
 def evaluate_functional(monitor: Monitor, state: np.ndarray, grid):
@@ -100,7 +95,7 @@ def evaluate_functional(monitor: Monitor, state: np.ndarray, grid):
     if monitor.kind == "energy":
         return quadratic_energy_array(state)
     if monitor.kind == "tv":
-        return total_variation_array(state, tv_includes_wrap(grid.boundary, monitor.tv_wrap))
+        return total_variation_array(state, tv_includes_wrap(grid.boundary))
     raise ValueError("positivity monitor does not define a scalar functional")
 
 

@@ -146,14 +146,13 @@ PRESET_IDS = tuple(_PRESETS)
 
 def preset_config(
     preset_id: str, scheme_id: str = "rk44", dt_factor: float = 1.0, *, n_cells: int | None = None,
-    t_final: float | None = None, tolerance: float | None = None, monitor_kind: str | None = None,
-    tv_wrap: bool | None = None, lf: str = "local",
+    t_final: float | None = None, tolerance: float | None = None, monitor_kind: str | None = None, lf: str = "local",
 ) -> SimulationConfig:
     """The preset's default run with ``scheme_id`` at ``dt_factor``.
 
     Each override replaces one value of it, and None keeps it: ``n_cells`` the grid's cell count, ``t_final``,
-    ``lf="global"`` the Lax-Friedrichs scheme's ``local``, and ``monitor_kind``, ``tolerance`` (energy and tv
-    monitors only) and ``tv_wrap`` (tv monitor only) the monitor's fields.
+    ``lf="global"`` the Lax-Friedrichs scheme's ``local``, and ``monitor_kind`` and ``tolerance`` (energy and tv
+    monitors only) the monitor's fields.
     """
     if not isinstance(preset_id, str) or preset_id not in _PRESETS:
         raise ValueError(f"unknown experiment {preset_id!r}; valid ids: {', '.join(PRESET_IDS)}")
@@ -166,7 +165,7 @@ def preset_config(
             raise ValueError(f"lf='global' needs a Lax-Friedrichs preset; {preset_id!r} is {type(scheme).__name__}")
         scheme = replace(scheme, local=False)
     # Every preset's monitor takes the defaults of its kind.
-    monitor = Monitor(default.monitor.kind if monitor_kind is None else monitor_kind, tolerance, tv_wrap)
+    monitor = Monitor(default.monitor.kind if monitor_kind is None else monitor_kind, tolerance)
     grid = default.grid if n_cells is None else replace(default.grid, n_cells=n_cells)
     return replace(
         default,

@@ -166,7 +166,7 @@ def _value(monitor, grid, state) -> float:
     if monitor.kind == "energy":
         return float(quadratic_energy_array(state))
     if monitor.kind == "tv":
-        return float(total_variation_array(state, tv_includes_wrap(grid.boundary, monitor.tv_wrap)))
+        return float(total_variation_array(state, tv_includes_wrap(grid.boundary)))
     min_rho, min_rhoe = euler_minima_per_cell(state)
     if math.isnan(min_rho) or not min_rho > 0.0:
         return min_rho
@@ -215,9 +215,9 @@ def check_shifted_criterion(monitor, trace, slack: float = 0.0) -> list[MonitorV
     return _verdicts(monitor, trace, [("shifted", j, q) for j, q in enumerate(trace.shifted_states)], slack)
 
 
-def total_variation(f: ScalarField, include_wrap: bool | None = None) -> float:
+def total_variation(f: ScalarField) -> float:
     """Total variation of a field; see ``tv_includes_wrap`` for the wrap pair."""
-    return total_variation_array(f.q, tv_includes_wrap(f.grid.boundary, include_wrap))
+    return total_variation_array(f.q, tv_includes_wrap(f.grid.boundary))
 
 
 def quadratic_energy(f: ScalarField) -> float:

@@ -1,10 +1,16 @@
 import csv
+import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rkstab.cli import main
+from rkstab import cli
+from rkstab.cli import _CONFIG_KEYS, main
+from rkstab.presets import preset_config
+
+VALID_SCHEME_IDS = "forward_euler, midpoint, ssprk33, rk31, rk44"
 
 
 def read_history(path):
@@ -320,6 +326,18 @@ def test_an_out_path_that_cannot_be_written_fails_before_the_work(tmp_path, caps
     assert (tmp_path / "a_file").read_text() == ""
 
 
+#: The error line of each wrong config value, by key and JSON text.
+WRONG_VALUE_ERRORS = {
+    ("t_final", '"1"'): "t_final must be a real number, got '1'",
+    ("dt_factor", "null"): "dt_factor must not be null; omit it to keep the preset's value",
+    ("tolerance", '"x"'): "tolerance must be a real number, got 'x'",
+    ("experiment", '["upwind"]'): "unknown experiment ['upwind']; valid ids: dissipative, upwind, muscl2, leblanc_n2",
+    ("n_cells", '"40"'): "n_cells must be an integer, got '40'",
+    ("dt_factor", "true"): "dt_factor must be a real number, got True",
+    ("scheme", "4"): f"unknown scheme 4; valid ids: {VALID_SCHEME_IDS}",
+}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -334,13 +352,59 @@ def test_an_out_path_that_cannot_be_written_fails_before_the_work(tmp_path, caps
 )
 def test_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
     """A config value of the wrong JSON type used to end in a TypeError
-    traceback; it must give an error line naming the key."""
+    traceback.  It now goes to preset_config as it is, and its error line is
+    the library's; a null, which preset_config would read as "keep the
+    preset's value", is the one value the CLI rejects itself."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "upwind", key: value}))
     out = tmp_path / "o"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert capsys.readouterr().err == f"error: {WRONG_VALUE_ERRORS[key, json.dumps(value)]}\n"
     assert not out.exists()
+
+
+#: A value of each config key that differs from the upwind preset's.
+CONFIG_VALUES = {
+    "experiment": "muscl2",
+    "scheme": "ssprk33",
+    "dt_factor": 0.5,
+    "t_final": 2,
+    "n_cells": 40,
+    "monitor": "energy",
+    "tolerance": 1e-10,
+}
+
+
+class _Built(Exception):
+    pass
+
+
+def same_config(a, b) -> bool:
+    """Equal configs; tableaux compare by identity, so by name and coefficients here."""
+    tableaux = [(t.name, t.A.tolist(), t.b.tolist()) for t in (a.tableau, b.tableau)]
+    return tableaux[0] == tableaux[1] and replace(a, tableau=None) == replace(b, tableau=None)
+
+
+@pytest.mark.parametrize("key", list(_CONFIG_KEYS))
+def test_a_config_key_sets_its_preset_config_keyword(tmp_path, monkeypatch, key):
+    """The CLI passes each config value to preset_config under the key's
+    keyword: the config it runs is the one that call builds."""
+    assert set(_CONFIG_KEYS.values()) <= set(inspect.signature(preset_config).parameters)
+    assert set(CONFIG_VALUES) == set(_CONFIG_KEYS)
+    built = []
+
+    def capture(config):
+        built.append(config)
+        raise _Built
+
+    monkeypatch.setattr(cli, "simulate", capture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "upwind", key: CONFIG_VALUES[key]}))
+    with pytest.raises(_Built):
+        main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    keywords = {"preset_id": "upwind", _CONFIG_KEYS[key]: CONFIG_VALUES[key]}
+    assert same_config(built[0], preset_config(**keywords))
+    assert not same_config(built[0], preset_config("upwind"))
 
 
 TOLERANCE_ON_POSITIVITY = "tolerance applies to the energy and tv monitors only, not to 'positivity'"
@@ -351,17 +415,14 @@ TOLERANCE_ON_POSITIVITY = "tolerance applies to the energy and tv monitors only,
     [
         (["run", "upwind", "--lf", "global"], "error: lf='global' needs a Lax-Friedrichs preset"),
         (["run", "dissipative", "--lf", "global"], "error: lf='global' needs a Lax-Friedrichs preset"),
-        (["run", "leblanc_n2", "--tv-wrap", "on"], "error: tv_wrap applies to the tv monitor only"),
-        (["run", "dissipative", "--tv-wrap", "off"], "error: tv_wrap applies to the tv monitor only"),
         (["limits", "muscl2", "--schemes", "rk44", "--lf", "global"], "error: lf='global' needs"),
         (["run", "leblanc_n2", "--tolerance", "0.5"], f"error: {TOLERANCE_ON_POSITIVITY}\n"),
         (["limits", "leblanc_n2", "--schemes", "rk44", "--tolerance", "0.5"], f"error: {TOLERANCE_ON_POSITIVITY}\n"),
     ],
 )
 def test_flags_a_preset_would_ignore_are_errors(tmp_path, capsys, argv, message):
-    """--lf global on a Burgers preset, --tv-wrap without the tv monitor and
-    --tolerance with the positivity monitor, which reads none, used to exit 0
-    with the default result."""
+    """--lf global on a Burgers preset and --tolerance with the positivity
+    monitor, which reads none, used to exit 0 with the default result."""
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(message)
@@ -370,7 +431,6 @@ def test_flags_a_preset_would_ignore_are_errors(tmp_path, capsys, argv, message)
 
 def test_flags_that_apply_are_accepted(tmp_path):
     out = tmp_path / "o"
-    assert main(["run", "upwind", "--tv-wrap", "off", "--t-final", "0.1", "--out", str(out / "u")]) == 0
     argv = ["run", "leblanc_n2", "--lf", "global", "--dt-factor", "0.5", "--t-final", "0.01", "--out", str(out / "l")]
     assert main(argv) in (0, 2)
     assert json.loads((out / "l" / "verdict.json").read_text())["n_steps"] > 0
@@ -393,9 +453,6 @@ def test_a_tolerance_that_is_not_finite_is_an_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-VALID_SCHEME_IDS = "forward_euler, midpoint, ssprk33, rk31, rk44"
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -407,6 +464,10 @@ VALID_SCHEME_IDS = "forward_euler, midpoint, ssprk33, rk31, rk44"
             f"error: unknown scheme 'rk5'; valid ids: {VALID_SCHEME_IDS}\n",
         ),
         (["limits", "upwind", "--schemes", "rk44", "--workers", "0"], "error: workers must be at least 1\n"),
+        (
+            ["limits", "upwind", "--schemes", "rk44", "--c-min", "1e-13"],
+            "error: c_min must be positive when rounded to 12 decimals, got 1e-13\n",
+        ),
     ],
 )
 def test_inputs_the_library_checks_exit_one_before_writing(tmp_path, capsys, argv, message):

@@ -201,14 +201,12 @@ def test_tv_spike_periodic():
     assert total_variation(f) == pytest.approx(2.0)
 
 
-def test_tv_wrap_convention():
+def test_tv_counts_the_wrap_pair_on_periodic_grids_only():
     g_dir = Grid1D(4, 0.0, 1.0, Dirichlet(0.0, 1.0), "center")
     q = np.array([0.0, 1.0, 0.0, 1.0])
     assert total_variation(ScalarField(g_dir, q)) == pytest.approx(3.0)
     g_per = periodic_grid(4)
     assert total_variation(ScalarField(g_per, q)) == pytest.approx(4.0)
-    # explicit override beats the boundary-based default
-    assert total_variation(ScalarField(g_per, q), include_wrap=False) == pytest.approx(3.0)
 
 
 def test_tv_upwind_initial_condition():

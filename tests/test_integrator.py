@@ -11,7 +11,6 @@ from rkstab.fields import admissibility_error, euler_minima
 from rkstab.integrator import (
     END_TIME_TOLERANCE,
     SimulationConfig,
-    StepFailedError,
     check_record_every,
     run_batch,
     simulate,
@@ -85,23 +84,6 @@ def test_trace_invariants(any_builtin):
         b * r for b, r in zip(any_builtin.b, trace.stage_derivatives)
     )
     np.testing.assert_allclose(trace.q_rk, expected, rtol=1e-13)
-
-
-def test_step_failure_carries_stage_index():
-    from rkstab.fields import NonPhysicalStateError
-
-    calls = []
-
-    def rhs(q):
-        calls.append(1)
-        if len(calls) >= 3:
-            raise NonPhysicalStateError("went bad", cell=7)
-        return -q
-
-    with pytest.raises(StepFailedError) as err:
-        traced_step(builtin_scheme("rk44"), rhs, np.array([1.0]), 0.5)
-    assert err.value.stage == 2
-    assert err.value.cause.cell == 7
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +327,25 @@ def test_config_rejects_a_t_final_the_end_tolerance_swallows(t_final):
     assert rec.n_steps == 1 and rec.times[-1] == 2 * END_TIME_TOLERANCE
 
 
+@dataclasses.dataclass(frozen=True)
 class RaisingEuler(LaxFriedrichsEuler):
-    """The LLF scheme with a kernel that raises on every call."""
+    """The LLF scheme with a kernel that raises from its ``raise_at``-th call
+    on; ``calls`` holds each call's ``with_dt_fe``."""
+
+    raise_at: int = 1
+    calls: list = dataclasses.field(default_factory=list)
 
     def rhs_array(self, U, grid, *, with_dt_fe=False):
-        raise NonPhysicalStateError("kernel refused", cell=0)
+        self.calls.append(with_dt_fe)
+        if len(self.calls) >= self.raise_at:
+            raise NonPhysicalStateError("kernel refused", cell=3)
+        return super().rhs_array(U, grid, with_dt_fe=with_dt_fe)
+
+
+def assert_is_the_kernel_error(error):
+    """The kernel's own error, unconverted: its type, message and cell."""
+    assert type(error) is NonPhysicalStateError
+    assert str(error) == "kernel refused (cell 3)" and error.cell == 3
 
 
 @pytest.mark.parametrize("n_rows", [1, 2])
@@ -357,10 +353,29 @@ def test_a_raising_kernel_raises_out_of_run_batch_at_any_batch_size(n_rows):
     """The loop, not the kernel, judges admissibility: a kernel that raises is
     a fault, and its error leaves run_batch at one row as at two (one row
     used to turn it into an abort verdict), from the stage-0 call that gives
-    the step bound (it used to leave unconverted)."""
+    the step bound, as the kernel raised it."""
     cfg = dataclasses.replace(preset_config("leblanc_n2", n_cells=8, t_final=0.01), scheme=RaisingEuler())
-    with pytest.raises(StepFailedError, match="stage 0: kernel refused"):
+    with pytest.raises(NonPhysicalStateError) as err:
         run_batch(cfg, [1.0, 0.5][:n_rows])
+    assert_is_the_kernel_error(err.value)
+
+
+@pytest.mark.parametrize("where", ["traced_step", 1, 2])
+def test_an_rhs_error_inside_a_step_leaves_it_unconverted(where):
+    """A step used to re-raise an RHS error as an error of its own carrying
+    the stage index.  An error raised at stage 2 of the first step now leaves
+    traced_step, and run_batch at one row and at two, as the kernel raised it."""
+    scheme = RaisingEuler(raise_at=3)
+    cfg = dataclasses.replace(preset_config("leblanc_n2", n_cells=8, t_final=0.01), scheme=scheme)
+    with pytest.raises(NonPhysicalStateError) as err:
+        if where == "traced_step":
+            rhs = lambda U: scheme.rhs_array(U, cfg.grid)  # noqa: E731
+            traced_step(builtin_scheme("rk44"), rhs, cfg.ic.build(cfg.grid).stack(), 1e-4)
+        else:
+            run_batch(cfg, [1.0, 0.5][:where])
+    assert_is_the_kernel_error(err.value)
+    # stage 0's call (which gives the step bound in run_batch), then stages 1 and 2
+    assert scheme.calls == [where != "traced_step", False, False]
 
 
 def test_preset_lf_accepts_local_or_global_only():

@@ -98,6 +98,23 @@ def test_a_scan_has_fewer_than_max_ticks():
     LimitSearchConfig(base=base, c_min=1.0, c_max=2.0, granularity=1.01 / limits.MAX_TICKS)
 
 
+@pytest.mark.parametrize("c_min", [1e-13, 4.9e-13, 5e-13])
+def test_a_c_min_whose_tick_rounds_to_zero_is_refused_before_any_candidate_runs(monkeypatch, c_min):
+    """Ticks are rounded to TICK_DECIMALS decimals, so such a c_min used to
+    make the first tick 0.0 and fail inside the sweep, with run_batch's
+    dt_factor error; 1e-12 is the first tick itself."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(limits, "run_batch", no_sweep)
+    message = f"c_min must be positive when rounded to {limits.TICK_DECIMALS} decimals, got {c_min!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        limits_table("upwind", ["rk44"], c_min=c_min, c_max=0.3, t_final=0.1)
+    cfg = upwind_search(c_min=1e-12, c_max=0.3)
+    assert limits._candidate_values(cfg.c_min, cfg.c_max, cfg.granularity)[0] == 1e-12
+
+
 def test_an_inconsistent_tableau_fails_before_any_candidate_runs(monkeypatch):
     """The scheme's SSP coefficient is taken before the first offer, so a
     tableau whose weights do not sum to 1 is not swept."""

@@ -49,17 +49,14 @@ def test_monitor_rejects_a_tolerance_that_is_not_a_real_number(tolerance):
 
 
 def test_a_monitor_rejects_a_setting_its_kind_does_not_read():
-    """Built directly, a positivity monitor with a tolerance or an energy
-    monitor with tv_wrap used to construct and run with the value ignored."""
+    """Built directly, a positivity monitor with a tolerance used to construct
+    and run with the value ignored."""
     with pytest.raises(ValueError, match="tolerance applies to the energy and tv monitors only, not to 'positivity'"):
         Monitor("positivity", tolerance=0.5)
-    for kind, wrap in (("energy", True), ("positivity", False)):
-        with pytest.raises(ValueError, match=f"tv_wrap applies to the tv monitor only, not to '{kind}'"):
-            Monitor(kind, tv_wrap=wrap)
     # An omitted tolerance is the kind's default: 1e-12 where it is read.
     assert [Monitor(kind).tolerance for kind in ("energy", "tv", "positivity")] == [1e-12, 1e-12, None]
     assert Monitor("tv", tolerance=None) == Monitor("tv", tolerance=1e-12)
-    for monitor in (Monitor("positivity"), Monitor("tv", 0.5, True)):
+    for monitor in (Monitor("positivity"), Monitor("tv", 0.5)):
         assert replace(monitor) == monitor
 
 
@@ -289,14 +286,6 @@ def test_history_worst_deltas_come_from_the_verdicts(preset, c, kw):
         assert record.monitor_stage_worst[i] == step
         assert record.monitor_shifted_worst[i] == shifted
     assert not record.verdict.passed and record.verdict.aborted_step is None
-
-
-@pytest.mark.parametrize("wrap", ["no", 0, 1.0])
-def test_monitor_tv_wrap_must_be_none_or_a_bool(wrap):
-    """A truthy non-bool such as "no" used to turn the wrap term on."""
-    with pytest.raises(ValueError, match=re.escape(f"tv_wrap must be None or a bool, got {wrap!r}")):
-        Monitor(kind="tv", tv_wrap=wrap)
-    assert [Monitor(kind="tv", tv_wrap=w).tv_wrap for w in (None, False, True)] == [None, False, True]
 
 
 def test_positivity_has_no_scalar_functional():
