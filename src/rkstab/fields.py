@@ -26,6 +26,9 @@ __all__ = [
     "NonPhysicalStateError",
     "per_row",
     "require_number",
+    "operand",
+    "ZERO",
+    "HALF",
     "tv_includes_wrap",
     "total_variation_array",
     "quadratic_energy_array",
@@ -168,13 +171,32 @@ def tv_includes_wrap(boundary) -> bool:
 
 def require_number(name: str, value, kind=numbers.Real, *, finite: bool = False) -> None:
     """The one type rule of numeric settings: ``value`` must be a real (or,
-    with ``kind=numbers.Integral``, an integer) number, and a bool is not;
-    with ``finite``, neither is NaN or an infinity."""
+    with ``kind=numbers.Integral``, an integer) number that a float can hold,
+    and a bool is not; with ``finite``, neither is NaN or an infinity."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is numbers.Integral else "a real number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
-    if finite and not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer or fraction past the float range, such as 10**400
+        raise ValueError(f"{name} must be within the float range, got {value!r}") from None
+    if finite and not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def operand(value) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, the cheapest constant
+    operand of a ufunc call: a Python float or a numpy scalar costs about
+    half as much again, a ``(1,)`` or ``(1, 1)`` array twice as much.  A
+    ufunc gives it the value a float operand has, so results do not change;
+    being read-only, no ``out=`` argument can overwrite it."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+#: The constants of the functionals and of the stepping loop.
+ZERO, HALF = operand(0.0), operand(0.5)
 
 
 def per_row(values):
@@ -199,7 +221,7 @@ def quadratic_energy_array(q: np.ndarray):
     ``vecdot`` rounds every row exactly as ``q @ q`` rounds that row alone,
     so a stacked evaluation gives the single-state value bit for bit.
     """
-    return per_row(0.5 * np.vecdot(q, q))
+    return per_row(HALF * np.vecdot(q, q))
 
 
 def euler_minima(U):
@@ -212,14 +234,14 @@ def euler_minima(U):
     rho, m = U[..., 0, :], U[..., 1, :]
     min_rho = np.minimum.reduce(rho, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rhoe = 0.5 * m  # internal_energy_density, E - ((0.5 m) m) / rho, in one buffer
+        rhoe = HALF * m  # internal_energy_density, E - ((0.5 m) m) / rho, in one buffer
         rhoe *= m
         rhoe /= rho
         np.subtract(U[..., 2, :], rhoe, out=rhoe)
-    if np.count_nonzero(min_rho > 0.0) == min_rho.size:  # every rho > 0 (NaN is not)
+    if np.count_nonzero(min_rho > ZERO) == min_rho.size:  # every rho > 0 (NaN is not)
         min_rhoe = np.minimum.reduce(rhoe, axis=-1)
     else:
-        good = rho > 0.0
+        good = rho > ZERO
         rhoe[~good] = np.inf
         min_rhoe = np.where(np.any(good, axis=-1), np.minimum.reduce(rhoe, axis=-1), np.nan)
     return per_row(min_rho), per_row(min_rhoe)

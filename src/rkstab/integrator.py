@@ -22,10 +22,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fields import (
+    ZERO,
     EulerField,
     Grid1D,
     ScalarField,
     admissibility_error,
+    operand,
     require_number,
     write_csv_columns,
 )
@@ -66,29 +68,32 @@ def rk_step_instrumented(plan, rhs, dt, *, r0=None) -> None:
     ``plan`` is the plan :func:`_step_plan` binds to q^n and a workspace;
     the step writes its stage solutions, step solution and shifted Euler
     states q^n + dt*R^j there, and drops each derivative once its terms are
-    added.  ``rhs`` maps a state to its time derivative, and ``dt`` may be
-    an array broadcasting against the states (one step size per row of a
-    stack of states).  ``r0`` is a list that holds ``rhs(q_n)`` when the
-    caller has evaluated it already; the step pops it as stage 0's
-    derivative.  An error that ``rhs`` raises propagates unchanged: in
+    added.  ``rhs`` maps a state to its time derivative.  ``dt`` is the
+    step size, a float or a ``(1,)`` array, when the plan has no
+    ``dt_cells``; else an array broadcasting against the states (one step
+    size per row of a stack of states).  ``r0`` is a list that holds
+    ``rhs(q_n)`` when the caller has evaluated it already; the step pops it
+    as stage 0's derivative.  An error that ``rhs`` raises propagates unchanged: in
     :func:`run_batch` the monitor judges admissibility after the step, and
     kernels do not raise.
     """
+    multiply, add = np.multiply, np.add  # the ufuncs of every term, looked up once
     spread = plan.dt_cells is not None
     if spread:
         plan.dt_cells[...] = dt
+    else:  # dt and every dt a, read through 0-d views of dta
+        multiply(plan.coef, dt, plan.dta)
     for dest, q_0 in plan.copies:
         dest[...] = q_0
-    multiply, add = np.multiply, np.add  # the ufuncs of every term, looked up once
     for q_i, q_0, dt_i, shifted, cuts, terms in plan.stages:
         r_i = r0.pop() if r0 else rhs(q_i)
-        multiply(dt_i if spread else dt, r_i, shifted)
+        multiply(dt_i, r_i, shifted)
         add(q_0, shifted, shifted)
         views = [r_i]  # r_i, then its prefixes that later stages need
         for n in cuts:
             views.append(r_i[:n])
         for prod, dt_k, a, dt_a, v, x, y, dest in terms:
-            multiply(multiply(dt_k, a, dt_a) if spread else dt * a, views[v], prod)
+            multiply(multiply(dt_k, a, dt_a) if spread else dt_a, views[v], prod)
             add(x, y, dest)
         del r_i, views  # not alive during the next stage's rhs call
 
@@ -248,16 +253,21 @@ def _step_plan(counts, Ab, q_n, room):
     its rows) take consecutive blocks of ``buffer``, viewed as ``states``,
     the one stack the monitor reads; ``dt_cells`` holds the rows' ``dt``,
     spread over the cells of each row or as a ``(rows, 1, ...)`` column, and
-    is None for a scalar ``dt``.  ``stages[i]`` is ``(q_i, q^n, dt, shifted,
-    cuts, terms)`` on its rows; its ``terms``, in
-    the order of the stage ``k`` they go to (``k = s``: q_rk), are ``(prod,
-    dt, a, dt_a, v, x, y, dest)``: ``prod = (dt a) R`` on the first ``n``
-    rows, ``R`` being the derivative (``v = 0``) or its prefix of ``cuts[v -
-    1]`` rows, then ``dest = x + y``.  ``a`` is ``A[k, i]`` or ``b[i]``, a
-    float when every row has the same, else a column; ``dt a`` is made in
-    ``prod`` when ``dt_cells`` is spread, else in a column of its own.  A
-    stage's first term makes
-    it ``q^n + prod`` in place, later ones add ``prod`` from ``scratch``;
+    is None for the one ``dt`` of a single row.  ``stages[i]`` is ``(q_i,
+    q^n, dt, shifted, cuts, terms)`` on its rows; its ``terms``, in the
+    order of the stage ``k`` they go to (``k = s``: q_rk), are ``(prod, dt,
+    a, dt_a, v, x, y, dest)``: ``prod = (dt a) R`` on the first ``n`` rows,
+    ``R`` being the derivative (``v = 0``) or its prefix of ``cuts[v - 1]``
+    rows, then ``dest = x + y``.  ``a`` is ``A[k, i]`` or ``b[i]``, a 0-d
+    array when every row has the same, else a column; ``dt a`` is made in
+    ``prod`` when ``dt_cells`` is spread, else in a column of its own.
+    Without ``dt_cells``, the step makes its ``dt`` and every ``dt a`` in
+    one multiply, ``coef * dt`` into ``dta`` (``coef`` is 1, then each
+    term's ``a``), and a stage's ``dt`` and a term's ``dt_a`` are 0-d views
+    of ``dta``: every constant operand of the step is then a 0-d array, and
+    each product is the one IEEE multiply of a float ``dt * a``.  A stage's
+    first term makes it ``q^n + prod`` in place, later ones add ``prod``
+    from ``scratch``;
     q_rk, whose rows may differ in their terms, and a stage without terms
     start as copies of q^n.  ``take`` places the values of ``q^n`` and of
     ``states``, concatenated, into a ``(rows, 2s+1)`` layout: q^n, stages
@@ -281,6 +291,7 @@ def _step_plan(counts, Ab, q_n, room):
     q_s = [q_n, *out[:s]]  # the stages, then q_rk
     fresh = [False] + [True] * (s - 1) + [False]
     cuts, terms = [[] for _ in range(s)], [[] for _ in range(s)]
+    coef, dta = [1.0], None if dt_cells is not None else np.empty(1 + s * (s + 1) // 2)
     for i, k in itertools.combinations(range(s + 1), 2):
         n, at = (width[k], k) if k < s else (width[i], -1)  # b_i covers stage i's rows
         if not nonzero[at][i]:
@@ -289,22 +300,28 @@ def _step_plan(counts, Ab, q_n, room):
             cuts[i].append(n)
         dest = cut(q_s[k], n)
         prod = dest if fresh[k] else cut(scratch, n)
-        if shared[at][i] >= n:  # one float
-            a, dt_k = first[at][i], cut(dt_cells, n)
-        else:  # a column, and so is dt a, from the rows' dt in dt_cells
-            a = Ab[:n, at, i].reshape((-1,) + (1,) * (q_n.ndim - 1))
-            dt_k = dt_cells[(slice(n),) + (slice(1),) * (q_n.ndim - 1)]
-        dt_a = prod if dt_k is None or dt_k.shape == prod.shape else np.empty(dt_k.shape)
+        if dta is not None:  # one row: dt a is made with its dt
+            a, dt_k, dt_a = None, None, dta[len(coef), ...]
+            coef.append(first[at][i])
+        else:
+            if shared[at][i] >= n:  # one coefficient
+                a, dt_k = operand(first[at][i]), cut(dt_cells, n)
+            else:  # a column, and so is dt a, from the rows' dt in dt_cells
+                a = Ab[:n, at, i].reshape((-1,) + (1,) * (q_n.ndim - 1))
+                dt_k = dt_cells[(slice(n),) + (slice(1),) * (q_n.ndim - 1)]
+            dt_a = prod if dt_k.shape == prod.shape else np.empty(dt_k.shape)
         xy = (cut(q_n, n), dest) if fresh[k] else (dest, prod)
         terms[i].append((prod, dt_k, a, dt_a, (width[i], *cuts[i]).index(n), *xy, dest))
         fresh[k] = False
     copies = [(q_s[s], q_n)] + [(q_s[k], cut(q_n, width[k])) for k in range(1, s) if fresh[k]]
-    stages = [(q_s[i], cut(q_n, n), cut(dt_cells, n), out[s + i], cuts[i], terms[i]) for i, n in enumerate(width)]
+    dt_i = dt_cells if dta is None else dta[0, ...]
+    stages = [(q_s[i], cut(q_n, n), cut(dt_i, n), out[s + i], cuts[i], terms[i]) for i, n in enumerate(width)]
     k = np.arange(rows)[:, None]
     home = [0] * s + [s] + [s + 1] * s  # the column a missing state copies
     take = k + np.where(k < sizes, starts[:-1], [starts[h] for h in home])
     plan = SimpleNamespace(s=s, q_rk=out[s - 1], dt_cells=dt_cells, copies=copies, stages=stages, take=take)
     plan.states, plan.rk_at = buffer[: starts[-1] - rows], starts[s] - rows
+    plan.coef, plan.dta = (None, None) if dta is None else (np.array(coef), dta[: len(coef)])
     return plan
 
 
@@ -361,10 +378,11 @@ def run_batch(
         raise ValueError(f"the initial field's gamma {f0.gamma!r} differs from the scheme's gamma {scheme.gamma!r}")
     q0 = f0.stack() if is_euler else f0.q
     v0 = state_values(monitor, grid, q0)  # G(q^0), or the floor of q^0
-    slack = 0.0 if monitor.tolerance is None else monitor.tolerance * max(1.0, abs(v0))  # positivity reads none
-
-    t_final = config.t_final
-    t_eps = END_TIME_TOLERANCE * max(1.0, t_final)
+    # The constants of every step's ufunc calls, as 0-d arrays (see
+    # fields.operand); positivity reads no slack.
+    slack = operand(0.0 if monitor.tolerance is None else monitor.tolerance * max(1.0, abs(v0)))
+    t_final = operand(config.t_final)
+    t_eps = operand(END_TIME_TOLERANCE * max(1.0, config.t_final))
     rhs = lambda state: scheme.rhs_array(state, grid)  # noqa: E731
     as_column = (-1,) + (1,) * q0.ndim  # per-row dt against a stack of states
 
@@ -435,7 +453,7 @@ def run_batch(
 
             r0, dt = scheme.rhs_array(q, grid, with_dt_fe=True)  # stage 0's call, with q^n's step bound
             dt = np.minimum(c * dt, remaining)
-            stay = dt > 0.0  # NaN is not
+            stay = dt > ZERO  # NaN is not
             if step == 0:  # a budget is at least 100 steps, or 0 for a run too long to take
                 steps = np.ceil(t_final / dt)
                 budget = np.where(steps <= MAX_RUN_STEPS, STEP_BUDGET_FACTOR * steps, 0.0)
@@ -453,9 +471,9 @@ def run_batch(
                 if not live.size:
                     break
 
-            # One row's dt is passed as a scalar: it broadcasts to the same
-            # values, with less overhead per operation than a 1x1 array.
-            dt_rows = dt.reshape(as_column) if live.size > 1 else float(dt[0])
+            # One row's (1,) dt goes to its plan as it is: the plan makes the
+            # step's 0-d dt and dt a from it (see _step_plan).
+            dt_rows = dt.reshape(as_column) if live.size > 1 else dt
             # This step's plan: an Euler leave() below binds a new one.
             s, states, q_rk = plan.s, plan.states, plan.q_rk
             first, r0 = [r0], None  # the step drops it once used
@@ -474,7 +492,7 @@ def run_batch(
             values = np.concatenate((v_n, values))[plan.take]
             if is_euler:
                 # A stage whose floor is not positive is one the kernel may not see.
-                admissible = values[:, :s] > 0.0
+                admissible = values[:, :s] > ZERO
                 if np.count_nonzero(admissible) < admissible.size:
                     inadmissible = ~admissible.all(axis=1)
                     for k in np.flatnonzero(inadmissible):

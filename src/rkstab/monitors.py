@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (
+    ZERO,
     euler_minima,
     per_row,
     quadratic_energy_array,
@@ -109,7 +110,7 @@ def euler_state_floor(U: np.ndarray, *, with_minima: bool = False):
     """
     minima = min_rho, min_rhoe = euler_minima(U)
     # NaN propagates through the comparison and the minimum
-    floor = per_row(np.where(min_rho > 0.0, np.minimum(min_rho, min_rhoe), min_rho))
+    floor = per_row(np.where(min_rho > ZERO, np.minimum(min_rho, min_rhoe), min_rho))
     return (floor, minima) if with_minima else floor
 
 
@@ -121,7 +122,7 @@ def state_values(monitor: Monitor, grid, states: np.ndarray):
     return evaluate_functional(monitor, states, grid)
 
 
-def judge(monitor: Monitor, values: np.ndarray, s: int, slack: float):
+def judge(monitor: Monitor, values: np.ndarray, s: int, slack):
     """The worst delta of each family of each row's step, and whether it fails.
 
     ``values`` holds the values of every row's states in a ``(rows, 2s+1)``
@@ -131,9 +132,10 @@ def judge(monitor: Monitor, values: np.ndarray, s: int, slack: float):
     ``(worst, fail)``, two ``(rows, 2)`` arrays: each family's most-violating
     delta (NaN if any is NaN) and whether it fails, ``not worst <= slack``
     for energy/tv and ``not worst > 0`` for positivity.  A family passes
-    exactly when its worst delta passes, and NaN never passes.
+    exactly when its worst delta passes, and NaN never passes.  ``slack`` is
+    a float, or the 0-d array of it that the stepping loop binds.
     """
     rule = RULES[monitor.kind]
     deltas = values - values[:, :1] if rule.relative else values
     worst = rule.worst.reduceat(deltas, (0, s + 1), axis=1)
-    return worst, ~(worst <= slack if rule.bounded else worst > 0.0)
+    return worst, ~(worst <= slack if rule.bounded else worst > ZERO)

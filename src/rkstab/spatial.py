@@ -29,10 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    HALF,
+    ZERO,
     Dirichlet,
     Grid1D,
     Outflow,
     Periodic,
+    operand,
     per_row,
     require_number,
 )
@@ -100,7 +103,7 @@ class MusclBurgers:
         return (r, self.dt_fe_array(q, grid)) if with_dt_fe else r
 
     def dt_fe_array(self, q: np.ndarray, grid: Grid1D):
-        return _bound_over(grid.dx, 2.0 * np.maximum.reduce(np.abs(q), axis=-1))
+        return _bound_over(grid.dx, _TWO * np.maximum.reduce(np.abs(q), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -151,11 +154,12 @@ class _Scratch:
     kernel's ufuncs on those views, cut once, leaving the flux difference
     ``F_{i+1/2} - F_{i-1/2}`` in the first n lanes of each extended row.
     The bound kernel divides those out by ``-dx`` into a fresh array, so a
-    result never views the buffer.  The bindings of every kernel and shape
-    share the buffer, which grows to the widest stack served and then drops
-    the bindings cut from the old one.  A kernel call is therefore not
-    re-entrant across threads; the sweep's pool runs processes, each with
-    its own buffer.
+    result never views the buffer.  Every constant that a form's ufuncs
+    read is bound as a 0-d array (see :func:`~rkstab.fields.operand`).  The
+    bindings of every kernel and shape share the buffer, which grows to the
+    widest stack served and then drops the bindings cut from the old one.
+    A kernel call is therefore not re-entrant across threads; the sweep's
+    pool runs processes, each with its own buffer.
     """
 
     LIMIT = 64  # bindings kept; one more starts the table again
@@ -181,7 +185,7 @@ class _Scratch:
             cut = self.buffer[: blocks * lanes].reshape(blocks, lanes)
             qe = cut[0].reshape(extended)
             fill = form(qe, *cut[1:], *params)
-            kernel = self.bound[key] = _divided(fill, qe[..., : shape[-1]], -dx)
+            kernel = self.bound[key] = _divided(fill, qe[..., : shape[-1]], operand(-dx))
         return kernel
 
 
@@ -209,6 +213,9 @@ def _divided(fill, cells, by):
 
 _SCRATCH = _Scratch()
 
+#: The constants of the scalar kernels that the shared ones do not cover.
+_TWO, _SIX = operand(2.0), operand(6.0)
+
 
 # Each form runs on the flattened stack of extended rows, one contiguous
 # pass per operation, as the LLF interfaces do: lane k pairs entries k and
@@ -227,6 +234,7 @@ def _dissipative(qe, sq, flux, mu):
     F = flux[:-1]
     F_r, F_l, head = F[1:], F[:-1], e[:-2]
     multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
+    mu = operand(mu)
 
     def kernel(q):
         cells[...] = q  # one ghost cell per side, periodic
@@ -237,7 +245,7 @@ def _dissipative(qe, sq, flux, mu):
         multiply(ql, qr, F)
         add(sq_l, F, F)
         add(F, sq_r, F)
-        divide(F, 6.0, F)
+        divide(F, _SIX, F)
         subtract(qr, ql, sq_l)  # the jump
         multiply(mu, sq_l, sq_l)
         subtract(F, sq_l, F)
@@ -256,7 +264,7 @@ def _upwind(qe, f):
     def kernel(q):
         cells[...] = q  # one periodic ghost cell on the left
         left[...] = last
-        multiply(0.5, e, f)  # the upwind flux f(q_i) through i+1/2
+        multiply(HALF, e, f)  # the upwind flux f(q_i) through i+1/2
         multiply(f, e, f)
         subtract(f_r, f_l, head)
 
@@ -269,7 +277,7 @@ def _muscl(qe, a, b, c, boundary):
     if isinstance(boundary, Periodic):
         ghost_l, ghost_r = qe[..., n : n + 2], qe[..., 2:4]
     elif isinstance(boundary, Dirichlet):
-        ghost_l, ghost_r = float(boundary.left), float(boundary.right)
+        ghost_l, ghost_r = operand(boundary.left), operand(boundary.right)
     else:  # so no binding exists for another boundary
         raise UnsupportedBoundaryError("MUSCL Burgers supports periodic or dirichlet boundaries only")
     e = qe.reshape(-1)
@@ -294,18 +302,18 @@ def _muscl(qe, a, b, c, boundary):
         absolute(dq, dq)
         minimum(dq_r, dq_l, out=half)
         add(sign_r, sign_l, signs)
-        multiply(signs, 0.5, signs)
+        multiply(signs, HALF, signs)
         multiply(half, signs, half)
-        multiply(half, 0.5, half)
+        multiply(half, HALF, half)
         add(qe_m, half_l, qm)  # q^- at interfaces -1/2 .. n-1/2
         subtract(qe_p, half_r, qp)  # q^+ at the same interfaces
         # Godunov flux of q^2/2: max(f(max(q^-, 0)), f(min(q^+, 0))), f(x) = (0.5 x) x,
         # which is 0 when q^- <= 0 <= q^+, else min or max of the endpoint fluxes.
-        maximum(qm, 0.0, out=qm)
-        minimum(qp, 0.0, out=qp)
-        multiply(0.5, qm, f)
+        maximum(qm, ZERO, out=qm)
+        minimum(qp, ZERO, out=qp)
+        multiply(HALF, qm, f)
         multiply(f, qm, f)
-        multiply(0.5, qp, fp)
+        multiply(HALF, qp, fp)
         multiply(fp, qp, fp)
         maximum(f, fp, out=f)
         subtract(f_r, f_l, head)
@@ -319,7 +327,7 @@ def _muscl(qe, a, b, c, boundary):
 def _primitive_parts(rho, m, E, gamma: float):
     """Velocity, pressure and maximal signal speed |u| + sqrt(gamma p / rho) per cell."""
     u = m / rho
-    p = 0.5 * m  # p = (gamma - 1) * (E - 0.5 * m * u)
+    p = HALF * m  # p = (gamma - 1) * (E - 0.5 * m * u)
     p *= u
     np.subtract(E, p, out=p)
     p *= gamma - 1.0
@@ -373,7 +381,7 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool, with
         a_ifc = np.empty_like(speed)
         lanes, speed = a_ifc.reshape(-1), speed.reshape(-1)
         np.maximum(speed[:-1], speed[1:], out=lanes[:-1])
-        lanes[-1:] = 0.0
+        lanes[-1:] = ZERO
     else:
         a_ifc = np.maximum.reduce(speed, axis=-1, keepdims=True)
         top = a_ifc[..., 0]
@@ -390,10 +398,10 @@ def _llf_rhs(U: np.ndarray, dx: float, gamma: float, boundary, local: bool, with
     jump = np.empty_like(Ue)
     cells, jumps = Ue.reshape(-1), jump.reshape(-1)
     np.subtract(cells[1:], cells[:-1], out=jumps[:-1])
-    jumps[-1:] = 0.0
+    jumps[-1:] = ZERO
     jump *= a_ifc  # over every component
     lanes -= jumps[:-1]
-    lanes *= 0.5
+    lanes *= HALF
     np.subtract(lanes[1:], lanes[:-1], out=jumps[:-2])  # h_r - h_l
     del h, lanes
     r = np.empty(U.shape)  # C-ordered, whatever the layout of U

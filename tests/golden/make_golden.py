@@ -1,8 +1,9 @@
 """Write the golden tables and verdicts that ``tests/test_golden.py`` pins.
 
 For every preset, the JSON (``to_json_dict``) and the CSV of a short
-``limits_table`` with and without ``refine``; and the ``verdict.json`` of
-three ``rkstab run`` calls, one of them a Leblanc run that aborts.  The test
+``limits_table`` with and without ``refine``; and the ``verdict.json``,
+``history.csv`` and ``final_field.csv`` of five ``rkstab run`` calls, one
+on each scalar preset and two on Leblanc, of which one aborts.  The test
 rewrites them into a temporary directory and compares them byte for byte.
 
 Regenerate (only when a change of results is intended):
@@ -28,12 +29,18 @@ TABLE_T_FINAL = {
     "leblanc_n2": 0.02,
 }
 
-#: ``rkstab run`` arguments per verdict file.
+#: ``rkstab run`` arguments per run, whose files are kept as
+#: ``<run>_<file>`` (see :data:`RUN_FILES`).
 RUNS = {
     "run_upwind": ["upwind", "--scheme", "ssprk33", "--dt-factor", "1.5", "--t-final", "0.5"],
     "run_muscl2": ["muscl2", "--scheme", "rk31", "--dt-factor", "2.5", "--t-final", "20"],
     "run_leblanc_abort": ["leblanc_n2", "--scheme", "rk44", "--dt-factor", "4.5"],
+    "run_dissipative": ["dissipative", "--scheme", "rk44", "--dt-factor", "1.0", "--t-final", "0.05"],
+    "run_leblanc": ["leblanc_n2", "--scheme", "ssprk33", "--dt-factor", "0.9", "--t-final", "0.05"],
 }
+
+#: The files every ``rkstab run`` writes.
+RUN_FILES = ("verdict.json", "history.csv", "final_field.csv")
 
 
 def golden_names() -> list[str]:
@@ -42,7 +49,7 @@ def golden_names() -> list[str]:
         for refine in (False, True):
             stem = f"table_{preset}{'_refine' if refine else ''}"
             names += [f"{stem}.json", f"{stem}.csv"]
-    return names + [f"{name}_verdict.json" for name in RUNS]
+    return names + [f"{name}_{file}" for name in RUNS for file in RUN_FILES]
 
 
 def write_golden(out_dir: Path) -> None:
@@ -58,7 +65,8 @@ def write_golden(out_dir: Path) -> None:
             run_dir = Path(tmp) / name
             if main(["run", *argv, "--out", str(run_dir)]) not in (0, 2):
                 raise RuntimeError(f"rkstab run {' '.join(argv)} failed")
-            (out_dir / f"{name}_verdict.json").write_bytes((run_dir / "verdict.json").read_bytes())
+            for file in RUN_FILES:
+                (out_dir / f"{name}_{file}").write_bytes((run_dir / file).read_bytes())
 
 
 if __name__ == "__main__":

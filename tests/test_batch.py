@@ -787,6 +787,34 @@ def test_workspace_step_equals_traced_step(preset):
             np.testing.assert_array_equal(states[k, s + 1 + j], alone.shifted_states[j][0])
 
 
+@pytest.mark.parametrize("name", BUILTIN_SCHEME_IDS)
+def test_a_step_reads_every_constant_operand_as_a_0d_array(name):
+    """A one-row plan (no ``dt_cells``) makes its dt and every dt a in one
+    multiply, each the float product ``dt * a``, and a stage reads its dt
+    and a term its dt a through 0-d views of ``dta``; in a plan of two rows,
+    each coefficient the rows share is a 0-d array."""
+    tab = builtin_scheme(name)
+    dt = 0.1  # dt * a rounds for most a
+    q = np.zeros((1, 5))
+    room = (np.empty((2 * tab.s,) + q.shape[1:]), np.empty_like(q), None)
+    plan = integrator._step_plan(*integrator._coefficients([tab]), q, room)
+    integrator.rk_step_instrumented(plan, np.ones_like, np.array([dt]))
+    coefficients = [a for a in [*tab.A[np.tril_indices(tab.s, -1)], *tab.b] if a != 0.0]  # one term each
+    assert sorted(plan.coef.tolist()) == sorted([1.0, *coefficients])
+    assert plan.dta.tolist() == [dt * a for a in plan.coef.tolist()]
+    terms = [term for stage in plan.stages for term in stage[5]]
+    assert len(terms) == len(coefficients)
+    for dt_i in [stage[2] for stage in plan.stages] + [term[3] for term in terms]:
+        assert type(dt_i) is np.ndarray and dt_i.shape == () and np.shares_memory(dt_i, plan.dta)
+
+    q = np.zeros((2, 5))
+    room = (np.empty((4 * tab.s,) + q.shape[1:]), np.empty_like(q), np.empty_like(q))
+    plan = integrator._step_plan(*integrator._coefficients([tab, tab]), q, room)
+    assert plan.coef is None and plan.dta is None
+    for term in (term for stage in plan.stages for term in stage[5]):
+        assert type(term[2]) is np.ndarray and term[2].shape == ()
+
+
 def assert_workspace_step_equals_row_by_row_oracle(rhs, q, dt):
     """For each built-in tableau on every row of ``q``, and for the five
     mixed, every stage, q_rk and shifted state of the workspace step equal

@@ -238,6 +238,17 @@ def test_a_final_time_within_the_end_tolerance_is_an_error(tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_run_rejects_a_config_t_final_past_the_float_range(tmp_path, capsys):
+    """A JSON integer of 400 digits used to pass every check, make --out and
+    then end in an OverflowError traceback inside the run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "upwind", "t_final": 1' + "0" * 399 + "}")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: t_final must be within the float range, got {10**399!r}\n"
+    assert not out.exists()
+
+
 def test_run_rejects_fractional_cell_count_in_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "upwind", "n_cells": 40.5}))

@@ -1,7 +1,9 @@
 import csv
+import numbers
 import pickle
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from rkstab.fields import (
     admissibility_error,
     euler_minima,
     field_to_csv,
+    operand,
+    require_number,
     write_csv_columns,
 )
 
@@ -77,6 +81,59 @@ def test_dirichlet_states_must_be_finite_real_numbers(states, message):
     and NaN to run to a degenerate_dt abort."""
     with pytest.raises(ValueError, match=re.escape(message)):
         Dirichlet(*states)
+
+
+@pytest.mark.parametrize(
+    "value, kind, finite",
+    [
+        (10**400, numbers.Real, False),
+        (10**400, numbers.Real, True),
+        (-(10**400), numbers.Real, True),
+        (Fraction(10**400, 3), numbers.Real, False),
+        (10**400, numbers.Integral, False),
+    ],
+    ids=["real", "finite", "negative", "fraction", "integer"],
+)
+def test_a_number_a_float_cannot_hold_is_refused_by_name(value, kind, finite):
+    """10**400 passed the type rule and then raised an OverflowError, from
+    math.isfinite with ``finite`` or from the first float() of it later."""
+    with pytest.raises(ValueError, match=re.escape(f"width must be within the float range, got {value!r}")):
+        require_number("width", value, kind, finite=finite)
+
+
+def test_a_number_at_the_edge_of_the_float_range_is_kept():
+    for value in (2**1023, -(2**1023), 1.7976931348623157e308, Fraction(1, 10**400)):
+        require_number("width", value, finite=True)
+
+
+def test_the_module_constants_of_the_hot_path_are_read_only_0d_arrays():
+    """Every 0-d array a module binds for the ufunc calls of a step refuses
+    to be written, so an ``out=`` argument cannot change it for every later
+    call; ``operand`` makes each of them."""
+    import rkstab.fields
+    import rkstab.integrator
+    import rkstab.monitors
+    import rkstab.spatial
+
+    found = {}  # each constant once, under the first name that binds it
+    for module in (rkstab.fields, rkstab.spatial, rkstab.monitors, rkstab.integrator):
+        for name, value in vars(module).items():
+            if isinstance(value, np.ndarray) and all(value is not v for v in found.values()):
+                found[f"{module.__name__}.{name}"] = value
+    assert {name: float(value) for name, value in found.items()} == {
+        "rkstab.fields.ZERO": 0.0,
+        "rkstab.fields.HALF": 0.5,
+        "rkstab.spatial._TWO": 2.0,
+        "rkstab.spatial._SIX": 6.0,
+    }
+    for name, value in found.items():
+        assert value.shape == () and value.dtype == np.float64, name
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(value, 1.0, out=value)
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 1.0
+    made = operand(3)
+    assert made.shape == () and made.dtype == np.float64 and not made.flags.writeable
 
 
 def test_fields_reject_a_wrong_length():

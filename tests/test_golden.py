@@ -1,4 +1,5 @@
-"""Every table, CSV and run verdict of tests/golden stays byte-identical."""
+"""Every table, CSV, run verdict, history and final field of tests/golden
+stays byte-identical."""
 
 import json
 from pathlib import Path

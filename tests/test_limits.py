@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rkstab.limits as limits
-from rkstab.integrator import RunVerdict
+from rkstab.integrator import RunVerdict, run_batch
 from rkstab.limits import LimitSearchConfig, find_limits, limits_table
 from rkstab.presets import preset_config
 from rkstab.tableau import ButcherTableau
@@ -411,3 +411,44 @@ def test_a_table_rejects_the_settings_its_sweep_sets(monkeypatch, overrides, nam
     monkeypatch.setattr(limits, "run_batch", no_sweep)
     with pytest.raises(ValueError, match=f"^limits_table sets {named} per candidate; it cannot be overridden$"):
         limits_table("upwind", ["rk44"], c_max=0.3, t_final=0.1, **overrides)
+
+
+#: An integer past the float range: each real-valued setting used to accept
+#: it and then raise an OverflowError, some only inside the sweep or the run.
+PAST_FLOAT = 10**400
+
+
+class _Unbuilt:
+    """An initial condition that fails if built: a run that reaches it has begun."""
+
+    def build(self, grid):
+        raise AssertionError("run_batch built the initial field")
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("t_final", lambda: preset_config("upwind", t_final=PAST_FLOAT)),
+        ("dt_factor", lambda: preset_config("upwind", dt_factor=PAST_FLOAT)),
+        ("tolerance", lambda: preset_config("upwind", tolerance=PAST_FLOAT)),
+        ("c_min", lambda: limits_table("upwind", ["rk44"], c_min=PAST_FLOAT, t_final=0.1)),
+        ("c_max", lambda: limits_table("upwind", ["rk44"], c_max=PAST_FLOAT, t_final=0.1)),
+        ("granularity", lambda: limits_table("upwind", ["rk44"], granularity=PAST_FLOAT, t_final=0.1)),
+        (
+            "dt_factor",
+            lambda: run_batch(dataclasses.replace(preset_config("upwind"), ic=_Unbuilt()), [0.5, PAST_FLOAT]),
+        ),
+    ],
+    ids=["t_final", "dt_factor", "tolerance", "c_min", "c_max", "granularity", "multiplier"],
+)
+def test_a_setting_past_the_float_range_is_refused_before_any_run(monkeypatch, name, call):
+    """The ValueError of ``require_number`` names the setting, and comes
+    before any run: no sweep calls ``run_batch``, and the multiplier's own
+    ``run_batch`` call builds no initial field."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(limits, "run_batch", no_sweep)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be within the float range, got {PAST_FLOAT!r}")):
+        call()
